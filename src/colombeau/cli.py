@@ -29,10 +29,9 @@ from .runner import (
     EXIT_OK,
     EXIT_UNSTABLE,
     EXIT_VIOLATION,
-    jsonable,
     run_config,
 )
-from .scale import EpsGrid, ScaleError, default_grid
+from .scale import EpsGrid, ScaleError, default_grid, jsonable
 
 
 def _print_json(doc: dict) -> None:

@@ -1,14 +1,16 @@
 """Native evaluators for the bump and cutoff primitives and their derivatives.
 
-The k-th derivative of bump(t) = exp(1/(t^2-1)) is R_k(t)*bump(t) with a
-rational prefactor R_k = P_k / (t^2-1)^(2k).  The integer-coefficient
-polynomials P_k satisfy
+The partial derivatives of the radial bump exp(1/D), D = |x|^2 - 1, over d
+axes are d^alpha exp(1/D) = exp(1/D) * P_alpha(x) / D^(2|alpha|) with
+integer-coefficient polynomials P_alpha that satisfy
 
-    P_{k+1} = P_k' * D^2 - 2 t P_k (2k D + 1),      D = t^2 - 1,
+    P_{alpha+e_i} = d_i P_alpha * D^2 - 2 x_i P_alpha (2|alpha| D + 1),
 
-which we tabulate once per order.  Because every derivative keeps an explicit
-bump factor, values on and outside |t| >= 1 are exactly zero -- the rational
-prefactor is never evaluated there.
+tabulated once per multi-index as dense coefficient arrays with one axis per
+coordinate.  For d = 1 this is the bump(t) = exp(1/(t^2-1)) primitive of the
+expression language; the mollifier uses d = 1, 2, 3.  Because every
+derivative keeps an explicit bump factor, values on and outside |x| >= 1 are
+exactly zero -- the rational prefactor is never evaluated there.
 
 Cutoff derivatives are obtained by truncated-Taylor (jet) propagation through
 the closed form B(2-|t|)/(B(2-|t|)+B(|t|-1)) on the transition band
@@ -17,59 +19,97 @@ plateau / outside the support, including at the seam points |t| = 1, 2.
 """
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 __all__ = [
+    "ball_bump_values",
     "bump_deriv_values",
     "cutoff_deriv_values",
     "bump_poly",
-    "psi_normalisation_1d",
 ]
 
 # ---------------------------------------------------------------------------
 # bump
 # ---------------------------------------------------------------------------
 
-_D = np.array([-1.0, 0.0, 1.0])  # t^2 - 1 in ascending coefficients
-_D2 = np.polynomial.polynomial.polymul(_D, _D)
-_BUMP_POLYS: list[np.ndarray] = [np.array([1.0])]
+_BUMP_POLYS: dict[tuple[int, ...], np.ndarray] = {}
 
 
-def bump_poly(k: int) -> np.ndarray:
-    """Ascending coefficients of P_k in d^k bump = P_k/(t^2-1)^(2k) * bump."""
+def _pad_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.zeros(np.maximum(a.shape, b.shape))
+    out[tuple(slice(0, n) for n in a.shape)] += a
+    out[tuple(slice(0, n) for n in b.shape)] += b
+    return out
+
+
+def _shift(P: np.ndarray, axis: int, by: int) -> np.ndarray:
+    """P * x_axis^by on dense coefficient arrays."""
+    pad = [(0, 0)] * P.ndim
+    pad[axis] = (by, 0)
+    return np.pad(P, pad)
+
+
+def _times_D(P: np.ndarray) -> np.ndarray:
+    """P * (|x|^2 - 1) on dense coefficient arrays."""
+    out = -P
+    for j in range(P.ndim):
+        out = _pad_add(out, _shift(P, j, 2))
+    return out
+
+
+def bump_poly(alpha: Sequence[int]) -> np.ndarray:
+    """Coefficients of P_alpha in d^alpha exp(1/D) = P_alpha/D^(2|alpha|) * exp(1/D).
+
+    Entry [i_0, ..., i_{d-1}] is the coefficient of x_0^i_0 ... x_{d-1}^i_{d-1};
+    trailing all-zero slices are trimmed, as numpy's 1-d polynomial helpers do.
+    """
+    alpha = tuple(int(a) for a in alpha)
+    P = _BUMP_POLYS.get(alpha)
+    if P is not None:
+        return P
+    if not any(alpha):
+        P = np.ones((1,) * len(alpha))
+    else:
+        i = next(j for j, a in enumerate(alpha) if a > 0)
+        prev = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
+        Q = bump_poly(prev)
+        m = sum(prev)
+        term1 = _times_D(_times_D(np.polynomial.polynomial.polyder(Q, axis=i)))
+        term2 = _shift(_pad_add(2.0 * m * _times_D(Q), Q), i, 1)
+        P = _pad_add(term1, -2.0 * term2)
+        P = P[tuple(slice(0, ix.max() + 1) for ix in np.nonzero(P))]
+    _BUMP_POLYS[alpha] = P
+    return P
+
+
+def ball_bump_values(alpha: Sequence[int], points: np.ndarray) -> np.ndarray:
+    """d^alpha exp(1/(|x|^2-1)) at points of shape (d, N), exactly 0 for |x| >= 1."""
+    r2 = (points**2).sum(axis=0)
+    out = np.zeros(r2.shape)
+    inside = r2 < 1.0
+    if not np.any(inside):
+        return out
+    D = r2[inside] - 1.0
+    core = np.exp(1.0 / D)
+    k = sum(alpha)
+    if k == 0:
+        out[inside] = core
+        return out
+    x = points[:, inside]
     pp = np.polynomial.polynomial
-    while len(_BUMP_POLYS) <= k:
-        m = len(_BUMP_POLYS) - 1
-        Pm = _BUMP_POLYS[-1]
-        term1 = pp.polymul(pp.polyder(Pm), _D2)
-        inner = pp.polyadd(pp.polymul(np.array([2.0 * m]), _D), np.array([1.0]))
-        term2 = pp.polymul(np.array([0.0, -2.0]), pp.polymul(Pm, inner))
-        _BUMP_POLYS.append(pp.polyadd(term1, term2))
-    return _BUMP_POLYS[k]
+    P = pp.polyval(x[0], bump_poly(alpha))
+    for xi in x[1:]:
+        P = pp.polyval(xi, P, tensor=False)
+    out[inside] = P / D ** (2 * k) * core
+    return out
 
 
 def bump_deriv_values(order: int, t: np.ndarray) -> np.ndarray:
     """Vectorised d^order/dt^order of the unit bump, zero outside |t|<1."""
     t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    if not np.any(inside):
-        return out
-    ti = t[inside]
-    Di = ti * ti - 1.0
-    core = np.exp(1.0 / Di)
-    if order == 0:
-        out[inside] = core
-        return out
-    P = bump_poly(order)
-    out[inside] = np.polynomial.polynomial.polyval(ti, P) / Di ** (2 * order) * core
-    return out
-
-
-def psi_normalisation_1d(Q: int = 128) -> float:
-    """1 / integral of the unit bump, via a Gauss-Legendre rule of order Q."""
-    x, w = np.polynomial.legendre.leggauss(Q)
-    return float(1.0 / np.sum(w * bump_deriv_values(0, x)))
+    return ball_bump_values((order,), t.reshape(1, -1)).reshape(t.shape)
 
 
 # ---------------------------------------------------------------------------

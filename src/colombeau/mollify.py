@@ -11,9 +11,13 @@ node count independent of eps:
 
     (u star psi_{eps^n})(x) = sum_q w_q psi(s_q) u(x - eps^n s_q).
 
-Derivatives fall on u for evaluation (the exact symbolic path).  For the
-growth-bound check they fall on psi instead -- u star d^alpha(psi_{eps^n}) --
-and the agreement of the two routes is itself a test.
+Both derivative routes run this one quadrature loop and differ only in the
+weights and in which derivative of u they read.  MollifiedNet puts the
+derivative on u (the exact symbolic path) with weights w_q psi(s_q); for the
+growth-bound check PsiRouteNet puts it on psi instead -- u star
+d^alpha(psi_{eps^n}) -- with weights w_q psi^(alpha)(s_q) eps^(-n|alpha|),
+and the agreement of the two routes is itself a test.  psi and its
+derivatives come from the bump recurrence in expr.special.
 """
 from __future__ import annotations
 
@@ -23,6 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .expr.special import ball_bump_values
 from .nets import (
     CompactBox,
     DEFAULT_SAMPLING,
@@ -36,7 +41,7 @@ from .nets import (
     seminorm_table,
     sharp_seminorm,
 )
-from .scale import EpsGrid, default_grid, estimate_valuation
+from .scale import EpsGrid, default_grid, estimate_valuation, jsonable
 
 DEFAULT_QUAD_ORDER = 32
 DEFAULT_N_LIST = (1, 2, 3, 4)
@@ -57,93 +62,6 @@ CONVERGENCE_GRID = EpsGrid(0.5, 0.8, 20)
 # ---------------------------------------------------------------------------
 
 
-def _ball_bump(r2: np.ndarray) -> np.ndarray:
-    """exp(1/(r^2-1)) inside the open unit ball, 0 outside (unnormalized)."""
-    r2 = np.asarray(r2, dtype=float)
-    out = np.zeros(r2.shape)
-    inside = r2 < 1.0
-    if inside.any():
-        out[inside] = np.exp(1.0 / (r2[inside] - 1.0))
-    return out
-
-
-# d^alpha exp(1/D) = exp(1/D) * P_alpha(x) / D^(2|alpha|) with D = |x|^2 - 1.
-# P grows by P_{alpha+e_i} = dP/dx_i * D^2 - 2 x_i P (2|alpha| D + 1); the
-# polynomials are kept as {exponent tuple: coefficient} dicts.
-_Poly = dict[tuple[int, ...], float]
-
-
-def _p_add(a: _Poly, b: _Poly) -> _Poly:
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0.0) + c
-        if out[e] == 0.0:
-            del out[e]
-    return out
-
-
-def _p_scale(a: _Poly, s: float) -> _Poly:
-    return {e: c * s for e, c in a.items()} if s != 0.0 else {}
-
-
-def _p_mul(a: _Poly, b: _Poly) -> _Poly:
-    out: _Poly = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, 0.0) + ca * cb
-    return {e: c for e, c in out.items() if c != 0.0}
-
-
-def _p_diff(a: _Poly, i: int) -> _Poly:
-    out: _Poly = {}
-    for e, c in a.items():
-        if e[i] == 0:
-            continue
-        de = tuple(x - 1 if j == i else x for j, x in enumerate(e))
-        out[de] = out.get(de, 0.0) + c * e[i]
-    return out
-
-
-def _p_eval(a: _Poly, points: np.ndarray) -> np.ndarray:
-    acc = np.zeros(points.shape[1])
-    for e, c in a.items():
-        term = np.full(points.shape[1], c)
-        for i, p in enumerate(e):
-            if p:
-                term = term * points[i] ** p
-        acc += term
-    return acc
-
-
-_PSI_POLYS: dict[tuple[int, tuple[int, ...]], _Poly] = {}
-
-
-def _psi_poly(d: int, alpha: tuple[int, ...]) -> _Poly:
-    key = (d, alpha)
-    cached = _PSI_POLYS.get(key)
-    if cached is not None:
-        return cached
-    zero = tuple([0] * d)
-    if alpha == zero:
-        poly: _Poly = {zero: 1.0}
-    else:
-        i = next(j for j, a in enumerate(alpha) if a > 0)
-        prev = tuple(a - 1 if j == i else a for j, a in enumerate(alpha))
-        P = _psi_poly(d, prev)
-        k = sum(prev)
-        D: _Poly = {zero: -1.0}
-        for j in range(d):
-            D = _p_add(D, {tuple(2 if l == j else 0 for l in range(d)): 1.0})
-        xi: _Poly = {tuple(1 if l == i else 0 for l in range(d)): 1.0}
-        term1 = _p_mul(_p_diff(P, i), _p_mul(D, D))
-        bracket = _p_add(_p_scale(D, 2.0 * k), {zero: 1.0})
-        term2 = _p_scale(_p_mul(_p_mul(xi, P), bracket), -2.0)
-        poly = _p_add(term1, term2)
-    _PSI_POLYS[key] = poly
-    return poly
-
-
 @dataclass(frozen=True, eq=False)
 class Mollifier:
     """Normalized bump with its tensor Gauss-Legendre rule (order Q/axis)."""
@@ -155,19 +73,12 @@ class Mollifier:
     weights: np.ndarray  # (M,) tensor weight products (rule only, no psi)
     core_weights: np.ndarray  # (M,) weights * psi(nodes); sums to 1
 
-    @property
-    def abs_integral(self) -> float:
-        return float(np.sum(np.abs(self.core_weights)))
-
     def integral(self) -> float:
         """Re-integrate psi with the mollifier's own rule."""
         return float(np.sum(self.core_weights))
 
     def psi(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[0] != self.dimension:
-            raise NetError("points must have shape (d, N)")
-        return self.c * _ball_bump((points**2).sum(axis=0))
+        return self.psi_deriv((0,) * self.dimension, points)
 
     def psi_deriv(self, alpha: Sequence[int], points: np.ndarray) -> np.ndarray:
         alpha = tuple(int(a) for a in alpha)
@@ -176,20 +87,7 @@ class Mollifier:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[0] != self.dimension:
             raise NetError("points must have shape (d, N)")
-        k = sum(alpha)
-        r2 = (points**2).sum(axis=0)
-        out = np.zeros(points.shape[1])
-        inside = r2 < 1.0
-        if not inside.any():
-            return out
-        D = r2[inside] - 1.0
-        core = self.c * np.exp(1.0 / D)
-        if k == 0:
-            out[inside] = core
-            return out
-        P = _p_eval(_psi_poly(self.dimension, alpha), points[:, inside])
-        out[inside] = core * P / D ** (2 * k)
-        return out
+        return self.c * ball_bump_values(alpha, points)
 
 
 def build_mollifier(d: int = 1, Q: int = DEFAULT_QUAD_ORDER) -> Mollifier:
@@ -206,7 +104,7 @@ def build_mollifier(d: int = 1, Q: int = DEFAULT_QUAD_ORDER) -> Mollifier:
     weights = np.ones(nodes.shape[1])
     for g in wgrids:
         weights = weights * g.ravel()
-    raw = weights * _ball_bump((nodes**2).sum(axis=0))
+    raw = weights * ball_bump_values((0,) * d, nodes)
     total = float(np.sum(raw))
     if not (total > 0.0 and math.isfinite(total)):
         raise NetError("bump quadrature failed")
@@ -255,11 +153,12 @@ class MollifiedNet(FunctionNet):
         self.oscillation_hint = base.oscillation_hint
         self.support_box = None if base.support_box is None else enlarge(base.support_box, 1.0)
         self.name = name
-        keep = mollifier.core_weights != 0.0
-        self._nodes = mollifier.nodes[:, keep]
-        self._weights = mollifier.core_weights[keep]
+        self._keep = mollifier.core_weights != 0.0
+        self._nodes = mollifier.nodes[:, self._keep]
+        self._weights = mollifier.core_weights[self._keep]
 
-    def derivative_batch(self, alpha, coords, eps):
+    def _convolve(self, alpha, weights, coords, eps):
+        """sum_q weights_q * d^alpha u_eps(x - eps^n s_q), in chunks of points."""
         shift = eps**self.n
         d, total = coords.shape
         m = self._nodes.shape[1]
@@ -269,8 +168,11 @@ class MollifiedNet(FunctionNet):
             block = coords[:, start : start + step]
             shifted = block[:, :, None] - shift * self._nodes[:, None, :]
             vals = self.base.derivative_batch(alpha, shifted.reshape(d, -1), eps)
-            out[start : start + block.shape[1]] = vals.reshape(-1, m) @ self._weights
+            out[start : start + block.shape[1]] = vals.reshape(-1, m) @ weights
         return out
+
+    def derivative_batch(self, alpha, coords, eps):
+        return self._convolve(alpha, self._weights, coords, eps)
 
     def sample_intervals(self, box, eps):
         shift = eps**self.n
@@ -301,7 +203,7 @@ def mollify(u: FunctionNet, n: int, mollifier: Optional[Mollifier] = None) -> Mo
     return MollifiedNet(u, n, mollifier)
 
 
-class PsiRouteNet(FunctionNet):
+class PsiRouteNet(MollifiedNet):
     """Same convolution with derivatives on psi: u star d^alpha(psi_{eps^n}).
 
     derivative_batch(alpha, x, eps) computes
@@ -310,45 +212,18 @@ class PsiRouteNet(FunctionNet):
     """
 
     def __init__(self, base: FunctionNet, n: int, mollifier: Mollifier):
-        if base.dimension != mollifier.dimension:
-            raise NetError("mollifier dimension must match the net")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise NetError("mollification order n must be a positive integer")
-        self.base = base
-        self.n = n
-        self.mollifier = mollifier
-        self.dimension = base.dimension
-        self.oscillation_hint = base.oscillation_hint
-        self.support_box = None if base.support_box is None else enlarge(base.support_box, 1.0)
-        self.name = ""
+        super().__init__(base, n, mollifier)
         self._weight_cache: dict[tuple[int, ...], np.ndarray] = {}
-
-    def _route_weights(self, alpha: tuple[int, ...]) -> np.ndarray:
-        w = self._weight_cache.get(alpha)
-        if w is None:
-            w = self.mollifier.weights * self.mollifier.psi_deriv(alpha, self.mollifier.nodes)
-            self._weight_cache[alpha] = w
-        return w
 
     def derivative_batch(self, alpha, coords, eps):
         alpha = tuple(int(a) for a in alpha)
-        shift = eps**self.n
+        weights = self._weight_cache.get(alpha)
+        if weights is None:
+            rule = self.mollifier.weights[self._keep]
+            weights = rule * self.mollifier.psi_deriv(alpha, self._nodes)
+            self._weight_cache[alpha] = weights
         scale = float(np.float64(eps) ** (-self.n * sum(alpha)))
-        weights = self._route_weights(alpha)
-        d, total = coords.shape
-        m = self.mollifier.nodes.shape[1]
-        out = np.empty(total)
-        step = max(1, _EVAL_CHUNK // m)
-        zero = tuple([0] * d)
-        for start in range(0, total, step):
-            block = coords[:, start : start + step]
-            shifted = block[:, :, None] - shift * self.mollifier.nodes[:, None, :]
-            vals = self.base.derivative_batch(zero, shifted.reshape(d, -1), eps)
-            out[start : start + block.shape[1]] = (vals.reshape(-1, m) @ weights) * scale
-        return out
-
-    def sample_intervals(self, box, eps):
-        return MollifiedNet.sample_intervals(self, box, eps)
+        return self._convolve((0,) * self.dimension, weights, coords, eps) * scale
 
     def describe(self):
         return {
@@ -423,32 +298,23 @@ class ConvergenceRecord:
         ]
 
     def to_json_dict(self) -> dict:
-        def num(x):
-            if x != x:
-                return None
-            if x == math.inf:
-                return "inf"
-            if x == -math.inf:
-                return "-inf"
-            return x
-
-        return {
+        return jsonable({
             "k": self.k,
             "K": self.K.describe(),
-            "reference": num(self.reference),
-            "slope": num(self.slope),
+            "reference": self.reference,
+            "slope": self.slope,
             "all_ok": self.all_ok,
             "entries": [
                 {
                     "n": e.n,
-                    "v_hat": num(e.v_hat),
-                    "required": num(e.required),
+                    "v_hat": e.v_hat,
+                    "required": e.required,
                     "ok": e.ok,
                     "stable": e.stable,
                 }
                 for e in self.entries
             ],
-        }
+        })
 
 
 def convergence_experiment(

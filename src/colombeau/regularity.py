@@ -21,7 +21,7 @@ from .nets import (
     SharpSeminorm,
     sharp_seminorm,
 )
-from .scale import EpsGrid
+from .scale import EpsGrid, jsonable
 
 DEFAULT_K_MAX = 6
 DEFAULT_TOL = 0.1
@@ -357,20 +357,11 @@ class RegularityReport:
     growth_char: tuple[GrowthCharReport, ...]
 
     def to_json_dict(self) -> dict:
-        def num(x):
-            if x is None or (isinstance(x, float) and math.isnan(x)):
-                return None
-            if x == math.inf:
-                return "inf"
-            if x == -math.inf:
-                return "-inf"
-            return x
-
-        return {
+        return jsonable({
             "net": self.net,
             "K": self.K,
             "k_max": self.k_max,
-            "ln_p": [num(v) for v in self.ln_p],
+            "ln_p": self.ln_p,
             "stable": self.stable,
             "ginfty": {
                 "verdict": self.ginfty.verdict,
@@ -382,19 +373,19 @@ class RegularityReport:
                 {
                     "a": g.a,
                     "verdict": g.verdict,
-                    "a_prime": num(g.a_prime),
-                    "b": num(g.b),
-                    "s_hat": num(g.s_hat),
+                    "a_prime": g.a_prime,
+                    "b": g.b,
+                    "s_hat": g.s_hat,
                 }
                 for g in self.gla
             ],
             "sublinear": {
                 "verdict": self.sublinear.verdict,
-                "slopes": [num(r.s_full) for r in self.sublinear.per_compact],
-                "witness_rates": [num(r.a_witness) for r in self.sublinear.per_compact],
+                "slopes": [r.s_full for r in self.sublinear.per_compact],
+                "witness_rates": [r.a_witness for r in self.sublinear.per_compact],
             },
             "landau": [
-                {"k": e.k, "verdict": e.verdict, "margin": num(e.margin)}
+                {"k": e.k, "verdict": e.verdict, "margin": e.margin}
                 for e in self.landau.entries
             ],
             "growth_char": [
@@ -406,7 +397,7 @@ class RegularityReport:
                 }
                 for g in self.growth_char
             ],
-        }
+        })
 
 
 def build_report(

@@ -24,7 +24,7 @@ from .mollify import (
     mollify,
 )
 from .nets import NetError, seminorm_table
-from .scale import estimate_valuation
+from .scale import estimate_valuation, jsonable
 from .regularity import (
     build_report,
     classify_sublinear,
@@ -60,22 +60,6 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
     os.replace(tmp, path)
-
-
-def jsonable(x):
-    """Recursively replace non-JSON floats so dumps stays strict."""
-    if isinstance(x, dict):
-        return {k: jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [jsonable(v) for v in x]
-    if isinstance(x, float):
-        if math.isnan(x):
-            return None
-        if x == math.inf:
-            return "inf"
-        if x == -math.inf:
-            return "-inf"
-    return x
 
 
 def write_json(path: str, document: dict) -> None:

@@ -25,6 +25,23 @@ class ScaleError(ValueError):
     pass
 
 
+def jsonable(x):
+    """Recursively replace non-JSON floats so dumps stays strict: nan becomes
+    None, +inf (the valuation of a negligible net) "inf", -inf "-inf"."""
+    if isinstance(x, dict):
+        return {k: jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    if isinstance(x, float):
+        if math.isnan(x):
+            return None
+        if x == math.inf:
+            return "inf"
+        if x == -math.inf:
+            return "-inf"
+    return x
+
+
 # ---------------------------------------------------------------------------
 # PowerScale
 # ---------------------------------------------------------------------------

@@ -1,0 +1,102 @@
+"""Golden output digests of ``run_config``.
+
+Criterion 14 compares a run only with itself, so it cannot see a refactor
+that changes what the program computes.  This test runs fixed configs and
+compares the sha256 of every file ``run_config`` writes with a digest
+recorded before the refactor it guards:
+
+- ``classify`` on each catalog net on ``REFERENCE_COMPACTS`` (a short eps
+  grid and ``k_max = 5`` keep it fast);
+- ``mollify-converge`` on ``compact_osc``, which exercises
+  ``build_mollifier`` and ``MollifiedNet``, and on ``one``, whose reference
+  valuation is ``+inf`` and so goes through the JSON encoder's ``"inf"``.
+
+The digests were recorded with Python 3.11.7 and numpy 2.4.6.  Another
+numpy can round the last bit of a float differently; a mismatch there means
+the digests must be re-recorded, not that a refactor went wrong.
+"""
+import hashlib
+import os
+
+import pytest
+
+from colombeau import load_config, run_config
+from colombeau.catalog import CATALOG, REFERENCE_COMPACTS
+
+_COMPACTS = [K.describe() for K in REFERENCE_COMPACTS]
+_CLASSIFY_GRID = {"eps0": 0.5, "ratio": 0.5, "count": 16}
+_CONVERGE_GRID = {"eps0": 0.5, "ratio": 0.8, "count": 20}
+
+GOLDEN = {
+    "osc": {
+        "00-classify.json": "d61b4a742e1ddc52823e299c3043ac8654048b1b9290b27e574686b51c473fb9",
+        "summary.json": "1e6e25886ec6d13163c94a8f1fb3f0d619f24337194925cdab26613d26648aa1",
+    },
+    "const_ginfty": {
+        "00-classify.json": "ed958b3412baf8d02fbeeaca76d6d58345ade6ba33c91cd3c2df1c778816cc03",
+        "summary.json": "034f938f1f5ec3091433e812ef7dbf1cf952e3e449210ccf7ea56448f969a376",
+    },
+    "delta": {
+        "00-classify.json": "3bafff5cf5c7704abf6d8caaac057a2d45e9b543c6da7086fc9c2a53ce5fb9e6",
+        "summary.json": "3bcd30895c1882148b90e622ca04dbc8d417ace993acade2d80e410edf523e67",
+    },
+    "one": {
+        "00-classify.json": "eb932556b48324fa0c7f3c48fc27cb804ef8c4f0dce50c49bd9ce61d1fda9a83",
+        "summary.json": "4f0ea61af7eb5045bb7d3f6559a0e825b90f2153f8b877b149422e0e938191b3",
+    },
+    "multiscale": {
+        "00-classify.json": "c5cc3ac3890b7fa6c31dd2b90d3066af8453e47e853c92c646d04c58a495eeae",
+        "summary.json": "6828365e71594271047055b164c138cbb4310818fce02bfb06d08283b607eee2",
+    },
+    "compact_osc": {
+        "00-classify.json": "26b783aae7aea3e0a42650e25462faeb89c43727c50921ca5e9051baf8ec1e1b",
+        "summary.json": "b2f6b6682e3507130d712a586d99e28b53b05d64722881ffb2b2fff2cc428c99",
+    },
+    "converge_compact_osc": {
+        "00-mollify-converge.csv": "c405c050a0dd07db6ab64258d669d7452a8da66550faf2d11194ee6762eed8bc",
+        "summary.json": "86576cd41d1e0123c03bd069ee1223220104c2a5cbe4aee3734e1f7a9b6c1aad",
+    },
+    "converge_one": {
+        "00-mollify-converge.csv": "c20638ec2364edd411b250250f730afcd9e07613206c604f0ed67dc989057d12",
+        "summary.json": "7e2b2d056d8883540935fee0fabccb138ac36042a86f5fb3615a8864ed963293",
+    },
+}
+
+
+def _config(name, net, experiment, grid, outdir):
+    return load_config({
+        "dimension": 1,
+        "net": {"catalog": net},
+        "compacts": _COMPACTS,
+        "eps_grid": grid,
+        "k_max": 5,
+        "experiments": [experiment],
+        "output_prefix": os.path.join(outdir, name),
+    })
+
+
+def _cases(outdir):
+    for net in CATALOG:
+        yield net, _config(net, net, {"kind": "classify"}, _CLASSIFY_GRID, outdir)
+    for net in ("compact_osc", "one"):
+        experiment = {"kind": "mollify-converge", "k": 1, "n_list": [1, 2, 3]}
+        name = f"converge_{net}"
+        yield name, _config(name, net, experiment, _CONVERGE_GRID, outdir)
+
+
+def _digests(files, name):
+    out = {}
+    for path in files:
+        with open(path, "rb") as fh:
+            out[os.path.basename(path)[len(name) + 1:]] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+def test_run_config_outputs_match_golden_digests(tmp_path):
+    got = {
+        name: _digests(run_config(cfg).files, name)
+        for name, cfg in _cases(str(tmp_path))
+    }
+    assert set(got) == set(GOLDEN)
+    for name in GOLDEN:
+        assert got[name] == GOLDEN[name], name

@@ -69,6 +69,10 @@ def test_normalisation_constant_1d():
     assert m.c == pytest.approx(2.2522836210435675, abs=1e-12)
 
 
+def test_psi_normalisation_quadrature_converged():
+    assert abs(build_mollifier(1, 128).c - build_mollifier(1, 256).c) < 1e-10
+
+
 def test_reintegration_is_one():
     for d, Q in ((1, 32), (1, 128), (2, 32)):
         m = build_mollifier(d, Q)
@@ -92,8 +96,10 @@ def test_psi_positive_inside(m32):
 
 
 def test_psi_deriv_matches_bump_recurrence(m32):
-    # same derivative recurrence in two implementations (dict polynomials in
-    # d variables vs dense 1-d coefficient arrays); sup-relative agreement
+    # psi_deriv and the expression-layer bump share one recurrence and one
+    # evaluator, so this pins the mollifier's wiring (scaling by c, the (d, N)
+    # point layout) against the 1-d path; the recurrence itself is checked by
+    # finite differences here and in test_special.py
     pts = np.linspace(-0.97, 0.97, 89)[None, :]
     for k in range(8):
         a = m32.psi_deriv((k,), pts)
@@ -109,6 +115,33 @@ def test_psi_deriv_2d_symmetry():
     a = m.psi_deriv((2, 1), pts)
     b = m.psi_deriv((1, 2), swapped)
     np.testing.assert_allclose(a, b, rtol=1e-12)
+
+
+def _stencil_2d(f, pts, axis, h=1e-5):
+    step = np.zeros((2, 1))
+    step[axis] = h
+    return (f(pts - 2 * step) - 8 * f(pts - step) + 8 * f(pts + step) - f(pts + 2 * step)) / (
+        12 * h
+    )
+
+
+@pytest.mark.parametrize(
+    "alpha, lower, axis",
+    [
+        ((1, 0), (0, 0), 0),
+        ((1, 1), (1, 0), 1),
+        ((1, 1), (0, 1), 0),  # the other path to the mixed partial
+        ((2, 1), (1, 1), 0),
+    ],
+    ids=["a10", "a11", "a11-via-01", "a21"],
+)
+def test_psi_deriv_2d_matches_finite_differences(alpha, lower, axis):
+    m = build_mollifier(2, 24)
+    g = np.linspace(-0.6, 0.6, 9)
+    pts = np.stack([a.ravel() for a in np.meshgrid(g, g + 0.05, indexing="ij")])
+    est = _stencil_2d(lambda p: m.psi_deriv(lower, p), pts, axis)
+    got = m.psi_deriv(alpha, pts)
+    assert np.max(np.abs(got - est)) / np.max(np.abs(got)) < 1e-8
 
 
 def test_psi_deriv_validation(m32):
@@ -267,6 +300,17 @@ def test_regular_bound_holds(compact_osc):
 def test_regular_bound_needs_support():
     with pytest.raises(NetError):
         regular_bound_experiment(_net("sin(x1/eps)", hint=1), K01, 0, 1)
+
+
+def test_psi_route_rejects_unresolvable_base(m32):
+    # under t = eps^n s the integrand has s-features of size eps^(hint - n),
+    # which no fixed-order rule resolves; both routes must refuse the net
+    fast = _net("cutoff(x1)*sin(x1/eps^2)", hint=2, support=CompactBox.interval(-2.0, 2.0))
+    with pytest.raises(NetError):
+        PsiRouteNet(fast, 1, m32)
+    with pytest.raises(NetError):
+        regular_bound_experiment(fast, K01, 1, 1)
+    assert PsiRouteNet(fast, 2, m32).n == 2  # resolvable once n >= hint
 
 
 # ---------------------------------------------------------------------------
