@@ -142,6 +142,9 @@ class ExperimentConfig:
     sampling: Sampling
     experiments: tuple[Experiment, ...]
     output_prefix: str
+    # False when the document has no eps_grid: ``grid`` is then the general
+    # default, and an experiment with a default grid of its own uses that
+    grid_given: bool
 
 
 _EXPERIMENT_PARAMS = {
@@ -222,7 +225,8 @@ def load_config(document: dict | str) -> ExperimentConfig:
     if not isinstance(prefix, str) or not prefix:
         raise ConfigError("output_prefix must be a non-empty string")
     return ExperimentConfig(
-        dimension, net, compacts, grid, k_max, sampling, experiments, prefix
+        dimension, net, compacts, grid, k_max, sampling, experiments, prefix,
+        "eps_grid" in document,
     )
 
 

@@ -1,16 +1,28 @@
 """Evaluation of expression nets at points and on point batches.
 
-The key contract is the exact-zero product short circuit: a product with a
-factor that evaluates to exactly 0 is 0, and the remaining factors are not
-consulted (scalar factors) or are masked out pointwise (array factors).
-Derivatives of bump/cutoff pair a vanishing primitive with a blowing-up
-rational prefactor, and the short circuit is what makes them evaluate to an
-exact 0 on and outside the support boundary.  Any non-finite value that
-survives to the final result is reported, never silently returned.
+Each tree is compiled once into a plan: its structurally distinct subtrees
+in topological order (children before parents), with their child slots,
+their use counts and the largest variable index.  The plan is kept on the
+root node, so it lives exactly as long as the tree and a call neither
+hashes nor walks the tree again.  One call computes each distinct subtree
+at most once, however often the tree repeats it: the product rule gives
+d^k of cutoff(x)*sin(x/eps) 2^k terms over only k+2 distinct factors.  A
+value is dropped after its last consumer, so a tree that shares nothing
+holds no more arrays at a time than a plain recursive walk would.
+
+Evaluation follows demand from the root.  The key contract is the
+exact-zero product short circuit: a product with a factor that evaluates to
+exactly 0 is 0, and the remaining factors are not evaluated (scalar
+factors) or are masked out pointwise (array factors).  Derivatives of
+bump/cutoff pair a vanishing primitive with a blowing-up rational
+prefactor, and the short circuit is what makes them evaluate to an exact 0
+on and outside the support boundary.  Any non-finite value that survives to
+the final result is reported, never silently returned.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +45,7 @@ from .nodes import (
     Sub,
     Exp,
     Var,
-    max_var_index,
+    children_of,
 )
 
 
@@ -41,82 +53,215 @@ class EvaluationError(ExpressionError):
     """Non-finite result (overflow, 0/0, division by zero at the point)."""
 
 
+_KINDS = (Const, Var, Eps, EpsPow, Add, Mul, Sub, Div, IntPow, Sin, Cos, Exp, Bump, Cutoff)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The distinct subtrees of one tree; slot i's children have slots < i.
+
+    The last slot is the root.  ``params`` holds what a node carries besides
+    its children: a Const value, a Var index, a float eps exponent, an
+    integer power or a derivative order.
+    """
+
+    kinds: tuple[type, ...]
+    params: tuple
+    kids: tuple[tuple[int, ...], ...]
+    uses: tuple[int, ...]  # references from the other distinct nodes
+    max_var: int  # largest variable index, -1 for a spatially constant net
+
+
+def _param(e: Expr):
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return e.index
+    if isinstance(e, (EpsPow, IntPow)):
+        return e.exponent
+    if isinstance(e, (Bump, Cutoff)):
+        return e.order
+    return None
+
+
+def _compile(root: Expr) -> _Plan:
+    slot_of: dict[int, int] = {}  # id(node) -> slot; the tree keeps every node alive
+    interned: dict[tuple, int] = {}
+    kinds: list[type] = []
+    params: list = []
+    kids: list[tuple[int, ...]] = []
+    uses: list[int] = []
+    max_var = -1
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in slot_of:
+            stack.pop()
+            continue
+        children = children_of(node)
+        pending = [c for c in children if id(c) not in slot_of]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        kind = type(node)
+        if kind not in _KINDS:
+            raise ExpressionError(f"cannot evaluate {node!r}")
+        p = _param(node)
+        ks = tuple(slot_of[id(c)] for c in children)
+        # repr tells -0.0 from 0.0 and 1 from 1.0, which compare equal
+        key = (kind, repr(p) if kind is Const else p, ks)
+        slot = interned.get(key)
+        if slot is None:
+            slot = interned[key] = len(kinds)
+            kinds.append(kind)
+            params.append(float(p) if kind is EpsPow else p)
+            kids.append(ks)
+            uses.append(0)
+            for c in ks:
+                uses[c] += 1
+            if kind is Var:
+                max_var = max(max_var, p)
+        slot_of[id(node)] = slot
+    return _Plan(tuple(kinds), tuple(params), tuple(kids), tuple(uses), max_var)
+
+
+def _plan_of(e: Expr) -> _Plan:
+    # Frozen nodes compare and hash by their fields only, so the memoised plan
+    # is invisible to equality.  Threads that race here compile equal plans.
+    plan = vars(e).get("_plan")
+    if plan is None:
+        plan = _compile(e)
+        object.__setattr__(e, "_plan", plan)
+    return plan
+
+
+def _is_scalar(v) -> bool:
+    # values are Python or numpy floats, or arrays of shape (N,) or (1,)
+    return not isinstance(v, np.ndarray) or v.ndim == 0
+
+
 def _as_batch(vals) -> np.ndarray:
     return np.atleast_1d(np.asarray(vals, dtype=float))
 
 
-def _eval(e: Expr, coords: np.ndarray, eps: float):
-    """Evaluate on a batch; returns a float scalar or an array of shape (N,).
-
-    Non-finite entries are allowed here (caller decides how to report them);
-    numpy error state must already be suppressed.
-    """
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return coords[e.index]
-    if isinstance(e, Eps):
+def _apply(kind: type, p, arg, coords: np.ndarray, eps: float):
+    """Value of a leaf or a one-child node, given the child's value."""
+    if kind is Const:
+        return p
+    if kind is Var:
+        return coords[p]
+    if kind is Eps:
         return float(eps)
-    if isinstance(e, EpsPow):
-        return float(np.float64(eps) ** float(e.exponent))
-    if isinstance(e, Add):
-        acc = _eval(e.children[0], coords, eps)
-        for c in e.children[1:]:
-            acc = acc + _eval(c, coords, eps)
-        return acc
-    if isinstance(e, Sub):
-        return _eval(e.left, coords, eps) - _eval(e.right, coords, eps)
-    if isinstance(e, Mul):
-        factors = []
-        zero_mask = None
-        for c in e.children:
-            v = _eval(c, coords, eps)
-            if np.isscalar(v) or np.ndim(v) == 0:
-                if v == 0.0:
-                    # exact scalar zero annihilates the product; later factors
-                    # are never evaluated
-                    return 0.0
-                factors.append(v)
-            else:
-                m = v == 0.0
-                if m.any():
-                    zero_mask = m if zero_mask is None else (zero_mask | m)
-                factors.append(v)
-        acc = factors[0]
-        for v in factors[1:]:
-            acc = acc * v
-        if zero_mask is not None:
-            acc = np.where(zero_mask, 0.0, acc)
-        return acc
-    if isinstance(e, Div):
-        return _eval(e.num, coords, eps) / _eval(e.den, coords, eps)
-    if isinstance(e, IntPow):
-        base = _eval(e.base, coords, eps)
-        if np.isscalar(base) or np.ndim(base) == 0:
+    if kind is EpsPow:
+        return float(np.float64(eps) ** p)
+    if kind is IntPow:
+        if _is_scalar(arg):
             try:
-                return float(base) ** e.exponent
+                return float(arg) ** p
             except (OverflowError, ZeroDivisionError):
-                return math.inf if base != 0.0 else math.nan
-        return base ** float(e.exponent)
-    if isinstance(e, Sin):
-        return np.sin(_eval(e.arg, coords, eps))
-    if isinstance(e, Cos):
-        return np.cos(_eval(e.arg, coords, eps))
-    if isinstance(e, Exp):
-        v = _eval(e.arg, coords, eps)
-        if np.isscalar(v) or np.ndim(v) == 0:
+                return math.inf if arg != 0.0 else math.nan
+        return arg ** float(p)
+    if kind is Sin:
+        return np.sin(arg)
+    if kind is Cos:
+        return np.cos(arg)
+    if kind is Exp:
+        if _is_scalar(arg):
             try:
-                return math.exp(float(v))
+                return math.exp(float(arg))
             except OverflowError:
                 return math.inf
-        return np.exp(v)
-    if isinstance(e, Bump):
-        v = _as_batch(_eval(e.arg, coords, eps))
-        return special.bump_deriv_values(e.order, v)
-    if isinstance(e, Cutoff):
-        v = _as_batch(_eval(e.arg, coords, eps))
-        return special.cutoff_deriv_values(e.order, v)
-    raise ExpressionError(f"cannot evaluate {e!r}")
+        return np.exp(arg)
+    if kind is Bump:
+        return special.bump_deriv_values(p, _as_batch(arg))
+    return special.cutoff_deriv_values(p, _as_batch(arg))
+
+
+def _times(acc, mask, v, first: bool):
+    """Fold one non-zero-scalar factor into a running product and zero mask."""
+    if not _is_scalar(v):
+        m = v == 0.0
+        if m.any():
+            mask = m if mask is None else (mask | m)
+    return (v if first else acc * v), mask
+
+
+_PENDING = object()  # not computed (yet)
+
+
+def _run(plan: _Plan, coords: np.ndarray, eps: float):
+    """Value of the plan's root: a float scalar or an array of shape (N,).
+
+    Non-finite entries are allowed here (caller decides how to report them);
+    numpy error state must already be suppressed.  Locals never hold a value
+    beyond its step, and the last consumer of a value takes its only
+    reference, so numpy can reuse a temporary's buffer as a plain recursive
+    walk lets it.
+    """
+    kinds, params, kids = plan.kinds, plan.params, plan.kids
+    vals: list = [_PENDING] * len(kinds)
+    left = list(plan.uses)
+
+    def take(slot: int):
+        v = vals[slot]
+        left[slot] -= 1
+        if left[slot] == 0:
+            vals[slot] = None
+        return v
+
+    def skip(slot: int) -> None:
+        # a consumer that will never read slot; a slot nobody will read is
+        # never computed, and its own children lose that consumer too
+        todo = [slot]
+        while todo:
+            s = todo.pop()
+            left[s] -= 1
+            if left[s] == 0:
+                if vals[s] is _PENDING:
+                    todo.extend(kids[s])
+                vals[s] = None
+
+    root = len(kinds) - 1
+    # frame: slot, next child, running Add/Mul value, zero mask of array factors
+    stack = [[root, 0, None, None]]
+    while stack:
+        frame = stack[-1]
+        s, i = frame[0], frame[1]
+        kind, ks = kinds[s], kids[s]
+        if i < len(ks):
+            c = ks[i]
+            if vals[c] is _PENDING:
+                if kids[c]:
+                    stack.append([c, 0, None, None])
+                    continue
+                vals[c] = _apply(kinds[c], params[c], None, coords, eps)
+            frame[1] = i + 1
+            if kind is Add:
+                frame[2] = take(c) if i == 0 else frame[2] + take(c)
+            elif kind is Mul:
+                if _is_scalar(vals[c]) and vals[c] == 0.0:
+                    # exact scalar zero annihilates the product; later
+                    # factors are never evaluated
+                    for c in ks[i:]:
+                        skip(c)
+                    vals[s] = 0.0
+                    stack.pop()
+                else:
+                    frame[2], frame[3] = _times(frame[2], frame[3], take(c), i == 0)
+            continue
+        stack.pop()
+        if kind is Add:
+            vals[s] = frame[2]
+        elif kind is Mul:
+            vals[s] = frame[2] if frame[3] is None else np.where(frame[3], 0.0, frame[2])
+        elif kind is Sub:
+            vals[s] = take(ks[0]) - take(ks[1])
+        elif kind is Div:
+            vals[s] = take(ks[0]) / take(ks[1])
+        else:
+            vals[s] = _apply(kind, params[s], take(ks[0]) if ks else None, coords, eps)
+    return vals[root]
 
 
 def eval_batch(e: Expr, coords: np.ndarray, eps: float) -> np.ndarray:
@@ -127,15 +272,16 @@ def eval_batch(e: Expr, coords: np.ndarray, eps: float) -> np.ndarray:
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2:
         raise ExpressionError("coords must have shape (d, N)")
-    need = max_var_index(e) + 1
+    plan = _plan_of(e)
+    need = plan.max_var + 1
     if coords.shape[0] < need:
         raise ExpressionError(
             f"expression uses {need} variables, coords provide {coords.shape[0]}"
         )
     _check_eps(eps)
     with np.errstate(all="ignore"):
-        v = _eval(e, coords, eps)
-    if np.isscalar(v) or np.ndim(v) == 0:
+        v = _run(plan, coords, eps)
+    if _is_scalar(v):
         return np.full(coords.shape[1], float(v))
     return np.asarray(v, dtype=float)
 
@@ -152,14 +298,15 @@ def evaluate(e: Expr, x: Sequence[float], eps: float) -> float:
         raise ExpressionError("point must be a flat sequence of coordinates")
     if not np.all(np.isfinite(x)):
         raise ExpressionError("point coordinates must be finite")
-    need = max_var_index(e) + 1
+    plan = _plan_of(e)
+    need = plan.max_var + 1
     if x.size < need:
         raise ExpressionError(f"expression uses {need} variables, point has {x.size}")
     _check_eps(eps)
     coords = x.reshape(-1, 1)
     with np.errstate(all="ignore"):
-        v = _eval(e, coords, eps)
-    out = float(v if (np.isscalar(v) or np.ndim(v) == 0) else np.asarray(v).ravel()[0])
+        v = _run(plan, coords, eps)
+    out = float(v if _is_scalar(v) else np.asarray(v).ravel()[0])
     if not math.isfinite(out):
         raise EvaluationError(
             f"non-finite value ({out}) at x={tuple(float(c) for c in x)}, eps={eps}"

@@ -597,21 +597,29 @@ class SeminormValue:
 _CHUNK = 1 << 19
 
 
+def _grid_chunks(axes: list[np.ndarray], limit: int):
+    """Points of the tensor grid over axes, as (d, n) arrays of at most limit points.
+
+    Points come in C order (axis 0 slowest), a few whole rows of axis 0 at a
+    time; a row longer than limit is split the same way along the next axis.
+    """
+    head, rest = axes[0], axes[1:]
+    if not rest:
+        for a in range(0, head.size, limit):
+            yield head[None, a : a + limit]
+        return
+    rows = max(1, limit // math.prod(ax.size for ax in rest))
+    for a in range(0, head.size, rows):
+        h = head[a : a + rows]
+        for tail in _grid_chunks(rest, limit // h.size):
+            yield np.vstack([np.repeat(h, tail.shape[1]), np.tile(tail, h.size)])
+
+
 def _grid_max(net: FunctionNet, alpha, intervals, counts, eps) -> tuple[float, int]:
     axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(intervals, counts)]
-    if len(axes) == 1:
-        coords = axes[0][None, :]
-        vals = net.derivative_batch(alpha, coords, eps)
-        finite = np.isfinite(vals)
-        bad = int(vals.size - np.count_nonzero(finite))
-        best = float(np.max(np.abs(vals[finite]))) if finite.any() else -1.0
-        return best, bad
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = np.stack([m.ravel() for m in mesh])
     best = -1.0
     bad = 0
-    for start in range(0, flat.shape[1], _CHUNK):
-        chunk = flat[:, start : start + _CHUNK]
+    for chunk in _grid_chunks(axes, _CHUNK):
         vals = net.derivative_batch(alpha, chunk, eps)
         finite = np.isfinite(vals)
         bad += int(vals.size - np.count_nonzero(finite))

@@ -170,7 +170,7 @@ def run_config(cfg: ExperimentConfig) -> RunResult:
                 cfg.compacts[0],
                 exp.params.get("k", 0),
                 tuple(exp.params.get("n_list", (1, 2, 3, 4))),
-                cfg.grid,
+                cfg.grid if cfg.grid_given else None,  # None: CONVERGENCE_GRID
                 cfg.sampling,
                 exp.params.get("r", 0.5),
                 m,

@@ -154,6 +154,22 @@ def test_run_convergence_violation_exits_3(tmp_path):
     assert len(lines) == 2
 
 
+def test_run_convergence_without_eps_grid_uses_convergence_grid(tmp_path):
+    # without an eps_grid the config's grid is the steep general default, on
+    # which the n = 3 difference falls into cancellation noise (v_hat -0.37
+    # against a required 0.8); mollify-converge falls back to CONVERGENCE_GRID
+    # as the CLI and convergence_experiment do
+    doc = base_config(
+        net={"catalog": "compact_osc"},
+        experiments=[{"kind": "mollify-converge", "k": 1, "n_list": [1, 2, 3]}],
+        output_prefix=str(tmp_path / "conv"),
+    )
+    del doc["eps_grid"]
+    result = run_config(load_config(doc))
+    assert result.exit_code == 0
+    assert result.summary["experiments"][0]["record"]["all_ok"] is True
+
+
 def test_run_class_a_negative_is_exit_0(tmp_path):
     # 'no' is a legitimate measured answer, not a pipeline failure
     cfg = load_config(

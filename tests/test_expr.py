@@ -33,6 +33,7 @@ from colombeau.expr import (
     simplify,
     to_text,
 )
+from colombeau.expr import special
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +233,217 @@ def test_eval_batch_shape_validation():
         eval_batch(parse("x1"), np.zeros(5), 0.5)
     with pytest.raises(ExpressionError):
         eval_batch(parse("x2", dimension=2), np.zeros((1, 5)), 0.5)
+
+
+# ---------------------------------------------------------------------------
+# the evaluator against a naive recursive reference
+# ---------------------------------------------------------------------------
+
+
+def _naive_eval(e, coords, eps):
+    """Walk the tree once per occurrence of each node: the reference semantics."""
+    f = lambda c: _naive_eval(c, coords, eps)
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return coords[e.index]
+    if isinstance(e, Eps):
+        return float(eps)
+    if isinstance(e, EpsPow):
+        return float(np.float64(eps) ** float(e.exponent))
+    if isinstance(e, Add):
+        acc = f(e.children[0])
+        for c in e.children[1:]:
+            acc = acc + f(c)
+        return acc
+    if isinstance(e, Sub):
+        return f(e.left) - f(e.right)
+    if isinstance(e, Mul):
+        factors, zero_mask = [], None
+        for c in e.children:
+            v = f(c)
+            if np.ndim(v) == 0:
+                if v == 0.0:
+                    return 0.0
+            else:
+                m = v == 0.0
+                if m.any():
+                    zero_mask = m if zero_mask is None else (zero_mask | m)
+            factors.append(v)
+        acc = factors[0]
+        for v in factors[1:]:
+            acc = acc * v
+        return acc if zero_mask is None else np.where(zero_mask, 0.0, acc)
+    if isinstance(e, Div):
+        return f(e.num) / f(e.den)
+    if isinstance(e, IntPow):
+        base = f(e.base)
+        if np.ndim(base) == 0:
+            try:
+                return float(base) ** e.exponent
+            except (OverflowError, ZeroDivisionError):
+                return math.inf if base != 0.0 else math.nan
+        return base ** float(e.exponent)
+    if isinstance(e, Sin):
+        return np.sin(f(e.arg))
+    if isinstance(e, Cos):
+        return np.cos(f(e.arg))
+    if isinstance(e, Exp):
+        v = f(e.arg)
+        if np.ndim(v) == 0:
+            try:
+                return math.exp(float(v))
+            except OverflowError:
+                return math.inf
+        return np.exp(v)
+    order_fn = special.bump_deriv_values if isinstance(e, Bump) else special.cutoff_deriv_values
+    return order_fn(e.order, np.atleast_1d(np.asarray(f(e.arg), dtype=float)))
+
+
+def _naive_batch(e, coords, eps):
+    with np.errstate(all="ignore"):
+        v = _naive_eval(e, coords, eps)
+    return np.full(coords.shape[1], float(v)) if np.ndim(v) == 0 else np.asarray(v, float)
+
+
+def _catalog_trees(k_max=6):
+    from colombeau.catalog import CATALOG, catalog_net
+
+    for name in CATALOG:
+        net = catalog_net(name)
+        parts = getattr(net, "parts", [net])  # FiniteSumNet evaluates termwise
+        for j, part in enumerate(parts):
+            for k in range(k_max + 1):
+                yield f"{name}[{j}] k={k}", part.derivative_expr((k,))
+
+
+# support seams of cutoff (|t| = 1, 2) and of bump(x1/eps) (|x1| = eps)
+_SEAMS = (-2.0, -1.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.125, 1 / 1024])
+def test_eval_batch_matches_naive_on_catalog_trees(eps):
+    x = np.concatenate([
+        np.linspace(-2.5, 2.5, 2001),
+        _SEAMS,
+        [eps * s for s in (-1.0, 1.0)],
+        np.nextafter(_SEAMS, 0.0),
+        np.nextafter(_SEAMS, np.copysign(np.inf, _SEAMS)),
+    ])[None, :]
+    for label, e in _catalog_trees():
+        got = eval_batch(e, x, eps)
+        assert np.array_equal(got, _naive_batch(e, x, eps), equal_nan=True), label
+
+
+def test_eval_batch_matches_naive_on_2d_tree():
+    from colombeau.nets import ExpressionNet, multi_indices
+
+    net = ExpressionNet(
+        2, parse("cutoff(x1)*bump(x2/2)*sin(x1/eps)*cos(x2*x1)", dimension=2), 1
+    )
+    g = np.linspace(-2.25, 2.25, 37)
+    coords = np.stack([m.ravel() for m in np.meshgrid(g, g, indexing="ij")])
+    for k in range(5):
+        for alpha in multi_indices(2, k):
+            e = net.derivative_expr(alpha)
+            got = eval_batch(e, coords, 0.3)
+            assert np.array_equal(got, _naive_batch(e, coords, 0.3), equal_nan=True), alpha
+
+
+def test_signed_zero_constants_stay_distinct():
+    # 0.0 == -0.0, but x/0.0 and x/-0.0 are infinities of opposite sign
+    e = Sub(Div(Var(0), Const(0.0)), Div(Var(0), Const(-0.0)))
+    x = np.ones((1, 3))
+    assert np.array_equal(eval_batch(e, x, 0.5), _naive_batch(e, x, 0.5))
+    assert np.all(eval_batch(e, x, 0.5) == math.inf)
+
+
+def test_each_distinct_subtree_is_evaluated_once(monkeypatch):
+    from colombeau.catalog import catalog_net
+
+    e = catalog_net("compact_osc").derivative_expr((6,))
+    assert node_count(e) == 548  # 2^6 product-rule terms over 8 distinct factors
+    orders = []
+    real = special.cutoff_deriv_values
+    monkeypatch.setattr(
+        special, "cutoff_deriv_values", lambda order, t: orders.append(order) or real(order, t)
+    )
+    x = np.linspace(-2.5, 2.5, 101)[None, :]
+    eval_batch(e, x, 0.1)
+    assert sorted(orders) == list(range(7))
+    orders.clear()
+    eval_batch(e, x, 0.1)  # the compiled plan is reused, the values are not
+    assert sorted(orders) == list(range(7))
+
+
+def test_factor_after_scalar_zero_is_never_evaluated(monkeypatch):
+    def refuse(order, t):
+        raise AssertionError("factor after a scalar zero was evaluated")
+
+    monkeypatch.setattr(special, "cutoff_deriv_values", refuse)
+    x = np.linspace(-1.0, 1.0, 5)[None, :]
+    skipped = Cutoff(Mul((Const(3.0), Var(0))))
+    e = Mul((Var(0), Sin(Const(0.0)), skipped, Exp(skipped)))
+    assert np.array_equal(eval_batch(e, x, 0.5), np.zeros(5))
+    assert evaluate(e, (0.5,), 0.5) == 0.0
+
+    # a skipped factor that another consumer needs is still evaluated, once
+    calls = []
+    monkeypatch.setattr(
+        special, "cutoff_deriv_values",
+        lambda order, t: calls.append(order) or np.full(np.shape(t), 2.0),
+    )
+    shared = Add((Mul((Sin(Const(0.0)), skipped)), Sin(skipped), skipped))
+    assert np.array_equal(eval_batch(shared, x, 0.5), np.full(5, np.sin(2.0) + 2.0))
+    assert calls == [0]
+
+
+def test_tree_without_sharing_keeps_naive_peak_memory():
+    import tracemalloc
+
+    # nothing repeats but the leaves x1 and eps^(-1), whose values are a view
+    # and a scalar
+    e = simplify(parse("sin(x1/eps)*cos(x1) + exp(-x1^2)*x1^3 - cutoff(x1)/(2 + x1^4)"))
+    x = np.linspace(-2.5, 2.5, 200_000)[None, :]
+    peaks = []
+    for fn in (eval_batch, _naive_batch):
+        fn(e, x, 0.25)  # compile outside the measured call
+        tracemalloc.start()
+        fn(e, x, 0.25)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[0] <= peaks[1] + 64 * 1024, peaks
+
+
+def test_plan_compilation_is_thread_safe():
+    import sys
+    import threading
+
+    from colombeau.catalog import catalog_net
+
+    x = np.linspace(-2.5, 2.5, 501)[None, :]
+    want = _naive_batch(catalog_net("compact_osc").derivative_expr((4,)), x, 0.1)
+    e = catalog_net("compact_osc").derivative_expr((4,))  # fresh tree, no plan yet
+    barrier = threading.Barrier(8)
+    results = []
+
+    def work():
+        barrier.wait(timeout=30)
+        results.extend(eval_batch(e, x, 0.1) for _ in range(5))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 40
+    assert all(np.array_equal(r, want) for r in results)
 
 
 # ---------------------------------------------------------------------------

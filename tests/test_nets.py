@@ -221,6 +221,35 @@ def test_seminorm_refinement_stability():
     assert abs(coarse.ln_value - fine.ln_value) <= 0.05
 
 
+@pytest.mark.parametrize("chunk", [1000, 50, 7])
+def test_grid_chunks_cap_points_and_keep_seminorms(monkeypatch, chunk):
+    import colombeau.nets as nets
+
+    cases = [
+        (ExpressionNet(2, parse("sin(x1/eps)*cos(x2)", dimension=2), 1),
+         CompactBox.of([(0.0, 1.0), (0.0, 1.0)]), 0.1, Sampling()),
+        (ExpressionNet(3, parse("sin(x1/eps)*cos(x2*x3)", dimension=3), 1),
+         CompactBox.of([(0.0, 1.0), (-1.0, 0.5), (0.0, 2.0)]), 0.2, Sampling(9)),
+    ]
+
+    def run():
+        return [seminorm(net, k, K, eps, sp) for net, K, eps, sp in cases for k in range(3)]
+
+    want = run()  # the default chunk holds each whole grid
+    sizes = []
+    real = ExpressionNet.derivative_batch
+    monkeypatch.setattr(
+        ExpressionNet, "derivative_batch",
+        lambda self, alpha, coords, eps: sizes.append(coords.shape[1]) or real(self, alpha, coords, eps),
+    )
+    monkeypatch.setattr(nets, "_CHUNK", chunk)
+    assert run() == want
+    assert max(sizes) <= chunk
+    per_alpha = [math.prod(v.points_per_axis) for v in want]
+    n_alphas = [len(multi_indices(net.dimension, k)) for net, *_ in cases for k in range(3)]
+    assert sum(sizes) == sum(p * n for p, n in zip(per_alpha, n_alphas))
+
+
 def test_seminorm_table_and_samples():
     table = seminorm_table(_osc(), 1, K01, EpsGrid(0.5, 0.5, 8))
     assert len(table.entries) == 8
