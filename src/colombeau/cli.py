@@ -1,87 +1,80 @@
 """Command-line interface.
 
 Subcommands: parse-check, catalog, run, classify, landau, mollify, class-a.
-The worker count for seminorm tables is capped by the COLOMBEAU_THREADS
-environment variable; results are identical at any thread count.
+Each analysis subcommand (classify, landau, mollify, class-a) is a
+one-experiment config: its flags become a config document (kinds
+classify, landau, mollify-converge and class-a), ``load_config`` validates
+it, and the runner's function for that kind computes the verdicts and the
+exit code, the same code ``colombeau run`` uses.  The subcommand prints the
+experiment's JSON document instead of writing files; class-a prints each
+compact's description in its rows, where the class-a CSV of ``colombeau
+run`` gives the compact's index in ``compacts``.  The worker count for
+seminorm tables is capped by the COLOMBEAU_THREADS environment variable;
+results are identical at any thread count.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .catalog import CATALOG, catalog_list, catalog_net, parse_catalog_spec
-from .config import ConfigError, load_config_file
+from .catalog import REFERENCE_COMPACTS, catalog_list, parse_catalog_spec
+from .config import ConfigError, load_config, load_config_file
 from .expr import ParseError, node_count, parse, to_text
-from .mollify import (
-    CONVERGENCE_GRID,
-    build_mollifier,
-    class_A_membership,
-    convergence_experiment,
-)
-from .nets import CompactBox, ExpressionNet, FunctionNet, NetError
-from .regularity import build_report, landau_check, psequence
-from .runner import (
-    EXIT_CONFIG,
-    EXIT_OK,
-    EXIT_UNSTABLE,
-    EXIT_VIOLATION,
-    run_config,
-)
-from .scale import EpsGrid, ScaleError, default_grid, jsonable
+from .mollify import CONVERGENCE_GRID
+from .nets import NetError
+from .runner import EXIT_CONFIG, EXIT_OK, EXPERIMENTS, exit_code, run_config
+from .scale import ScaleError, jsonable
+
+# analysis subcommand -> the experiment kind it runs
+_KINDS = {
+    "classify": "classify",
+    "landau": "landau",
+    "mollify": "mollify-converge",
+    "class-a": "class-a",
+}
 
 
-def _print_json(doc: dict) -> None:
-    print(json.dumps(jsonable(doc), sort_keys=True, indent=2))
+def _floats(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
 
 
-def _net_from_spec(spec: str, hint: str, support: Optional[str]) -> FunctionNet:
-    """A catalog name like 'multiscale(8)', or an inline 1-d expression."""
+def _config_document(args) -> dict:
+    """The one-experiment config that an analysis subcommand's flags stand for."""
     try:
-        parse_catalog_spec(spec)
-    except NetError:
-        pass
+        parse_catalog_spec(args.net)
+        net = {"catalog": args.net}
+    except NetError:  # an inline 1-d expression
+        net = {"expression": args.net, "oscillation_hint": args.hint}
+        if args.support:
+            net["support_box"] = [[_floats(args.support)]]
+    if args.compacts:  # ';' separates compacts, '|' the intervals of one union
+        unions = args.compacts.split(";")
+        compacts = [[[_floats(iv)] for iv in union.split("|")] for union in unions]
     else:
-        return catalog_net(spec)
-    expr = parse(spec, dimension=1)
-    box = None
-    if support:
-        lo, hi = _interval(support)
-        box = CompactBox.interval(lo, hi)
-    return ExpressionNet(1, expr, Fraction(hint), box, name=spec)
-
-
-def _interval(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise NetError(f"interval must be 'lo,hi', got {text!r}")
-    lo, hi = float(parts[0]), float(parts[1])
-    if not lo < hi:
-        raise NetError(f"empty interval {text!r}")
-    return lo, hi
-
-
-def _compacts(arg: Optional[str]) -> tuple[CompactBox, ...]:
-    if not arg:
-        from .catalog import REFERENCE_COMPACTS
-
-        return REFERENCE_COMPACTS
-    out = []
-    for union in arg.split(";"):
-        boxes = [[_interval(b)] for b in union.split("|")]
-        out.append(CompactBox.of(*boxes))
-    return tuple(out)
-
-
-def _grid(args) -> EpsGrid:
-    return EpsGrid(args.eps0, args.ratio, args.count)
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(","))
+        compacts = [K.describe() for K in REFERENCE_COMPACTS]
+    experiment = {"kind": _KINDS[args.command]}
+    if args.command == "classify":
+        experiment["a_values"] = _floats(args.a)
+        if args.bases:
+            experiment["bases"] = _floats(args.bases)
+    elif args.command == "mollify":
+        experiment.update(k=args.k, n_list=[int(n) for n in args.n.split(",")], r=args.r)
+        if args.order:  # absent or 0: the default quadrature order
+            experiment["quadrature_order"] = args.order
+    elif args.command == "class-a":
+        experiment["N"] = args.N
+    doc = {
+        "dimension": 1,
+        "net": net,
+        "compacts": compacts,
+        "eps_grid": {"eps0": args.eps0, "ratio": args.ratio, "count": args.count},
+        "experiments": [experiment],
+    }
+    if args.command != "mollify":  # mollify-converge reads no k_max
+        doc["k_max"] = args.kmax
+    return doc
 
 
 def _add_net_options(p: argparse.ArgumentParser) -> None:
@@ -150,65 +143,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             for f in result.files:
                 print(f)
             return result.exit_code
-        net = _net_from_spec(args.net, args.hint, args.support)
-        Ks = _compacts(args.compacts)
-        grid = _grid(args)
-        if args.command == "classify":
-            a_values = tuple(float(x) for x in args.a.split(","))
-            bases = (
-                tuple(float(x) for x in args.bases.split(","))
-                if args.bases
-                else (1.0, math.e, math.e**2)
-            )
-            report = build_report(net, Ks, grid, k_max=args.kmax, a_values=a_values, bases=bases)
-            _print_json(report.to_json_dict())
-            return EXIT_OK if all(report.stable) else EXIT_UNSTABLE
-        if args.command == "landau":
-            seq = psequence(net, Ks[0], grid, k_max=args.kmax)
-            rep = landau_check(seq)
-            _print_json(
-                {
-                    "all_ok": rep.all_ok,
-                    "entries": [
-                        {"k": e.k, "verdict": e.verdict, "margin": e.margin}
-                        for e in rep.entries
-                    ],
-                }
-            )
-            if not rep.all_ok:
-                return EXIT_VIOLATION
-            skipped = any(e.verdict == "skipped" for e in rep.entries)
-            return EXIT_UNSTABLE if skipped else EXIT_OK
-        if args.command == "mollify":
-            m = build_mollifier(net.dimension, args.order) if args.order else None
-            record = convergence_experiment(
-                net, Ks[0], args.k, _int_list(args.n), grid, r=args.r, mollifier=m
-            )
-            _print_json(record.to_json_dict())
-            if not record.all_ok:
-                return EXIT_VIOLATION
-            return EXIT_OK if all(e.stable for e in record.entries) else EXIT_UNSTABLE
-        if args.command == "class-a":
-            rep = class_A_membership(net, args.N, Ks, args.kmax, grid)
-            _print_json(
-                {
-                    "N": rep.N,
-                    "verdict": rep.verdict,
-                    "rows": [
-                        {
-                            "compact": r.K.describe(),
-                            "k": r.k,
-                            "v_hat": r.v_hat,
-                            "bound": r.bound,
-                            "ok": r.ok,
-                            "stable": r.stable,
-                        }
-                        for r in rep.rows
-                    ],
-                }
-            )
-            return EXIT_UNSTABLE if rep.verdict == "inconclusive" else EXIT_OK
-        raise ConfigError(f"unknown command {args.command}")  # pragma: no cover
+        cfg = load_config(_config_document(args))
+        (exp,) = cfg.experiments
+        outcome = EXPERIMENTS[exp.kind](cfg, exp.params)
+        print(json.dumps(jsonable(outcome.document), sort_keys=True, indent=2))
+        return exit_code([outcome])
     except (ConfigError, ParseError, NetError, ScaleError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -6,6 +6,7 @@ silently running a default.  Validation happens before any computation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional, Sequence
@@ -22,17 +23,6 @@ from .nets import (
     Sampling,
 )
 from .scale import EpsGrid, ScaleError
-
-EXPERIMENT_KINDS = (
-    "valuation",
-    "seminorms",
-    "classify",
-    "landau",
-    "mollify-converge",
-    "class-a",
-    "sublinear-density",
-)
-
 
 class ConfigError(ValueError):
     pass
@@ -147,28 +137,81 @@ class ExperimentConfig:
     grid_given: bool
 
 
+def _int(v, lo: int, hi: float = math.inf) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and lo <= v <= hi
+
+
+def _num(v, lo: float, strict: bool = False) -> bool:
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    return v > lo if strict else v >= lo  # nan fails both
+
+
+def _int_list(v, lo: int, hi: float = math.inf, increasing: bool = False) -> bool:
+    return (
+        isinstance(v, list)
+        and bool(v)
+        and all(_int(x, lo, hi) for x in v)
+        and not (increasing and any(b <= a for a, b in zip(v, v[1:])))
+    )
+
+
+def _num_list(v, lo: float, strict: bool = False) -> bool:
+    return isinstance(v, list) and all(_num(x, lo, strict) for x in v)
+
+
+_K = (lambda v: _int(v, 0, K_MAX_CAP), f"an integer in 0..{K_MAX_CAP}")
+_N_LIST = (
+    lambda v: _int_list(v, 1, increasing=True),
+    "a non-empty, strictly increasing list of integers >= 1",
+)
+_QUADRATURE_ORDER = (lambda v: _int(v, 16), "an integer >= 16")
+
+# kind -> (required parameters, {parameter: (check, what it must be)}); the
+# ranges are the ones the library functions enforce, checked before any run
 _EXPERIMENT_PARAMS = {
-    "valuation": ([], ["k"]),
-    "seminorms": ([], ["k_list"]),
-    "classify": ([], ["a_values", "bases", "tol"]),
-    "landau": ([], []),
-    "mollify-converge": ([], ["k", "n_list", "r", "quadrature_order"]),
-    "class-a": (["N"], []),
-    "sublinear-density": ([], ["n_list", "quadrature_order"]),
+    "valuation": ([], {"k": _K}),
+    "seminorms": ([], {
+        "k_list": (
+            lambda v: _int_list(v, 0, K_MAX_CAP),
+            f"a non-empty list of integers in 0..{K_MAX_CAP}",
+        ),
+    }),
+    "classify": ([], {
+        "a_values": (lambda v: _num_list(v, 0, strict=True), "a list of numbers > 0"),
+        "bases": (lambda v: _num_list(v, 1), "a list of numbers >= 1"),
+        "tol": (lambda v: _num(v, 0), "a number >= 0"),
+    }),
+    "landau": ([], {}),
+    "mollify-converge": ([], {
+        # the reference reads p_{k+1}
+        "k": (lambda v: _int(v, 0, K_MAX_CAP - 1), f"an integer in 0..{K_MAX_CAP - 1}"),
+        "n_list": _N_LIST,
+        "r": (lambda v: _num(v, 0) and math.isfinite(v), "a finite number >= 0"),
+        "quadrature_order": _QUADRATURE_ORDER,
+    }),
+    "class-a": (["N"], {"N": (lambda v: _int(v, 1), "an integer >= 1")}),
+    "sublinear-density": ([], {"n_list": _N_LIST, "quadrature_order": _QUADRATURE_ORDER}),
 }
+EXPERIMENT_KINDS = tuple(_EXPERIMENT_PARAMS)
+# kinds that read a tail rate, which needs k_max >= 4
+_TAIL_KINDS = ("classify", "sublinear-density")
 
 
 def _parse_experiment(raw: Any, index: int) -> Experiment:
+    where = f"experiments[{index}]"
     if not isinstance(raw, dict) or "kind" not in raw:
-        raise ConfigError(f"experiments[{index}] needs a kind")
+        raise ConfigError(f"{where} needs a kind")
     kind = raw["kind"]
     if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(
-            f"experiments[{index}].kind must be one of {', '.join(EXPERIMENT_KINDS)}"
-        )
-    required, optional = _EXPERIMENT_PARAMS[kind]
-    _require_keys(raw, f"experiments[{index}]", ["kind"] + list(required), optional)
+        raise ConfigError(f"{where}.kind must be one of {', '.join(EXPERIMENT_KINDS)}")
+    required, checks = _EXPERIMENT_PARAMS[kind]
+    _require_keys(raw, where, ["kind"] + required, list(checks))
     params = {k: v for k, v in raw.items() if k != "kind"}
+    for key, value in params.items():
+        ok, what = checks[key]
+        if not ok(value):
+            raise ConfigError(f"{where}.{key} must be {what}")
     return Experiment(kind, params)
 
 
@@ -221,6 +264,9 @@ def load_config(document: dict | str) -> ExperimentConfig:
     if not isinstance(raw_exps, list) or not raw_exps:
         raise ConfigError("experiments must be a non-empty list")
     experiments = tuple(_parse_experiment(e, i) for i, e in enumerate(raw_exps))
+    for e in experiments:
+        if e.kind in _TAIL_KINDS and k_max < 4:
+            raise ConfigError(f"{e.kind} needs k_max >= 4 to read a tail rate")
     prefix = document.get("output_prefix", "colombeau-run")
     if not isinstance(prefix, str) or not prefix:
         raise ConfigError("output_prefix must be a non-empty string")

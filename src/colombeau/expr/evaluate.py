@@ -141,6 +141,12 @@ def _is_scalar(v) -> bool:
     return not isinstance(v, np.ndarray) or v.ndim == 0
 
 
+def _divisor(v):
+    # a numpy scalar divides as arrays do: x/0 is +-inf or nan, where two
+    # Python floats would raise ZeroDivisionError
+    return np.float64(v) if _is_scalar(v) else v
+
+
 def _as_batch(vals) -> np.ndarray:
     return np.atleast_1d(np.asarray(vals, dtype=float))
 
@@ -258,7 +264,7 @@ def _run(plan: _Plan, coords: np.ndarray, eps: float):
         elif kind is Sub:
             vals[s] = take(ks[0]) - take(ks[1])
         elif kind is Div:
-            vals[s] = take(ks[0]) / take(ks[1])
+            vals[s] = take(ks[0]) / _divisor(take(ks[1]))
         else:
             vals[s] = _apply(kind, params[s], take(ks[0]) if ks else None, coords, eps)
     return vals[root]

@@ -1,5 +1,11 @@
 """Config-driven experiment execution with CSV/JSON outputs.
 
+Each experiment kind has one function, ``EXPERIMENTS[kind](cfg, params)``,
+that turns a validated config into an ``Outcome``.  ``run_config`` writes
+the outcomes as files; the analysis subcommands of the command line print
+the document of a one-experiment config instead.  ``exit_code`` is the one
+exit-code policy for both.
+
 Exit codes: 0 success, 1 config error (raised before this module runs),
 2 numerical instability (a required estimate was unstable), 3 assertion
 failure (an inequality the framework guarantees was violated beyond slack).
@@ -14,17 +20,21 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .config import ExperimentConfig
 from .mollify import (
+    CONVERGENCE_GRID,
+    DEFAULT_ENLARGEMENT,
+    DEFAULT_N_LIST,
+    Mollifier,
     build_mollifier,
     class_A_membership,
     convergence_experiment,
     mollify,
 )
-from .nets import NetError, seminorm_table
-from .scale import estimate_valuation, jsonable
+from .nets import seminorm_table
+from .scale import EpsGrid, estimate_valuation, jsonable
 from .regularity import (
     build_report,
     classify_sublinear,
@@ -71,6 +81,160 @@ def write_json(path: str, document: dict) -> None:
 
 
 @dataclass(frozen=True)
+class Outcome:
+    """What one experiment produced.
+
+    ``document`` is what the matching subcommand prints; the runner writes it
+    as the experiment's file when ``table`` (a CSV header and its rows) is
+    None.  ``summary`` is the experiment's entry in the run summary, without
+    its kind.
+    """
+
+    document: dict
+    summary: dict
+    table: Optional[tuple[Sequence[str], list]]
+    unstable: bool = False  # a required fit was too unstable to read
+    violation: bool = False  # an inequality the framework guarantees failed
+
+
+def exit_code(outcomes: Iterable[Outcome]) -> int:
+    outcomes = list(outcomes)
+    if any(o.violation for o in outcomes):
+        return EXIT_VIOLATION
+    return EXIT_UNSTABLE if any(o.unstable for o in outcomes) else EXIT_OK
+
+
+def _grid_doc(grid: EpsGrid) -> dict:
+    return {"eps0": grid.eps0, "ratio": grid.ratio, "count": grid.count}
+
+
+def _mollifier(cfg: ExperimentConfig, params: dict) -> Optional[Mollifier]:
+    Q = params.get("quadrature_order")
+    return build_mollifier(cfg.dimension, Q) if Q else None
+
+
+def _valuation(cfg: ExperimentConfig, params: dict) -> Outcome:
+    k = params.get("k", 0)
+    rows, results = [], []
+    for ci, K in enumerate(cfg.compacts):
+        table = seminorm_table(cfg.net, k, K, cfg.grid, cfg.sampling)
+        est = estimate_valuation(table.samples(), log_values=True)
+        rows += [(ci, e.eps, e.ln_value, e.undersampled, e.nonfinite) for e in table.entries]
+        results.append(
+            {
+                "compact": K.describe(),
+                "v_hat": est.value,
+                "method": est.method,
+                "stable": est.stable,
+            }
+        )
+    doc = {"k": k, "results": results}
+    header = ("compact", "eps", "ln_p", "undersampled", "nonfinite")
+    return Outcome(doc, doc, (header, rows), unstable=not all(r["stable"] for r in results))
+
+
+def _seminorms(cfg: ExperimentConfig, params: dict) -> Outcome:
+    k_list = params.get("k_list", list(range(cfg.k_max + 1)))
+    rows = [
+        (k, ci, e.eps, e.ln_value, e.undersampled, e.nonfinite)
+        for k in k_list
+        for ci, K in enumerate(cfg.compacts)
+        for e in seminorm_table(cfg.net, k, K, cfg.grid, cfg.sampling).entries
+    ]
+    doc = {"k_list": list(k_list)}
+    return Outcome(doc, doc, (("k", "compact", "eps", "ln_p", "undersampled", "nonfinite"), rows))
+
+
+def _classify(cfg: ExperimentConfig, params: dict) -> Outcome:
+    # the parameter names are build_report's: a_values, bases, tol
+    report = build_report(cfg.net, cfg.compacts, cfg.grid, cfg.sampling, cfg.k_max, **params)
+    doc = report.to_json_dict()
+    return Outcome(doc, {"report": doc}, None, unstable=not all(report.stable))
+
+
+def _landau(cfg: ExperimentConfig, params: dict) -> Outcome:
+    rep = landau_check(psequence(cfg.net, cfg.compacts[0], cfg.grid, cfg.sampling, cfg.k_max))
+    header = ("k", "verdict", "margin")
+    rows = [(e.k, e.verdict, e.margin) for e in rep.entries]
+    doc = {"all_ok": rep.all_ok, "entries": [dict(zip(header, row)) for row in rows]}
+    skipped = any(e.verdict == "skipped" for e in rep.entries)
+    return Outcome(doc, doc, (header, rows), unstable=skipped, violation=not rep.all_ok)
+
+
+def _mollify_converge(cfg: ExperimentConfig, params: dict) -> Outcome:
+    grid = cfg.grid if cfg.grid_given else CONVERGENCE_GRID
+    record = convergence_experiment(
+        cfg.net,
+        cfg.compacts[0],
+        params.get("k", 0),
+        params.get("n_list", DEFAULT_N_LIST),
+        grid,
+        cfg.sampling,
+        params.get("r", DEFAULT_ENLARGEMENT),
+        _mollifier(cfg, params),
+    )
+    doc = record.to_json_dict()
+    # the summary's top-level eps_grid is the config's; name the grid used
+    # when it is not that one
+    summary = {"record": doc} if cfg.grid_given else {"record": doc, "eps_grid": _grid_doc(grid)}
+    table = (("n", "v_hat", "reference", "margin"), record.to_csv_rows())
+    unstable = any(not e.stable for e in record.entries)
+    return Outcome(doc, summary, table, unstable=unstable, violation=not record.all_ok)
+
+
+def _class_a(cfg: ExperimentConfig, params: dict) -> Outcome:
+    rep = class_A_membership(cfg.net, params["N"], cfg.compacts, cfg.k_max, cfg.grid, cfg.sampling)
+    header = ("compact", "k", "v_hat", "bound", "ok", "stable")
+    rows = [(r.K, r.k, r.v_hat, r.bound, r.ok, r.stable) for r in rep.rows]
+    # the document describes each compact, the CSV gives its index
+    index = {id(K): ci for ci, K in enumerate(cfg.compacts)}
+    doc = {
+        "N": rep.N,
+        "verdict": rep.verdict,
+        "rows": [dict(zip(header, (K.describe(), *rest))) for K, *rest in rows],
+    }
+    table = (header, [(index[id(K)], *rest) for K, *rest in rows])
+    unstable = rep.verdict == "inconclusive"
+    return Outcome(doc, {"N": rep.N, "verdict": rep.verdict}, table, unstable=unstable)
+
+
+def _sublinear_density(cfg: ExperimentConfig, params: dict) -> Outcome:
+    m = _mollifier(cfg, params)
+    rows, results = [], []
+    for n in params.get("n_list", (1, 2, 3)):
+        rep = classify_sublinear(
+            mollify(cfg.net, n, m), cfg.compacts, cfg.grid, cfg.sampling, cfg.k_max
+        )
+        rows += [
+            (n, ci, r.s_full, r.s_half, r.a_witness, r.stable)
+            for ci, r in enumerate(rep.per_compact)
+        ]
+        results.append(
+            {
+                "n": n,
+                "verdict": rep.verdict,
+                "slopes": [r.s_full for r in rep.per_compact],
+                "witness_rates": [r.a_witness for r in rep.per_compact],
+            }
+        )
+    doc = {"results": results}
+    header = ("n", "compact", "s_full", "s_half", "witness_rate", "stable")
+    unstable = any(r["verdict"] == "inconclusive" for r in results)
+    return Outcome(doc, doc, (header, rows), unstable=unstable)
+
+
+EXPERIMENTS = {
+    "valuation": _valuation,
+    "seminorms": _seminorms,
+    "classify": _classify,
+    "landau": _landau,
+    "mollify-converge": _mollify_converge,
+    "class-a": _class_a,
+    "sublinear-density": _sublinear_density,
+}
+
+
+@dataclass(frozen=True)
 class RunResult:
     exit_code: int
     summary: dict
@@ -83,154 +247,28 @@ def run_config(cfg: ExperimentConfig) -> RunResult:
     if parent:
         os.makedirs(parent, exist_ok=True)
     files: list[str] = []
-    summaries: list[dict] = []
-    unstable = False
-    violation = False
-
+    outcomes: list[Outcome] = []
     for idx, exp in enumerate(cfg.experiments):
+        out = EXPERIMENTS[exp.kind](cfg, exp.params)
         tag = f"{prefix}-{idx:02d}-{exp.kind}"
-        if exp.kind == "valuation":
-            k = exp.params.get("k", 0)
-            rows, per_compact = [], []
-            for ci, K in enumerate(cfg.compacts):
-                table = seminorm_table(cfg.net, k, K, cfg.grid, cfg.sampling)
-                est = estimate_valuation(table.samples(), log_values=True)
-                rows += [
-                    (ci, e.eps, e.ln_value, e.undersampled, e.nonfinite)
-                    for e in table.entries
-                ]
-                per_compact.append(
-                    {
-                        "compact": K.describe(),
-                        "v_hat": est.value,
-                        "method": est.method,
-                        "stable": est.stable,
-                    }
-                )
-                unstable = unstable or not est.stable
-            path = tag + ".csv"
-            write_csv(path, ("compact", "eps", "ln_p", "undersampled", "nonfinite"), rows)
-            files.append(path)
-            summaries.append({"kind": exp.kind, "k": k, "results": per_compact})
-        elif exp.kind == "seminorms":
-            k_list = exp.params.get("k_list", list(range(cfg.k_max + 1)))
-            rows = []
-            for k in k_list:
-                for ci, K in enumerate(cfg.compacts):
-                    table = seminorm_table(cfg.net, k, K, cfg.grid, cfg.sampling)
-                    rows += [
-                        (k, ci, e.eps, e.ln_value, e.undersampled, e.nonfinite)
-                        for e in table.entries
-                    ]
-            path = tag + ".csv"
-            write_csv(path, ("k", "compact", "eps", "ln_p", "undersampled", "nonfinite"), rows)
-            files.append(path)
-            summaries.append({"kind": exp.kind, "k_list": list(k_list)})
-        elif exp.kind == "classify":
-            report = build_report(
-                cfg.net,
-                cfg.compacts,
-                cfg.grid,
-                cfg.sampling,
-                cfg.k_max,
-                tuple(exp.params.get("a_values", (0.5, 1.0, 1.5, 2.0))),
-                tuple(exp.params.get("bases", (1.0, math.e, math.e**2))),
-                exp.params.get("tol", 0.1),
-            )
-            doc = report.to_json_dict()
-            path = tag + ".json"
-            write_json(path, doc)
-            files.append(path)
-            unstable = unstable or not all(report.stable)
-            summaries.append({"kind": exp.kind, "report": doc})
-        elif exp.kind == "landau":
-            seq = psequence(cfg.net, cfg.compacts[0], cfg.grid, cfg.sampling, cfg.k_max)
-            rep = landau_check(seq)
-            rows = [(e.k, e.verdict, e.margin) for e in rep.entries]
-            path = tag + ".csv"
-            write_csv(path, ("k", "verdict", "margin"), rows)
-            files.append(path)
-            violation = violation or not rep.all_ok
-            unstable = unstable or any(e.verdict == "skipped" for e in rep.entries)
-            summaries.append(
-                {
-                    "kind": exp.kind,
-                    "all_ok": rep.all_ok,
-                    "entries": [
-                        {"k": e.k, "verdict": e.verdict, "margin": e.margin}
-                        for e in rep.entries
-                    ],
-                }
-            )
-        elif exp.kind == "mollify-converge":
-            Q = exp.params.get("quadrature_order")
-            m = build_mollifier(cfg.dimension, Q) if Q else None
-            record = convergence_experiment(
-                cfg.net,
-                cfg.compacts[0],
-                exp.params.get("k", 0),
-                tuple(exp.params.get("n_list", (1, 2, 3, 4))),
-                cfg.grid if cfg.grid_given else None,  # None: CONVERGENCE_GRID
-                cfg.sampling,
-                exp.params.get("r", 0.5),
-                m,
-            )
-            path = tag + ".csv"
-            write_csv(path, ("n", "v_hat", "reference", "margin"), record.to_csv_rows())
-            files.append(path)
-            violation = violation or not record.all_ok
-            unstable = unstable or any(not e.stable for e in record.entries)
-            summaries.append({"kind": exp.kind, "record": record.to_json_dict()})
-        elif exp.kind == "class-a":
-            rep = class_A_membership(
-                cfg.net, exp.params["N"], cfg.compacts, cfg.k_max, cfg.grid, cfg.sampling
-            )
-            rows = [
-                (r.K.describe(), r.k, r.v_hat, r.bound, r.ok, r.stable) for r in rep.rows
-            ]
-            path = tag + ".csv"
-            write_csv(path, ("compact", "k", "v_hat", "bound", "ok", "stable"), rows)
-            files.append(path)
-            unstable = unstable or rep.verdict == "inconclusive"
-            summaries.append({"kind": exp.kind, "N": rep.N, "verdict": rep.verdict})
-        elif exp.kind == "sublinear-density":
-            Q = exp.params.get("quadrature_order")
-            m = build_mollifier(cfg.dimension, Q) if Q else None
-            n_list = tuple(exp.params.get("n_list", (1, 2, 3)))
-            rows, results = [], []
-            for n in n_list:
-                rep = classify_sublinear(
-                    mollify(cfg.net, n, m), cfg.compacts, cfg.grid, cfg.sampling, cfg.k_max
-                )
-                for ci, r in enumerate(rep.per_compact):
-                    rows.append((n, ci, r.s_full, r.s_half, r.a_witness, r.stable))
-                unstable = unstable or rep.verdict == "inconclusive"
-                results.append(
-                    {
-                        "n": n,
-                        "verdict": rep.verdict,
-                        "slopes": [r.s_full for r in rep.per_compact],
-                        "witness_rates": [r.a_witness for r in rep.per_compact],
-                    }
-                )
-            path = tag + ".csv"
-            write_csv(
-                path, ("n", "compact", "s_full", "s_half", "witness_rate", "stable"), rows
-            )
-            files.append(path)
-            summaries.append({"kind": exp.kind, "results": results})
-        else:  # pragma: no cover - config validation rejects unknown kinds
-            raise NetError(f"unhandled experiment kind {exp.kind}")
+        if out.table is None:
+            files.append(tag + ".json")
+            write_json(files[-1], out.document)
+        else:
+            files.append(tag + ".csv")
+            write_csv(files[-1], *out.table)
+        outcomes.append(out)
 
     summary = {
         "net": cfg.net.describe(),
         "compacts": [K.describe() for K in cfg.compacts],
-        "eps_grid": {"eps0": cfg.grid.eps0, "ratio": cfg.grid.ratio, "count": cfg.grid.count},
+        "eps_grid": _grid_doc(cfg.grid),
         "k_max": cfg.k_max,
-        "experiments": summaries,
+        "experiments": [
+            {"kind": exp.kind, **out.summary} for exp, out in zip(cfg.experiments, outcomes)
+        ],
     }
     spath = prefix + "-summary.json"
     write_json(spath, summary)
     files.append(spath)
-    code = EXIT_VIOLATION if violation else (EXIT_UNSTABLE if unstable else EXIT_OK)
-    return RunResult(code, summary, tuple(files))
+    return RunResult(exit_code(outcomes), summary, tuple(files))

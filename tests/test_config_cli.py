@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -5,8 +6,8 @@ import os
 
 import pytest
 
-from colombeau.config import ConfigError, load_config, load_config_file
-from colombeau.runner import run_config
+from colombeau.config import EXPERIMENT_KINDS, ConfigError, load_config, load_config_file
+from colombeau.runner import EXPERIMENTS, run_config
 
 from colombeau import cli
 
@@ -74,11 +75,37 @@ def test_config_accepts_json_string():
         {"experiments": [{"kind": "valuation", "n_list": [1]}]},
         {"experiments": [{"kind": "class-a"}]},
         {"output_prefix": ""},
+        # experiment parameter values are checked before anything runs
+        {"experiments": [{"kind": "valuation", "k": "1"}]},
+        {"experiments": [{"kind": "valuation", "k": True}]},
+        {"experiments": [{"kind": "valuation", "k": 9}]},
+        {"experiments": [{"kind": "seminorms", "k_list": []}]},
+        {"experiments": [{"kind": "seminorms", "k_list": [0, -1]}]},
+        {"experiments": [{"kind": "mollify-converge", "k": 8}]},
+        {"experiments": [{"kind": "mollify-converge", "n_list": []}]},
+        {"experiments": [{"kind": "mollify-converge", "n_list": [2, 1]}]},
+        {"experiments": [{"kind": "mollify-converge", "n_list": [0, 1]}]},
+        {"experiments": [{"kind": "mollify-converge", "r": -0.5}]},
+        {"experiments": [{"kind": "mollify-converge", "quadrature_order": 8}]},
+        {"experiments": [{"kind": "sublinear-density", "n_list": [1.5]}]},
+        {"experiments": [{"kind": "sublinear-density", "quadrature_order": 0}]},
+        {"experiments": [{"kind": "class-a", "N": 0}]},
+        {"experiments": [{"kind": "class-a", "N": 1.0}]},
+        {"experiments": [{"kind": "classify", "a_values": [0.5, 0]}]},
+        {"experiments": [{"kind": "classify", "bases": [0.5]}]},
+        {"experiments": [{"kind": "classify", "tol": -0.1}]},
+        {"experiments": [{"kind": "classify", "tol": "0.1"}]},
+        {"k_max": 3, "experiments": [{"kind": "classify"}]},
+        {"k_max": 3, "experiments": [{"kind": "sublinear-density"}]},
     ],
 )
 def test_config_rejections(mutate):
     with pytest.raises(ConfigError):
         load_config(base_config(**mutate))
+
+
+def test_every_experiment_kind_has_one_runner_function():
+    assert tuple(EXPERIMENTS) == EXPERIMENT_KINDS
 
 
 def test_banded_net_config():
@@ -168,6 +195,9 @@ def test_run_convergence_without_eps_grid_uses_convergence_grid(tmp_path):
     result = run_config(load_config(doc))
     assert result.exit_code == 0
     assert result.summary["experiments"][0]["record"]["all_ok"] is True
+    # the entry names the grid it ran on, which is not the summary's eps_grid
+    grid = {"eps0": 0.5, "ratio": 0.8, "count": 20}
+    assert result.summary["experiments"][0]["eps_grid"] == grid
 
 
 def test_run_class_a_negative_is_exit_0(tmp_path):
@@ -175,6 +205,7 @@ def test_run_class_a_negative_is_exit_0(tmp_path):
     cfg = load_config(
         base_config(
             net={"catalog": "const_ginfty", "parameter": 4},
+            compacts=[[[[0.0, 1.0]]], [[[-1.0, 0.0]], [[1.0, 2.0]]]],
             k_max=1,
             experiments=[{"kind": "class-a", "N": 1}],
             output_prefix=str(tmp_path / "ca"),
@@ -183,6 +214,12 @@ def test_run_class_a_negative_is_exit_0(tmp_path):
     result = run_config(cfg)
     assert result.exit_code == 0
     assert result.summary["experiments"][0]["verdict"] == "no"
+    # the compact column holds the compact's index, one field like the others
+    with open(tmp_path / "ca-00-class-a.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["compact", "k", "v_hat", "bound", "ok", "stable"]
+    assert [len(r) for r in rows] == [len(header)] * 4
+    assert [(r[0], r[1]) for r in rows] == [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
 
 
 def test_run_landau_and_seminorms(tmp_path):

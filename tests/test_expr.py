@@ -226,6 +226,24 @@ def test_nonfinite_evaluation_raises():
         evaluate(e, (1.0,), 1e-4)
 
 
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("1/sin(0)", math.inf),
+        ("eps^(-1)/(1-1)", math.inf),
+        ("1/(eps-eps)", math.inf),
+        ("-1/(1-1)", -math.inf),
+    ],
+)
+def test_spatially_constant_division_by_zero_is_ieee(text, value):
+    # a scalar quotient divides as an array one does: eval_batch returns the
+    # inf for the caller to flag, evaluate reports it
+    e = simplify(parse(text))
+    assert eval_batch(e, np.zeros((1, 3)), 0.5).tolist() == [value] * 3
+    with pytest.raises(EvaluationError):
+        evaluate(e, (1.0,), 0.5)
+
+
 def test_eval_batch_shape_validation():
     from colombeau.expr import ExpressionError
 

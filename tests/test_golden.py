@@ -14,13 +14,18 @@ recorded before the refactor it guards:
 The digests were recorded with Python 3.11.7 and numpy 2.4.6.  Another
 numpy can round the last bit of a float differently; a mismatch there means
 the digests must be re-recorded, not that a refactor went wrong.
+
+``test_cli_stdout_matches_golden_digests`` does the same for the analysis
+subcommands of the command line: the sha256 of what each invocation prints
+and its exit code (0, 2 and 3 all occur), plus the exit code 1 and the
+``error:`` prefix of rejected inputs.
 """
 import hashlib
 import os
 
 import pytest
 
-from colombeau import load_config, run_config
+from colombeau import cli, load_config, run_config
 from colombeau.catalog import CATALOG, REFERENCE_COMPACTS
 
 _COMPACTS = [K.describe() for K in REFERENCE_COMPACTS]
@@ -100,3 +105,55 @@ def test_run_config_outputs_match_golden_digests(tmp_path):
     assert set(got) == set(GOLDEN)
     for name in GOLDEN:
         assert got[name] == GOLDEN[name], name
+
+
+CLI_GOLDEN = [
+    (["classify", "--net", "osc", "--compacts", "0,1", "--count", "12"], 0,
+     "77502abb91184cc763351295678fd3d47ddd05e33a9d7c2c812cb3980f41a309"),
+    (["classify", "--net", "eps^(-2)*sin(x1)", "--compacts", "0,1", "--kmax", "4",
+      "--count", "10"], 0,
+     "2bbb178c498557bc29e202f44747d741cf1a372e3e8afdca0b0f2589d6c51f60"),
+    (["classify", "--net", "multiscale(2)", "--compacts", "0,1;-1,0|1,2", "--a", "1,3",
+      "--bases", "1,5", "--kmax", "4", "--count", "10"], 0,
+     "874834f8caa4fea381af1097316490c33857c292ee3010a1cc478aa5bcf82a3c"),
+    (["classify", "--net", "cutoff(x1)*sin(x1/eps)", "--hint", "1", "--support=-2,2"], 0,
+     "86b5ccce07f38ca5ecf8c8973ace5a5c1a68592a70dfed35b1fc742e03424716"),
+    (["classify", "--net", "sin(eps^(-1))*sin(x1)", "--compacts", "0,1", "--kmax", "4",
+      "--count", "10"], 2,
+     "33a4336f674421bb59e835fea7b6184b3e5c3d17e44791bc430937fc1e7aaf5d"),
+    (["landau", "--net", "delta"], 0,
+     "56cc5e4972d9d07e7bc5aae3fe40560776d5043281e9e069a8010f6dd31ee6cd"),
+    (["landau", "--net", "sin(eps^(-1))*sin(x1)", "--compacts", "0,1", "--kmax", "4",
+      "--count", "10"], 2,
+     "d80bf620a90c397c3e425ffee4705e5aa8ed34922cc1eb4855b0c16606bb061b"),
+    (["mollify", "--net", "one", "--n", "1,2"], 0,
+     "89792887af98c475cb7f0b0b1887db686913316da051955dc0c1b238197ab16f"),
+    (["mollify", "--net", "compact_osc", "--k", "1", "--order", "24"], 0,
+     "e323a6cc75627cd470e496cc66833b0ab85e9b4f268865320b61c01ecbcdf6ad"),
+    (["mollify", "--net", "osc", "--n", "3", "--ratio", "0.5", "--compacts", "0,1"], 3,
+     "5d44c0fdee61cf5571b16155c932097885b6e9628a74c1f4ddf84012dbcfd0d0"),
+    (["class-a", "--net", "one", "--N", "1"], 0,
+     "d5d957bdc62fe4e2f71b7db3a3d3b7e9eb28851967f56ef6f8ed4ff8fbbc9792"),
+    (["class-a", "--net", "const_ginfty", "--N", "1"], 0,
+     "fa04113cc27d2e31404594d1d26b0fab720a306388f9e94c01fdb5ffc2ed5289"),
+    (["class-a", "--net", "sin(eps^(-1))*sin(x1)", "--N", "1", "--kmax", "1",
+      "--count", "10"], 2,
+     "3a2e458937ca08dc7527c0071a01827dccb2105a7956f794df084b38d5f1a113"),
+]
+
+CLI_REJECTED = [
+    ["classify", "--net", "osc", "--kmax", "9"],
+    ["class-a", "--net", "one", "--N", "0"],
+    ["mollify", "--net", "one", "--n", "2,1"],
+]
+
+
+def test_cli_stdout_matches_golden_digests(capsys):
+    for argv, code, digest in CLI_GOLDEN:
+        assert cli.main(argv) == code, argv
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+    for argv in CLI_REJECTED:
+        assert cli.main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:"), argv
