@@ -4,11 +4,11 @@ Subcommands: parse-check, catalog, run, classify, landau, mollify, class-a.
 Each analysis subcommand (classify, landau, mollify, class-a) is a
 one-experiment config: its flags become a config document (kinds
 classify, landau, mollify-converge and class-a), ``load_config`` validates
-it, and the runner's function for that kind computes the verdicts and the
-exit code, the same code ``colombeau run`` uses.  The subcommand prints the
-experiment's JSON document instead of writing files; class-a prints each
-compact's description in its rows, where the class-a CSV of ``colombeau
-run`` gives the compact's index in ``compacts``.  The worker count for
+it, and ``runner.run_experiment`` and ``runner.exit_code`` compute the
+verdicts and the exit code, the same code ``colombeau run`` uses.  The
+subcommand prints the experiment's JSON document instead of writing files;
+class-a prints each compact's description in its rows, where the class-a
+CSV of ``colombeau run`` gives the compact's index in ``compacts``.  The worker count for
 seminorm tables is capped by the COLOMBEAU_THREADS environment variable;
 results are identical at any thread count.
 """
@@ -20,12 +20,12 @@ import sys
 from typing import Optional, Sequence
 
 from .catalog import REFERENCE_COMPACTS, catalog_list, parse_catalog_spec
-from .config import ConfigError, load_config, load_config_file
-from .expr import ParseError, node_count, parse, to_text
+from .config import load_config, load_config_file
+from .expr import node_count, parse, to_text
 from .mollify import CONVERGENCE_GRID
 from .nets import NetError
-from .runner import EXIT_CONFIG, EXIT_OK, EXPERIMENTS, exit_code, run_config
-from .scale import ScaleError, jsonable
+from .runner import EXIT_CONFIG, EXIT_OK, exit_code, run_config, run_experiment
+from .scale import jsonable
 
 # analysis subcommand -> the experiment kind it runs
 _KINDS = {
@@ -144,11 +144,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(f)
             return result.exit_code
         cfg = load_config(_config_document(args))
-        (exp,) = cfg.experiments
-        outcome = EXPERIMENTS[exp.kind](cfg, exp.params)
+        outcome = run_experiment(cfg, *cfg.experiments)
         print(json.dumps(jsonable(outcome.document), sort_keys=True, indent=2))
         return exit_code([outcome])
-    except (ConfigError, ParseError, NetError, ScaleError, OSError, ValueError) as e:
+    except (OSError, ValueError) as e:  # the package's error types are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,7 +1,11 @@
 """Experiment configuration: a single JSON document, strictly validated.
 
 Unknown keys are rejected everywhere so that typos fail fast instead of
-silently running a default.  Validation happens before any computation.
+silently running a default.  Validation happens before any computation:
+parameter values per kind (``regular-bound``: ``k_list`` in 0..8,
+``n_list`` strictly increasing and >= 1), ``k_max >= 4`` where a tail rate
+is read, ``n_list`` entries >= the net's oscillation hint where the net is
+mollified, and a declared ``support_box`` for ``regular-bound``.
 """
 from __future__ import annotations
 
@@ -161,6 +165,10 @@ def _num_list(v, lo: float, strict: bool = False) -> bool:
 
 
 _K = (lambda v: _int(v, 0, K_MAX_CAP), f"an integer in 0..{K_MAX_CAP}")
+_K_LIST = (
+    lambda v: _int_list(v, 0, K_MAX_CAP),
+    f"a non-empty list of integers in 0..{K_MAX_CAP}",
+)
 _N_LIST = (
     lambda v: _int_list(v, 1, increasing=True),
     "a non-empty, strictly increasing list of integers >= 1",
@@ -171,12 +179,7 @@ _QUADRATURE_ORDER = (lambda v: _int(v, 16), "an integer >= 16")
 # ranges are the ones the library functions enforce, checked before any run
 _EXPERIMENT_PARAMS = {
     "valuation": ([], {"k": _K}),
-    "seminorms": ([], {
-        "k_list": (
-            lambda v: _int_list(v, 0, K_MAX_CAP),
-            f"a non-empty list of integers in 0..{K_MAX_CAP}",
-        ),
-    }),
+    "seminorms": ([], {"k_list": _K_LIST}),
     "classify": ([], {
         "a_values": (lambda v: _num_list(v, 0, strict=True), "a list of numbers > 0"),
         "bases": (lambda v: _num_list(v, 1), "a list of numbers >= 1"),
@@ -191,11 +194,14 @@ _EXPERIMENT_PARAMS = {
         "quadrature_order": _QUADRATURE_ORDER,
     }),
     "class-a": (["N"], {"N": (lambda v: _int(v, 1), "an integer >= 1")}),
+    "regular-bound": ([], {"k_list": _K_LIST, "n_list": _N_LIST}),
     "sublinear-density": ([], {"n_list": _N_LIST, "quadrature_order": _QUADRATURE_ORDER}),
 }
 EXPERIMENT_KINDS = tuple(_EXPERIMENT_PARAMS)
 # kinds that read a tail rate, which needs k_max >= 4
 _TAIL_KINDS = ("classify", "sublinear-density")
+# kinds that mollify the net at each order in n_list (every default starts at 1)
+_MOLLIFYING_KINDS = ("mollify-converge", "regular-bound", "sublinear-density")
 
 
 def _parse_experiment(raw: Any, index: int) -> Experiment:
@@ -267,6 +273,10 @@ def load_config(document: dict | str) -> ExperimentConfig:
     for e in experiments:
         if e.kind in _TAIL_KINDS and k_max < 4:
             raise ConfigError(f"{e.kind} needs k_max >= 4 to read a tail rate")
+        if e.kind in _MOLLIFYING_KINDS and e.params.get("n_list", [1])[0] < net.oscillation_hint:
+            raise ConfigError(f"{e.kind} needs every n_list entry >= the net's oscillation hint")
+        if e.kind == "regular-bound" and net.support_box is None:
+            raise ConfigError("regular-bound needs a net with a declared support_box")
     prefix = document.get("output_prefix", "colombeau-run")
     if not isinstance(prefix, str) or not prefix:
         raise ConfigError("output_prefix must be a non-empty string")

@@ -24,6 +24,7 @@ from .nodes import (
     Exp,
     Var,
     check_size,
+    children_of,
 )
 
 # ---------------------------------------------------------------------------
@@ -52,6 +53,35 @@ def _fold_unary(node: Expr, arg: Const) -> Expr | None:
     except (OverflowError, ValueError):
         return None
     return None
+
+
+def _nonzero(e: Expr) -> bool:
+    """True when e is finite and nonzero at every x and eps, as far as its
+    form shows."""
+    if isinstance(e, Const):
+        return e.value != 0.0 and math.isfinite(e.value)
+    if isinstance(e, Mul):
+        return all(_nonzero(c) for c in e.children)
+    if isinstance(e, IntPow):
+        return _nonzero(e.base)
+    return isinstance(e, EpsPow)
+
+
+def _finite(e: Expr) -> bool:
+    """True when e is provably finite: no infinite constant, and every Div
+    and negative IntPow divides by a provably nonzero expression.  Only then
+    may ``0*e`` fold to 0; ``0*(1/(eps-eps))`` is nan, not 0."""
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, Const) and not math.isfinite(n.value):
+            return False
+        if isinstance(n, Div) and not _nonzero(n.den):
+            return False
+        if isinstance(n, IntPow) and n.exponent < 0 and not _nonzero(n.base):
+            return False
+        stack.extend(children_of(n))
+    return True
 
 
 def _flatten(cls, children):
@@ -110,7 +140,7 @@ def _simplify_mul(children) -> Expr:
                 kept.append(("eps", c))
         else:
             kept.append(("other", c))
-    if const_prod == 0.0:
+    if const_prod == 0.0 and all(_finite(c) for tag, c in kept if tag == "other"):
         return Const(0.0)
     out: list[Expr] = []
     for tag, c in kept:
@@ -156,7 +186,7 @@ def simplify(e: Expr) -> Expr:
         return Sub(left, right)
     if isinstance(e, Div):
         num, den = simplify(e.num), simplify(e.den)
-        if isinstance(num, Const) and num.value == 0.0:
+        if isinstance(num, Const) and num.value == 0.0 and _nonzero(den):
             return Const(0.0)
         if isinstance(den, EpsPow):
             return _simplify_mul([num, EpsPow(-den.exponent)])

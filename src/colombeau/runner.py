@@ -1,14 +1,19 @@
 """Config-driven experiment execution with CSV/JSON outputs.
 
 Each experiment kind has one function, ``EXPERIMENTS[kind](cfg, params)``,
-that turns a validated config into an ``Outcome``.  ``run_config`` writes
-the outcomes as files; the analysis subcommands of the command line print
-the document of a one-experiment config instead.  ``exit_code`` is the one
-exit-code policy for both.
+that turns a validated config into an ``Outcome``; ``regular-bound``
+checks ``p_k(u ⋆ ψ_{ε^n}) ≤ ε^(−nk−1) sup_L |u|`` for each ``n`` in
+``n_list``, ``k`` in ``k_list`` and compact.  ``run_experiment`` calls one
+and turns a run-time failure of the package's own checks into an outcome
+with an ``error`` entry.  ``run_config`` writes the outcomes as files;
+the analysis subcommands of the command line print the document of a
+one-experiment config instead.  ``exit_code`` is the one exit-code policy
+for both.
 
 Exit codes: 0 success, 1 config error (raised before this module runs),
-2 numerical instability (a required estimate was unstable), 3 assertion
-failure (an inequality the framework guarantees was violated beyond slack).
+2 numerical instability (a required estimate was unstable, or an experiment
+failed at run time), 3 assertion failure (an inequality the framework
+guarantees was violated beyond slack).
 
 Outputs are deterministic: no timestamps, fixed reduction orders, floats
 printed with 17 significant digits, JSON keys sorted.  Files are written
@@ -22,7 +27,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .config import ExperimentConfig
+from .config import Experiment, ExperimentConfig
 from .mollify import (
     CONVERGENCE_GRID,
     DEFAULT_ENLARGEMENT,
@@ -32,10 +37,13 @@ from .mollify import (
     class_A_membership,
     convergence_experiment,
     mollify,
+    regular_bound_experiment,
 )
-from .nets import seminorm_table
-from .scale import EpsGrid, estimate_valuation, jsonable
+from .expr import ExpressionError
+from .nets import NetError, seminorm_table
+from .scale import EpsGrid, ScaleError, estimate_valuation, jsonable
 from .regularity import (
+    RegularityError,
     build_report,
     classify_sublinear,
     landau_check,
@@ -93,7 +101,7 @@ class Outcome:
     document: dict
     summary: dict
     table: Optional[tuple[Sequence[str], list]]
-    unstable: bool = False  # a required fit was too unstable to read
+    unstable: bool = False  # a required fit was too unstable to read, or the run failed
     violation: bool = False  # an inequality the framework guarantees failed
 
 
@@ -198,6 +206,20 @@ def _class_a(cfg: ExperimentConfig, params: dict) -> Outcome:
     return Outcome(doc, {"N": rep.N, "verdict": rep.verdict}, table, unstable=unstable)
 
 
+def _regular_bound(cfg: ExperimentConfig, params: dict) -> Outcome:
+    rows, results = [], []
+    for n in params.get("n_list", (1, 2, 3)):
+        for k in params.get("k_list", range(4)):
+            for ci, K in enumerate(cfg.compacts):
+                rep = regular_bound_experiment(cfg.net, K, k, n, cfg.grid, cfg.sampling)
+                rows += [(n, k, ci, r.j, r.eps, r.ln_lhs, r.ln_rhs, r.ok) for r in rep.rows]
+                results.append({"n": n, "k": k, "compact": K.describe(), "verdict": rep.verdict})
+    doc = {"results": results}
+    header = ("n", "k", "compact", "j", "eps", "ln_lhs", "ln_rhs", "ok")
+    violation = any(r["verdict"] == "no" for r in results)
+    return Outcome(doc, doc, (header, rows), violation=violation)
+
+
 def _sublinear_density(cfg: ExperimentConfig, params: dict) -> Outcome:
     m = _mollifier(cfg, params)
     rows, results = [], []
@@ -230,8 +252,19 @@ EXPERIMENTS = {
     "landau": _landau,
     "mollify-converge": _mollify_converge,
     "class-a": _class_a,
+    "regular-bound": _regular_bound,
     "sublinear-density": _sublinear_density,
 }
+
+
+def run_experiment(cfg: ExperimentConfig, exp: Experiment) -> Outcome:
+    """``EXPERIMENTS[exp.kind]`` on ``cfg``; a run-time failure of the
+    package's own checks becomes an outcome whose document is the error."""
+    try:
+        return EXPERIMENTS[exp.kind](cfg, exp.params)
+    except (ExpressionError, NetError, RegularityError, ScaleError) as e:
+        doc = {"error": f"{type(e).__name__}: {e}"}
+        return Outcome(doc, doc, None, unstable=True)
 
 
 @dataclass(frozen=True)
@@ -249,7 +282,7 @@ def run_config(cfg: ExperimentConfig) -> RunResult:
     files: list[str] = []
     outcomes: list[Outcome] = []
     for idx, exp in enumerate(cfg.experiments):
-        out = EXPERIMENTS[exp.kind](cfg, exp.params)
+        out = run_experiment(cfg, exp)
         tag = f"{prefix}-{idx:02d}-{exp.kind}"
         if out.table is None:
             files.append(tag + ".json")

@@ -1,4 +1,5 @@
 import csv
+import glob
 import hashlib
 import json
 import math
@@ -6,10 +7,22 @@ import os
 
 import pytest
 
+from colombeau.catalog import catalog_net
 from colombeau.config import EXPERIMENT_KINDS, ConfigError, load_config, load_config_file
+from colombeau.mollify import regular_bound_experiment
+from colombeau.nets import CompactBox
 from colombeau.runner import EXPERIMENTS, run_config
 
 from colombeau import cli
+
+
+EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
+# oscillation hint 2, so no mollification order below 2 can resolve it
+FAST_OSC = {
+    "expression": "cutoff(x1)*sin(x1/eps^2)",
+    "oscillation_hint": 2,
+    "support_box": [[[-2.0, 2.0]]],
+}
 
 
 def base_config(**overrides):
@@ -97,6 +110,18 @@ def test_config_accepts_json_string():
         {"experiments": [{"kind": "classify", "tol": "0.1"}]},
         {"k_max": 3, "experiments": [{"kind": "classify"}]},
         {"k_max": 3, "experiments": [{"kind": "sublinear-density"}]},
+        {"net": {"catalog": "compact_osc"}, "experiments": [{"kind": "regular-bound", "k_list": []}]},
+        {"net": {"catalog": "compact_osc"}, "experiments": [{"kind": "regular-bound", "k_list": [9]}]},
+        {"net": {"catalog": "compact_osc"}, "experiments": [{"kind": "regular-bound", "n_list": [2, 2]}]},
+        {"net": {"catalog": "compact_osc"}, "experiments": [{"kind": "regular-bound", "j0": 4}]},
+        # regular-bound needs a declared support_box
+        {"experiments": [{"kind": "regular-bound"}]},
+        # every mollification order must reach the oscillation hint
+        {"net": FAST_OSC, "experiments": [
+            {"kind": "seminorms"}, {"kind": "mollify-converge", "n_list": [1, 2]}]},
+        {"net": FAST_OSC, "experiments": [{"kind": "mollify-converge"}]},
+        {"net": FAST_OSC, "experiments": [{"kind": "regular-bound", "n_list": [1, 2]}]},
+        {"net": FAST_OSC, "k_max": 4, "experiments": [{"kind": "sublinear-density"}]},
     ],
 )
 def test_config_rejections(mutate):
@@ -106,6 +131,35 @@ def test_config_rejections(mutate):
 
 def test_every_experiment_kind_has_one_runner_function():
     assert tuple(EXPERIMENTS) == EXPERIMENT_KINDS
+    assert "regular-bound" in EXPERIMENT_KINDS
+
+
+def test_mollifying_kinds_accept_orders_from_the_oscillation_hint():
+    for kind in ("mollify-converge", "regular-bound", "sublinear-density"):
+        doc = base_config(net=FAST_OSC, k_max=4, experiments=[{"kind": kind, "n_list": [2, 3]}])
+        cfg = load_config(doc)
+        assert cfg.experiments[0].params["n_list"] == [2, 3]
+
+
+def test_rejected_config_writes_no_file(tmp_path, capsys):
+    # the mollify-converge order 1 is below the hint; the run must not start
+    # with the seminorms experiment and stop at the second one
+    doc = base_config(
+        net=FAST_OSC,
+        experiments=[{"kind": "seminorms"}, {"kind": "mollify-converge", "n_list": [1, 2]}],
+        output_prefix=str(tmp_path / "out" / "r"),
+    )
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(path)]) == 1
+    assert "oscillation hint" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(EXAMPLES, "*.json"))))
+def test_example_configs_load(path):
+    cfg = load_config_file(path)
+    assert cfg.experiments
 
 
 def test_banded_net_config():
@@ -198,6 +252,85 @@ def test_run_convergence_without_eps_grid_uses_convergence_grid(tmp_path):
     # the entry names the grid it ran on, which is not the summary's eps_grid
     grid = {"eps0": 0.5, "ratio": 0.8, "count": 20}
     assert result.summary["experiments"][0]["eps_grid"] == grid
+
+
+def test_regular_bound_matches_direct_calls(tmp_path):
+    cfg = load_config(
+        base_config(
+            net={"catalog": "compact_osc"},
+            experiments=[{"kind": "regular-bound", "k_list": [0, 1], "n_list": [1, 2]}],
+            output_prefix=str(tmp_path / "rb"),
+        )
+    )
+    result = run_config(cfg)
+    assert result.exit_code == 0
+    with open(tmp_path / "rb-00-regular-bound.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["n", "k", "compact", "j", "eps", "ln_lhs", "ln_rhs", "ok"]
+    net, K = catalog_net("compact_osc"), CompactBox.interval(0.0, 1.0)
+    want_rows, want_results = [], []
+    for n in (1, 2):
+        for k in (0, 1):
+            rep = regular_bound_experiment(net, K, k, n, cfg.grid, cfg.sampling)
+            want_rows += [
+                [str(n), str(k), "0", str(r.j), repr(r.eps), repr(r.ln_lhs), repr(r.ln_rhs),
+                 str(r.ok).lower()]
+                for r in rep.rows
+            ]
+            want_results.append({"n": n, "k": k, "compact": K.describe(), "verdict": rep.verdict})
+    # the CSV prints 17 significant digits, which round-trip to the same float
+    assert [r[:4] + [repr(float(x)) for x in r[4:7]] + r[7:] for r in rows] == want_rows
+    assert result.summary["experiments"][0] == {"kind": "regular-bound", "results": want_results}
+    assert {r["verdict"] for r in want_results} == {"yes"}
+
+
+def test_regular_bound_violation_exits_3(tmp_path, monkeypatch):
+    import colombeau.runner as runner
+    from colombeau.mollify import RegularBoundReport
+
+    monkeypatch.setattr(
+        runner, "regular_bound_experiment", lambda u, K, k, n, *a: RegularBoundReport(k, n, (), "no")
+    )
+    cfg = load_config(
+        base_config(
+            net={"catalog": "compact_osc"},
+            experiments=[{"kind": "regular-bound", "k_list": [0], "n_list": [1]}],
+            output_prefix=str(tmp_path / "rb"),
+        )
+    )
+    assert run_config(cfg).exit_code == 3
+
+
+def test_run_time_failure_is_an_outcome(tmp_path):
+    # every value of 1/(eps-eps) is inf, so the seminorms are flagged and
+    # the valuation has no usable sample; the run goes on and ends in a summary
+    cfg = load_config(
+        base_config(
+            net={"expression": "1/(eps-eps)"},
+            experiments=[
+                {"kind": "seminorms", "k_list": [0]},
+                {"kind": "valuation"},
+                {"kind": "seminorms", "k_list": [1]},
+            ],
+            output_prefix=str(tmp_path / "bad"),
+        )
+    )
+    result = run_config(cfg)
+    assert result.exit_code == 2
+    summary = json.loads((tmp_path / "bad-summary.json").read_text())
+    assert [e["kind"] for e in summary["experiments"]] == ["seminorms", "valuation", "seminorms"]
+    assert summary["experiments"][1]["error"].startswith("ScaleError: ")
+    error_doc = json.loads((tmp_path / "bad-01-valuation.json").read_text())
+    assert error_doc == {"error": summary["experiments"][1]["error"]}
+    assert (tmp_path / "bad-02-seminorms.csv").exists()
+
+
+def test_cli_run_time_failure_exits_2(capsys):
+    # the analysis subcommands share run_config's handling of run-time failures
+    argv = ["classify", "--net", "1/(eps-eps)", "--compacts", "0,1", "--count", "10", "--kmax", "4"]
+    assert cli.main(argv) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"error"}
 
 
 def test_run_class_a_negative_is_exit_0(tmp_path):

@@ -119,6 +119,20 @@ def test_simplify_zero_annihilates():
     assert e == Const(0.0)
 
 
+def test_zero_folds_only_against_provably_finite_partners():
+    # 0/0 and 0*(1/0) are nan, not 0; a zero still absorbs a finite partner
+    assert parse("0/(eps-eps)") != Const(0.0)
+    assert parse("x1*0/(1-1)") != Const(0.0)
+    assert parse("0*(1/(eps-eps))") != Const(0.0)
+    assert parse("0*x1^(-1)") != Const(0.0)  # x1 can be 0
+    for text in ("0*sin(x1)", "0/eps", "0/(2*eps^3)", "0*x1/2"):
+        assert parse(text) == Const(0.0), text
+    from colombeau.nets import CompactBox, ExpressionNet, seminorm
+
+    net = ExpressionNet(1, parse("0/(eps-eps)"))
+    assert seminorm(net, 0, CompactBox.interval(0.0, 1.0), 0.25).nonfinite > 0
+
+
 def test_simplify_folds_constants():
     assert simplify(Add((Const(1.0), Const(2.0), Var(0)))) == Add((Const(3.0), Var(0)))
     assert simplify(IntPow(EpsPow(Fraction(1, 2)), 4)) == EpsPow(Fraction(2))
