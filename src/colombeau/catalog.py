@@ -32,8 +32,6 @@ def _build_osc() -> FunctionNet:
 
 
 def _build_const_ginfty(N: int) -> FunctionNet:
-    if N < 1:
-        raise NetError("const_ginfty needs N >= 1")
     return ExpressionNet(
         1, parse(f"eps^(-{N})*sin(x1)"), oscillation_hint=0, name=f"const_ginfty({N})"
     )
@@ -48,8 +46,6 @@ def _build_one() -> FunctionNet:
 
 
 def _build_multiscale(J: int) -> FunctionNet:
-    if J < 1:
-        raise NetError("multiscale needs J >= 1")
     terms = [parse(f"eps^{j * j}*sin(x1*eps^(-{2 * j}))") for j in range(1, J + 1)]
     return FiniteSumNet(1, terms, oscillation_hint=2 * J, name=f"multiscale({J})")
 
@@ -133,7 +129,9 @@ def parse_catalog_spec(spec: str) -> tuple[str, Optional[int]]:
     return m.group(1), value
 
 
-def catalog_net(name: str, parameter: Optional[int] = None) -> FunctionNet:
+def _resolve(name: str, parameter: Optional[int]) -> tuple[CatalogEntry, tuple[int, ...]]:
+    """The entry a spec names and the arguments after k its builder and
+    oracle take: () or (the checked parameter,)."""
     base, inline = parse_catalog_spec(name)
     entry = CATALOG[base]
     if inline is not None:
@@ -143,21 +141,25 @@ def catalog_net(name: str, parameter: Optional[int] = None) -> FunctionNet:
     if entry.parameter is None:
         if parameter is not None:
             raise NetError(f"{base} takes no parameter")
-        return entry.builder()
-    return entry.builder(parameter if parameter is not None else entry.default)
+        return entry, ()
+    if parameter is None:
+        parameter = entry.default
+    if parameter < 1:
+        raise NetError(f"{base} needs {entry.parameter} >= 1")
+    return entry, (parameter,)
+
+
+def catalog_net(name: str, parameter: Optional[int] = None) -> FunctionNet:
+    entry, args = _resolve(name, parameter)
+    return entry.builder(*args)
 
 
 def catalog_oracle(name: str, k: int, parameter: Optional[int] = None) -> Fraction | float:
     """Predicted valuation of p_{k,K} on the reference compacts."""
     if k < 0:
         raise NetError("order k must be >= 0")
-    base, inline = parse_catalog_spec(name)
-    entry = CATALOG[base]
-    if inline is not None:
-        parameter = inline
-    if entry.parameter is None:
-        return entry.oracle(k)
-    return entry.oracle(k, parameter if parameter is not None else entry.default)
+    entry, args = _resolve(name, parameter)
+    return entry.oracle(k, *args)
 
 
 def catalog_list() -> str:

@@ -12,12 +12,14 @@ holds no more arrays at a time than a plain recursive walk would.
 
 Evaluation follows demand from the root.  The key contract is the
 exact-zero product short circuit: a product with a factor that evaluates to
-exactly 0 is 0, and the remaining factors are not evaluated (scalar
-factors) or are masked out pointwise (array factors).  Derivatives of
-bump/cutoff pair a vanishing primitive with a blowing-up rational
-prefactor, and the short circuit is what makes them evaluate to an exact 0
-on and outside the support boundary.  Any non-finite value that survives to
-the final result is reported, never silently returned.
+exactly 0 is 0.  After a scalar zero the later factors that depend on x are
+never evaluated; an array factor's zeros mask the product pointwise.
+Derivatives of bump/cutoff pair a vanishing primitive with a blowing-up
+rational prefactor, and the short circuit is what makes them evaluate to an
+exact 0 on and outside the support boundary.  A zero does not hide a factor
+that is constant in space and non-finite: 0*(1/(eps-eps)) is nan, as
+0/(eps-eps) is.  Any non-finite value that survives to the final result is
+reported, never silently returned.
 """
 from __future__ import annotations
 
@@ -69,6 +71,7 @@ class _Plan:
     params: tuple
     kids: tuple[tuple[int, ...], ...]
     uses: tuple[int, ...]  # references from the other distinct nodes
+    varies: tuple[bool, ...]  # the subtree depends on x
     max_var: int  # largest variable index, -1 for a spatially constant net
 
 
@@ -91,6 +94,7 @@ def _compile(root: Expr) -> _Plan:
     params: list = []
     kids: list[tuple[int, ...]] = []
     uses: list[int] = []
+    varies: list[bool] = []
     max_var = -1
     stack = [root]
     while stack:
@@ -118,12 +122,13 @@ def _compile(root: Expr) -> _Plan:
             params.append(float(p) if kind is EpsPow else p)
             kids.append(ks)
             uses.append(0)
+            varies.append(kind is Var or any(varies[c] for c in ks))
             for c in ks:
                 uses[c] += 1
             if kind is Var:
                 max_var = max(max_var, p)
         slot_of[id(node)] = slot
-    return _Plan(tuple(kinds), tuple(params), tuple(kids), tuple(uses), max_var)
+    return _Plan(tuple(kinds), tuple(params), tuple(kids), tuple(uses), tuple(varies), max_var)
 
 
 def _plan_of(e: Expr) -> _Plan:
@@ -205,7 +210,7 @@ def _run(plan: _Plan, coords: np.ndarray, eps: float):
     reference, so numpy can reuse a temporary's buffer as a plain recursive
     walk lets it.
     """
-    kinds, params, kids = plan.kinds, plan.params, plan.kids
+    kinds, params, kids, varies = plan.kinds, plan.params, plan.kids, plan.varies
     vals: list = [_PENDING] * len(kinds)
     left = list(plan.uses)
 
@@ -229,36 +234,45 @@ def _run(plan: _Plan, coords: np.ndarray, eps: float):
                 vals[s] = None
 
     root = len(kinds) - 1
-    # frame: slot, next child, running Add/Mul value, zero mask of array factors
-    stack = [[root, 0, None, None]]
+    # frame: slot, next child, running Add/Mul value, zero mask of array
+    # factors, a scalar factor was 0, a scalar factor was non-finite
+    stack = [[root, 0, None, None, False, False]]
     while stack:
         frame = stack[-1]
         s, i = frame[0], frame[1]
         kind, ks = kinds[s], kids[s]
         if i < len(ks):
             c = ks[i]
+            if frame[4] and varies[c]:
+                # after an exact scalar zero only factors that are constant
+                # in space can change the product (to nan); the others are
+                # never evaluated
+                frame[1] = i + 1
+                skip(c)
+                continue
             if vals[c] is _PENDING:
                 if kids[c]:
-                    stack.append([c, 0, None, None])
+                    stack.append([c, 0, None, None, False, False])
                     continue
                 vals[c] = _apply(kinds[c], params[c], None, coords, eps)
             frame[1] = i + 1
             if kind is Add:
                 frame[2] = take(c) if i == 0 else frame[2] + take(c)
             elif kind is Mul:
-                if _is_scalar(vals[c]) and vals[c] == 0.0:
-                    # exact scalar zero annihilates the product; later
-                    # factors are never evaluated
-                    for c in ks[i:]:
-                        skip(c)
-                    vals[s] = 0.0
-                    stack.pop()
+                if _is_scalar(vals[c]):
+                    frame[4] = frame[4] or vals[c] == 0.0
+                    frame[5] = frame[5] or not math.isfinite(vals[c])
+                if frame[4]:
+                    take(c)
+                    frame[2] = frame[3] = None  # the running product is moot
                 else:
                     frame[2], frame[3] = _times(frame[2], frame[3], take(c), i == 0)
             continue
         stack.pop()
         if kind is Add:
             vals[s] = frame[2]
+        elif kind is Mul and frame[4]:
+            vals[s] = math.nan if frame[5] else 0.0
         elif kind is Mul:
             vals[s] = frame[2] if frame[3] is None else np.where(frame[3], 0.0, frame[2])
         elif kind is Sub:

@@ -35,7 +35,7 @@ from .nets import (
     FunctionNet,
     NetError,
     Sampling,
-    SharpSeminorm,
+    _clip,
     enlarge,
     seminorm,
     seminorm_table,
@@ -180,13 +180,7 @@ class MollifiedNet(FunctionNet):
         inner = self.base.sample_intervals(inflated, eps)
         if inner is None:
             return None
-        out = []
-        for (blo, bhi), (lo, hi) in zip(box, inner):
-            nlo, nhi = max(blo, lo - shift), min(bhi, hi + shift)
-            if nlo > nhi:
-                return None
-            out.append((nlo, nhi))
-        return out
+        return _clip(box, enumerate((lo - shift, hi + shift) for lo, hi in inner))
 
     def describe(self):
         return {

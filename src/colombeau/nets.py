@@ -7,17 +7,21 @@ exp(-v) for the fitted valuation v of that eps-indexed seminorm net.
 
 Sup estimation uses tensor grids whose per-axis density follows the net's
 oscillation hint m: at least 4 sample points per feature length eps^m,
-subject to a hard per-axis cap.  When a net exposes multiplicative bump or
-cutoff factors with affine arguments, the sample region is first intersected
-with the factor support (the net vanishes identically outside it), which
-keeps concentrated nets resolvable after the cap would otherwise bind.
+subject to a hard per-axis cap.  Before sampling, each box is clipped to
+where the net can be non-zero, by one per-axis intersection (``_clip``):
+the support of each multiplicative bump or cutoff factor whose argument is
+affine in one axis (slope and shift may depend on eps; the expression
+calculus reads them), the c +- 2r support of a cutoff product, and a
+mollified net's base region widened by eps^n.  The net vanishes identically
+outside, so concentrated nets stay resolvable after the cap would otherwise
+bind.
 """
 from __future__ import annotations
 
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterable, Optional, Sequence
@@ -157,106 +161,53 @@ class Sampling:
 
 DEFAULT_SAMPLING = Sampling()
 
-# affine support constraints: the net vanishes where |slope*x_axis + shift| > bound
-@dataclass(frozen=True)
-class _SupportConstraint:
-    axis: int
-    slope: tuple[tuple[float, Fraction], ...]  # sum of c*eps^q
-    shift: tuple[tuple[float, Fraction], ...]
-    bound: float
+# ---------------------------------------------------------------------------
+# where a net can be non-zero
+# ---------------------------------------------------------------------------
 
-    def interval_at(self, eps: float) -> Optional[Interval]:
-        """Axis interval outside of which the factor vanishes; None if no cut."""
-        c = sum(co * eps ** float(q) for co, q in self.slope)
-        b = sum(co * eps ** float(q) for co, q in self.shift)
-        if c == 0.0:
+
+def _clip(
+    intervals: Sequence[Interval], bounds: Iterable[tuple[int, Interval]]
+) -> Optional[list[Interval]]:
+    """intervals cut to every (axis, (lo, hi)) in bounds; None once one empties."""
+    out = list(intervals)
+    for axis, (lo, hi) in bounds:
+        nlo, nhi = max(out[axis][0], lo), min(out[axis][1], hi)
+        if nlo > nhi:
             return None
-        lo = (-self.bound - b) / c
-        hi = (self.bound - b) / c
-        return (min(lo, hi), max(lo, hi))
+        out[axis] = (nlo, nhi)
+    return out
 
 
-def _linear_form(e: ex.Expr):
-    """Decompose e as slope*x_axis + shift with eps-power coefficients.
-
-    Returns (axis | None, slope_terms, shift_terms) or None when the shape is
-    not affine in a single variable.  Terms are (coef, eps_exponent) lists.
-    """
-    if isinstance(e, ex.Const):
-        return None, (), ((e.value, Fraction(0)),)
-    if isinstance(e, ex.EpsPow):
-        return None, (), ((1.0, e.exponent),)
-    if isinstance(e, ex.Eps):
-        return None, (), ((1.0, Fraction(1)),)
-    if isinstance(e, ex.Var):
-        return e.index, ((1.0, Fraction(0)),), ()
-    if isinstance(e, ex.Add):
-        axis = None
-        slope: list = []
-        shift: list = []
-        for c in e.children:
-            sub = _linear_form(c)
-            if sub is None:
-                return None
-            a, sl, sh = sub
-            if a is not None:
-                if axis is not None and a != axis:
-                    return None
-                axis = a
-            slope.extend(sl)
-            shift.extend(sh)
-        return axis, tuple(slope), tuple(shift)
-    if isinstance(e, ex.Sub):
-        lhs = _linear_form(e.left)
-        rhs = _linear_form(e.right)
-        if lhs is None or rhs is None:
-            return None
-        a1, sl1, sh1 = lhs
-        a2, sl2, sh2 = rhs
-        if a1 is not None and a2 is not None and a1 != a2:
-            return None
-        axis = a1 if a1 is not None else a2
-        neg = lambda terms: tuple((-c, q) for c, q in terms)
-        return axis, sl1 + neg(sl2), sh1 + neg(sh2)
-    if isinstance(e, ex.Mul):
-        axis = None
-        slope: tuple = ()
-        shift: tuple = ((1.0, Fraction(0)),)
-        for c in e.children:
-            sub = _linear_form(c)
-            if sub is None:
-                return None
-            a, sl, sh = sub
-            if a is not None and sl:
-                if axis is not None:
-                    return None  # degree would exceed 1
-                # multiply current (pure shift) by (slope*x + shift)
-                new_slope = tuple((c1 * c2, q1 + q2) for c1, q1 in shift for c2, q2 in sl)
-                new_shift = tuple((c1 * c2, q1 + q2) for c1, q1 in shift for c2, q2 in sh)
-                axis, slope, shift = a, new_slope, new_shift
-            else:
-                mult = sh
-                slope = tuple((c1 * c2, q1 + q2) for c1, q1 in slope for c2, q2 in mult)
-                shift = tuple((c1 * c2, q1 + q2) for c1, q1 in shift for c2, q2 in mult)
-        return axis, slope, shift
-    return None
-
-
-def support_constraints(e: ex.Expr) -> tuple[_SupportConstraint, ...]:
-    """Constraints from multiplicative bump/cutoff factors with affine args."""
-    out: list[_SupportConstraint] = []
-    factors = e.children if isinstance(e, ex.Mul) else (e,)
-    for f in factors:
-        if isinstance(f, (ex.Bump, ex.Cutoff)):
-            bound = 1.0 if isinstance(f, ex.Bump) else 2.0
-            form = _linear_form(f.arg)
-            if form is None:
-                continue
-            axis, slope, shift = form
-            if axis is None or not slope:
-                continue
-            out.append(_SupportConstraint(axis, slope, shift, bound))
+def support_constraints(e: ex.Expr) -> tuple[tuple[int, ex.Expr, ex.Expr, float], ...]:
+    """(axis, slope, argument, bound) of each multiplicative bump or cutoff
+    factor whose argument a is affine in one axis i: d a/d x_j is 0 for every
+    j != i and d a/d x_i is free of x.  The factor vanishes where |a| > bound."""
+    out = []
+    for f in e.children if isinstance(e, ex.Mul) else (e,):
+        if not isinstance(f, (ex.Bump, ex.Cutoff)):
+            continue
+        axis = ex.max_var_index(f.arg)
+        if axis < 0 or any(ex.differentiate(f.arg, j) != ex.Const(0.0) for j in range(axis)):
+            continue
+        slope = ex.differentiate(f.arg, axis)
+        if ex.max_var_index(slope) < 0:
+            out.append((axis, slope, f.arg, 1.0 if isinstance(f, ex.Bump) else 2.0))
     return tuple(out)
+
+
+def _support_bounds(constraints, eps: float):
+    """(axis, interval) outside of which each constrained factor vanishes at eps."""
+    for axis, slope, arg, bound in constraints:
+        origin = [0.0] * (axis + 1)
+        try:
+            c = ex.evaluate(slope, origin, eps)
+            b = ex.evaluate(arg, origin, eps)
+        except ex.EvaluationError:
+            continue  # no finite slope or shift: no cut
+        if c != 0.0:
+            lo, hi = (-bound - b) / c, (bound - b) / c
+            yield axis, (min(lo, hi), max(lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -291,20 +242,6 @@ class FunctionNet:
 
     def describe(self) -> dict:
         return {"variant": type(self).__name__, "dimension": self.dimension}
-
-    # shared helper
-    def _restrict(self, box, eps, constraints) -> Optional[list[Interval]]:
-        out = list(box)
-        for c in constraints:
-            iv = c.interval_at(eps)
-            if iv is None:
-                continue
-            lo, hi = out[c.axis]
-            nlo, nhi = max(lo, iv[0]), min(hi, iv[1])
-            if nlo > nhi:
-                return None
-            out[c.axis] = (nlo, nhi)
-        return out
 
 
 def _check_alpha(alpha: tuple[int, ...], d: int) -> None:
@@ -360,7 +297,7 @@ class ExpressionNet(FunctionNet):
         return ex.eval_batch(self.derivative_expr(tuple(alpha)), coords, eps)
 
     def sample_intervals(self, box, eps):
-        return self._restrict(box, eps, self._constraints)
+        return _clip(box, _support_bounds(self._constraints, eps))
 
     def describe(self):
         return {
@@ -477,10 +414,10 @@ class CutoffProductNet(FunctionNet):
         self.dimension = base.dimension
         self.oscillation_hint = base.oscillation_hint
         self.name = name
-        outer = CompactBox.of(
-            [(c - 2 * r, c + 2 * r) for c, r in zip(self.centers, self.radii)]
-        )
-        self.support_box = outer if base.support_box is None else _intersect_boxes(outer, base.support_box)
+        self._outer = tuple((c - 2 * r, c + 2 * r) for c, r in zip(self.centers, self.radii))
+        base_boxes = () if base.support_box is None else base.support_box.boxes
+        cut = [b for b in (_clip(self._outer, enumerate(bb)) for bb in base_boxes) if b is not None]
+        self.support_box = CompactBox.of(*cut) if cut else CompactBox.of(self._outer)
 
     def derivative_batch(self, alpha, coords, eps):
         _check_alpha(tuple(alpha), self.dimension)
@@ -508,16 +445,7 @@ class CutoffProductNet(FunctionNet):
 
     def sample_intervals(self, box, eps):
         inner = self.base.sample_intervals(box, eps)
-        if inner is None:
-            return None
-        out = []
-        for i, (lo, hi) in enumerate(inner):
-            nlo = max(lo, self.centers[i] - 2 * self.radii[i])
-            nhi = min(hi, self.centers[i] + 2 * self.radii[i])
-            if nlo > nhi:
-                return None
-            out.append((nlo, nhi))
-        return out
+        return None if inner is None else _clip(inner, enumerate(self._outer))
 
     def describe(self):
         return {
@@ -556,18 +484,6 @@ class DifferenceNet(FunctionNet):
 
     def describe(self):
         return {"variant": "difference", "a": self.a.describe(), "b": self.b.describe()}
-
-
-def _intersect_boxes(a: CompactBox, b: CompactBox) -> CompactBox:
-    boxes = []
-    for ba in a.boxes:
-        for bb in b.boxes:
-            cand = tuple((max(l1, l2), min(h1, h2)) for (l1, h1), (l2, h2) in zip(ba, bb))
-            if all(lo <= hi for lo, hi in cand):
-                boxes.append(cand)
-    if not boxes:
-        return a
-    return CompactBox(tuple(boxes), min(hi - lo for bx in boxes for lo, hi in bx))
 
 
 def _sub_multi_indices(alpha: tuple[int, ...]):
@@ -642,25 +558,24 @@ def seminorm(
         raise NetError("eps must lie in (0,1)")
     if k < 0 or k > K_MAX_CAP:
         raise NetError(f"order k={k} outside 0..{K_MAX_CAP}")
-    best = -1.0
+    regions = []  # (intervals, counts) of each box the net can be non-zero on
     undersampled = False
+    for box in K.boxes:
+        intervals = net.sample_intervals(box, eps)
+        if intervals is None:
+            continue  # net vanishes on this box
+        sized = [sampling.axis_count(hi - lo, eps, net.oscillation_hint) for lo, hi in intervals]
+        undersampled = undersampled or any(capped for _, capped in sized)
+        regions.append((intervals, [n for n, _ in sized]))
+    best = -1.0
     nonfinite = 0
-    points: tuple[int, ...] = ()
     for alpha in multi_indices(net.dimension, k):
-        for box in K.boxes:
-            intervals = net.sample_intervals(box, eps)
-            if intervals is None:
-                continue  # net vanishes on this box
-            counts = []
-            for lo, hi in intervals:
-                n, capped = sampling.axis_count(hi - lo, eps, net.oscillation_hint)
-                counts.append(n)
-                undersampled = undersampled or capped
-            points = tuple(counts)
+        for intervals, counts in regions:
             val, bad = _grid_max(net, alpha, intervals, counts, eps)
             nonfinite += bad
             best = max(best, val)
     ln = -math.inf if best <= 0.0 else math.log(best)
+    points = tuple(regions[-1][1]) if regions else ()
     return SeminormValue(ln, undersampled, nonfinite, points)
 
 

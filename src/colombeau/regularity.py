@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .nets import (
     CompactBox,
     DEFAULT_SAMPLING,

@@ -9,7 +9,7 @@ oracle for the log-log regression estimator used on sampled data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 

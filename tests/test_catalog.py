@@ -44,6 +44,19 @@ def test_catalog_net_parameters():
         catalog_net("const_ginfty(0)")
 
 
+@pytest.mark.parametrize(
+    "spec, k, parameter",
+    [("multiscale(3)", 2, 5), ("osc", 2, 7), ("multiscale", 1, 0), ("const_ginfty", 1, -2)],
+)
+def test_catalog_oracle_rejects_what_catalog_net_rejects(spec, k, parameter):
+    with pytest.raises(NetError) as net_error:
+        catalog_net(spec, parameter)
+    with pytest.raises(NetError) as oracle_error:
+        catalog_oracle(spec, k, parameter=parameter)
+    assert type(oracle_error.value) is NetError
+    assert str(oracle_error.value) == str(net_error.value)
+
+
 def test_builders_have_expected_shape(catalog_nets):
     hints = {
         "osc": 1,

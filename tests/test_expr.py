@@ -234,6 +234,19 @@ def test_zero_factor_short_circuits_unevaluable_partner():
     assert vals[2] == pytest.approx(math.exp(-1.0))
 
 
+@pytest.mark.parametrize(
+    "text", ["0*(1/(eps-eps))", "(1/(eps-eps))*0", "0/(eps-eps)", "(eps-eps)*(1/(eps-eps))"]
+)
+def test_zero_factor_does_not_hide_a_factor_nonfinite_everywhere(text):
+    # an exact zero skips factors that depend on x, but 0 times a factor that
+    # is non-finite at every point is nan, as 0/0 is
+    from colombeau.nets import CompactBox, ExpressionNet, seminorm
+
+    assert np.isnan(eval_batch(parse(text), np.array([[0.0, 0.5, 2.0]]), 0.25)).all()
+    v = seminorm(ExpressionNet(1, parse(text)), 0, CompactBox.interval(0.0, 1.0), 0.25)
+    assert (v.ln_value, v.nonfinite) == (-math.inf, 33)
+
+
 def test_nonfinite_evaluation_raises():
     e = parse("exp(x1*eps^(-1))")
     with pytest.raises(EvaluationError):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -162,6 +164,13 @@ def test_cutoff_product_net():
     assert cp.derivative_eval((1,), (0.3,), 0.5) == 0.0
     # sampling is clipped to the support
     assert cp.sample_intervals(((-9.0, 9.0),), 0.5) == [(-2.0, 2.0)]
+    # the support box is the c +- 2r box cut to the base's support box, or
+    # the c +- 2r box alone when they are disjoint
+    from colombeau.catalog import catalog_net
+
+    based = catalog_net("compact_osc")  # support_box [-2, 2]
+    assert CutoffProductNet(based, [1.0], [1.0]).support_box.describe() == [[[-1.0, 2.0]]]
+    assert CutoffProductNet(based, [5.0], [1.0]).support_box.describe() == [[[3.0, 7.0]]]
 
 
 def test_support_restriction():
@@ -169,6 +178,81 @@ def test_support_restriction():
     assert delta.sample_intervals(((-3.0, 3.0),), 0.25) == [(-0.25, 0.25)]
     away = seminorm(delta, 0, CompactBox.interval(1.0, 2.0), 0.25)
     assert away.ln_value == -math.inf
+    # any slope the calculus can evaluate cuts; one that overflows cuts nothing
+    curved = ExpressionNet(1, parse("bump(sin(eps)*x1)"))
+    (lo, hi), = curved.sample_intervals(((-9.0, 9.0),), 0.5)
+    assert hi == -lo == pytest.approx(1.0 / math.sin(0.5))
+    steep = ExpressionNet(1, parse("bump(x1*eps^(-80))"))
+    assert steep.sample_intervals(((-1.0, 1.0),), 1e-5) == [(-1.0, 1.0)]
+
+
+# Sampling regions: sha256 of json.dumps (exact float reprs, null for a box
+# the net vanishes on) of sample_intervals on both boxes of its dimension at
+# every point of _REGION_GRID, recorded with the affine-support reader that
+# predates the expression-calculus one (Python 3.11.7, numpy 2.4.6).
+_REGION_GRID = EpsGrid(0.5, 0.6, 20)
+_REGION_BOXES = {
+    1: (((-3.0, 3.0),), ((0.25, 1.0),)),
+    2: (((-3.0, 3.0), (-3.0, 3.0)), ((0.25, 1.0), (0.5, 2.0))),
+}
+SAMPLE_REGION_DIGESTS = {
+    "bump_x_over_eps": "12035aa9a5eab150c026a5b9974b0c615b4977731b7824fd9ab0b974e6b6288b",
+    "cutoff_x": "1f338fef7f7e57accc34d0c2a4f407c4dcb01f5f1324b2e8beee9b6140fa0999",
+    "bump_shifted_eps2": "2beae0ac8492b79dfbae36f19ac119550de37f8a3d47fa6dc34208b20422f5dd",
+    "cutoff_sqrt_eps_slope": "e1f651e70db9cbb314750518797218a18f2e512adbfe842648205cdcbb7c5fff",
+    "bump_eps_slope_eps2_shift": "e9f554ea67d43a2bf90fdc78cb8d2d54a448f11854e6ad4bafee7015f7ae6759",
+    "bump_negative_slope": "12035aa9a5eab150c026a5b9974b0c615b4977731b7824fd9ab0b974e6b6288b",
+    "cutoff_2d_second_axis": "9c87470359aa418ef8b9d02339096cacc5668517488cddc6fe1ec69e9951f9f7",
+    "bump_nonaffine_square": "5606976c8d627beb382a6c029e51f588aa16dc0756c2f49d6c6594bbf08c445e",
+    "cutoff_2d_nonaffine_sum": "8b9824deaae3002587f8d0613584e7ac7e7f256ad2d646142cdefa69a6c78900",
+    "cutoff_net": "11a1c1f2576242441e280e280709b8735f6b503a725263a6c0c4aab04607597b",
+    "mollified_compact_osc": "daeb27c5eae33fd81bddfbc564c92c0b1551aabd8a636034014b9ef24ab20d1f",
+    "difference": "73af971b8f432427f6bfd12778acd31e51382236c88b233ed72c6326fa37e20d",
+}
+
+
+def _region_net(name):
+    from colombeau.catalog import catalog_net
+    from colombeau.mollify import cutoff_net, mollify
+
+    def net(text, d=1):
+        return ExpressionNet(d, parse(text, dimension=d))
+
+    return {
+        "bump_x_over_eps": lambda: net("bump(x1/eps)"),
+        "cutoff_x": lambda: net("cutoff(x1)"),
+        "bump_shifted_eps2": lambda: net("bump((x1-0.3)/eps^2)"),
+        "cutoff_sqrt_eps_slope": lambda: net("cutoff(eps^(1/2)*x1 + 0.25)"),
+        "bump_eps_slope_eps2_shift": lambda: net("bump(3*x1*eps - eps^2)"),
+        "bump_negative_slope": lambda: net("bump(-x1/eps)"),
+        "cutoff_2d_second_axis": lambda: net("cutoff(x2/eps - x2)", 2),
+        "bump_nonaffine_square": lambda: net("bump(x1*x1)"),
+        "cutoff_2d_nonaffine_sum": lambda: net("cutoff(x1+x2)", 2),
+        "cutoff_net": lambda: cutoff_net(net("sin(x1/eps)"), CompactBox.interval(0.0, 1.0), 1.0),
+        "mollified_compact_osc": lambda: mollify(catalog_net("compact_osc"), 2),
+        "difference": lambda: DifferenceNet(net("bump(x1/eps)"), net("bump((x1-0.3)/eps^2)")),
+    }[name]()
+
+
+def _regions(net):
+    return [
+        net.sample_intervals(box, eps)
+        for eps in _REGION_GRID.points
+        for box in _REGION_BOXES[net.dimension]
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_REGION_DIGESTS))
+def test_sample_intervals_match_recorded_regions(name):
+    text = json.dumps(_regions(_region_net(name)))
+    assert hashlib.sha256(text.encode()).hexdigest() == SAMPLE_REGION_DIGESTS[name], text
+
+
+@pytest.mark.parametrize("name", ["bump_nonaffine_square", "cutoff_2d_nonaffine_sum"])
+def test_nonaffine_support_arguments_stay_unrestricted(name):
+    net = _region_net(name)
+    boxes = _REGION_BOXES[net.dimension] * len(_REGION_GRID.points)
+    assert _regions(net) == [list(box) for box in boxes]
 
 
 # ---------------------------------------------------------------------------
