@@ -3,7 +3,8 @@
 Subcommands: parse-check, catalog, run, classify, landau, mollify, class-a.
 Each analysis subcommand (classify, landau, mollify, class-a) is a
 one-experiment config: its flags become a config document (kinds
-classify, landau, mollify-converge and class-a), ``load_config`` validates
+classify, landau, mollify-converge and class-a) that holds only the flags
+given, so the config defaults apply to the rest; ``load_config`` validates
 it, and ``runner.run_experiment`` and ``runner.exit_code`` compute the
 verdicts and the exit code, the same code ``colombeau run`` uses.  The
 subcommand prints the experiment's JSON document instead of writing files;
@@ -40,52 +41,54 @@ def _floats(text: str) -> list[float]:
     return [float(x) for x in text.split(",")]
 
 
+# the flags whose text is a comma-separated list, by config key
+_LISTS = {"a_values": _floats, "bases": _floats, "support_box": lambda t: [[_floats(t)]],
+          "n_list": lambda t: [int(n) for n in t.split(",")]}
+
+
+def _given(args, *keys: str) -> dict:
+    """The config entry of each flag given, keyed by its dest."""
+    given = {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
+    return {key: _LISTS[key](v) if key in _LISTS else v for key, v in given.items()}
+
+
 def _config_document(args) -> dict:
     """The one-experiment config that an analysis subcommand's flags stand for."""
     try:
         parse_catalog_spec(args.net)
         net = {"catalog": args.net}
     except NetError:  # an inline 1-d expression
-        net = {"expression": args.net, "oscillation_hint": args.hint}
-        if args.support:
-            net["support_box"] = [[_floats(args.support)]]
+        net = {"expression": args.net}
+    # load_config rejects both on a catalog net
+    net.update(_given(args, "oscillation_hint", "support_box"))
     if args.compacts:  # ';' separates compacts, '|' the intervals of one union
         unions = args.compacts.split(";")
         compacts = [[[_floats(iv)] for iv in union.split("|")] for union in unions]
     else:
         compacts = [K.describe() for K in REFERENCE_COMPACTS]
-    experiment = {"kind": _KINDS[args.command]}
-    if args.command == "classify":
-        experiment["a_values"] = _floats(args.a)
-        if args.bases:
-            experiment["bases"] = _floats(args.bases)
-    elif args.command == "mollify":
-        experiment.update(k=args.k, n_list=[int(n) for n in args.n.split(",")], r=args.r)
-        if args.order:  # absent or 0: the default quadrature order
-            experiment["quadrature_order"] = args.order
-    elif args.command == "class-a":
-        experiment["N"] = args.N
+    params = _given(args, "a_values", "bases", "k", "n_list", "r", "quadrature_order", "N")
     doc = {
         "dimension": 1,
         "net": net,
         "compacts": compacts,
-        "eps_grid": {"eps0": args.eps0, "ratio": args.ratio, "count": args.count},
-        "experiments": [experiment],
+        "experiments": [{"kind": _KINDS[args.command], **params}],
+        **_given(args, "k_max"),
     }
-    if args.command != "mollify":  # mollify-converge reads no k_max
-        doc["k_max"] = args.kmax
+    grid = _given(args, "eps0", "ratio", "count")
+    if grid:
+        doc["eps_grid"] = grid
     return doc
 
 
 def _add_net_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--net", required=True, help="catalog name (e.g. multiscale(8)) or expression")
-    p.add_argument("--hint", default="0", help="oscillation hint for inline expressions")
-    p.add_argument("--support", default=None, help="declared support interval lo,hi")
-    p.add_argument("--compacts", default=None, help="compacts, e.g. '0,1;-1,2' (';' separates unions, '|' boxes)")
-    p.add_argument("--kmax", type=int, default=6)
-    p.add_argument("--eps0", type=float, default=0.5)
-    p.add_argument("--ratio", type=float, default=0.5)
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--hint", dest="oscillation_hint", help="oscillation hint for inline expressions")
+    p.add_argument("--support", dest="support_box", help="declared support interval lo,hi")
+    p.add_argument("--compacts", help="compacts, e.g. '0,1;-1,2' (';' separates unions, '|' boxes)")
+    p.add_argument("--kmax", dest="k_max", type=int)
+    p.add_argument("--eps0", type=float)
+    p.add_argument("--ratio", type=float)
+    p.add_argument("--count", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,18 +109,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="full regularity report for a net")
     _add_net_options(p)
-    p.add_argument("--a", default="0.5,1.0,1.5,2.0", help="rate thresholds, comma separated")
-    p.add_argument("--bases", default=None, help="growth bases, comma separated")
+    p.add_argument("--a", dest="a_values", help="rate thresholds, comma separated")
+    p.add_argument("--bases", help="growth bases, comma separated")
 
     p = sub.add_parser("landau", help="log-convexity check along the P_k sequence")
     _add_net_options(p)
 
     p = sub.add_parser("mollify", help="mollification convergence experiment")
     _add_net_options(p)
-    p.add_argument("--n", default="1,2,3,4", help="mollification orders")
-    p.add_argument("--k", type=int, default=0, help="seminorm order of the difference")
-    p.add_argument("--order", type=int, default=None, help="quadrature order per axis")
-    p.add_argument("--r", type=float, default=0.5, help="compact enlargement for the reference")
+    p.add_argument("--n", dest="n_list", help="mollification orders")
+    p.add_argument("--k", type=int, help="seminorm order of the difference")
+    p.add_argument("--order", dest="quadrature_order", type=int, help="quadrature order per axis")
+    p.add_argument("--r", type=float, help="compact enlargement for the reference")
     p.set_defaults(ratio=CONVERGENCE_GRID.ratio)
 
     p = sub.add_parser("class-a", help="polynomial-rate membership check")

@@ -5,7 +5,8 @@ silently running a default.  Validation happens before any computation:
 parameter values per kind (``regular-bound``: ``k_list`` in 0..8,
 ``n_list`` strictly increasing and >= 1), ``k_max >= 4`` where a tail rate
 is read, ``n_list`` entries >= the net's oscillation hint where the net is
-mollified, and a declared ``support_box`` for ``regular-bound``.
+mollified, and a declared ``support_box`` for ``regular-bound``.  A key left
+out takes its default from the class, function or constant that owns it.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from typing import Any, Sequence
 
 from .catalog import catalog_net
 from .expr import ParseError, parse
+from .mollify import DEFAULT_N_LIST, DENSITY_N_LIST
 from .nets import (
     BandedNet,
     CompactBox,
@@ -26,6 +28,7 @@ from .nets import (
     NetError,
     Sampling,
 )
+from .regularity import DEFAULT_K_MAX
 from .scale import EpsGrid, ScaleError
 
 class ConfigError(ValueError):
@@ -75,19 +78,19 @@ def _build_net(raw: Any, dimension: int) -> FunctionNet:
     kinds = [k for k in ("catalog", "expression", "banded") if k in raw]
     if len(kinds) != 1:
         raise ConfigError("net needs exactly one of: catalog, expression, banded")
-    support = None
+    options = {}  # the keys present; the net class's defaults fill the rest
+    if "oscillation_hint" in raw:
+        hint = raw["oscillation_hint"]
+        try:
+            options["oscillation_hint"] = Fraction(str(hint))
+        except (ValueError, ZeroDivisionError) as e:
+            raise ConfigError(f"bad oscillation_hint: {hint!r}") from e
     if "support_box" in raw:
-        support = _parse_box_union(raw["support_box"], dimension, "net.support_box")
-    hint = raw.get("oscillation_hint", 0)
-    try:
-        hint = Fraction(str(hint))
-    except (ValueError, ZeroDivisionError) as e:
-        raise ConfigError(f"bad oscillation_hint: {hint!r}") from e
+        options["support_box"] = _parse_box_union(raw["support_box"], dimension, "net.support_box")
 
     if kinds[0] == "catalog":
-        for key in ("oscillation_hint", "support_box"):
-            if key in raw:
-                raise ConfigError(f"catalog nets fix their own {key}")
+        if options:
+            raise ConfigError(f"catalog nets fix their own {next(iter(options))}")
         param = raw.get("parameter")
         if param is not None and not isinstance(param, int):
             raise ConfigError("net.parameter must be an integer")
@@ -98,7 +101,7 @@ def _build_net(raw: Any, dimension: int) -> FunctionNet:
     if kinds[0] == "expression":
         try:
             expr = parse(raw["expression"], dimension)
-            return ExpressionNet(dimension, expr, hint, support, name=raw["expression"])
+            return ExpressionNet(dimension, expr, name=raw["expression"], **options)
         except (ParseError, NetError) as e:
             raise ConfigError(str(e)) from e
     bands = raw["banded"]
@@ -115,7 +118,7 @@ def _build_net(raw: Any, dimension: int) -> FunctionNet:
         except ParseError as e:
             raise ConfigError(str(e)) from e
     try:
-        return BandedNet(dimension, parsed, hint, support)
+        return BandedNet(dimension, parsed, **options)
     except NetError as e:
         raise ConfigError(str(e)) from e
 
@@ -200,8 +203,12 @@ _EXPERIMENT_PARAMS = {
 EXPERIMENT_KINDS = tuple(_EXPERIMENT_PARAMS)
 # kinds that read a tail rate, which needs k_max >= 4
 _TAIL_KINDS = ("classify", "sublinear-density")
-# kinds that mollify the net at each order in n_list (every default starts at 1)
-_MOLLIFYING_KINDS = ("mollify-converge", "regular-bound", "sublinear-density")
+# kinds that mollify the net at each order in n_list -> their default n_list
+_MOLLIFYING_KINDS = {
+    "mollify-converge": DEFAULT_N_LIST,
+    "regular-bound": DENSITY_N_LIST,
+    "sublinear-density": DENSITY_N_LIST,
+}
 
 
 def _parse_experiment(raw: Any, index: int) -> Experiment:
@@ -219,6 +226,17 @@ def _parse_experiment(raw: Any, index: int) -> Experiment:
         if not ok(value):
             raise ConfigError(f"{where}.{key} must be {what}")
     return Experiment(kind, params)
+
+
+def _settings(cls, document: dict, key: str, types: dict):
+    """cls from the keys present in document[key], each converted by its
+    entry in types; the defaults of cls fill the rest."""
+    raw = document.get(key, {})
+    _require_keys(raw, key, [], list(types))
+    try:
+        return cls(**{k: types[k](v) for k, v in raw.items()})
+    except (NetError, ScaleError) as e:
+        raise ConfigError(str(e)) from e
 
 
 def load_config(document: dict | str) -> ExperimentConfig:
@@ -245,27 +263,11 @@ def load_config(document: dict | str) -> ExperimentConfig:
     compacts = tuple(
         _parse_box_union(c, dimension, f"compacts[{i}]") for i, c in enumerate(raw_compacts)
     )
-    grid_raw = document.get("eps_grid", {})
-    _require_keys(grid_raw, "eps_grid", [], ["eps0", "ratio", "count"])
-    try:
-        grid = EpsGrid(
-            float(grid_raw.get("eps0", 0.5)),
-            float(grid_raw.get("ratio", 0.5)),
-            int(grid_raw.get("count", 20)),
-        )
-    except ScaleError as e:
-        raise ConfigError(str(e)) from e
-    k_max = document.get("k_max", 6)
+    grid = _settings(EpsGrid, document, "eps_grid", {"eps0": float, "ratio": float, "count": int})
+    k_max = document.get("k_max", DEFAULT_K_MAX)
     if not isinstance(k_max, int) or not 0 <= k_max <= K_MAX_CAP:
         raise ConfigError(f"k_max must be an integer in 0..{K_MAX_CAP}")
-    s_raw = document.get("sampling", {})
-    _require_keys(s_raw, "sampling", [], ["base_points", "cap_points"])
-    try:
-        sampling = Sampling(
-            int(s_raw.get("base_points", 33)), int(s_raw.get("cap_points", 20_001))
-        )
-    except NetError as e:
-        raise ConfigError(str(e)) from e
+    sampling = _settings(Sampling, document, "sampling", {"base_points": int, "cap_points": int})
     raw_exps = document["experiments"]
     if not isinstance(raw_exps, list) or not raw_exps:
         raise ConfigError("experiments must be a non-empty list")
@@ -273,7 +275,8 @@ def load_config(document: dict | str) -> ExperimentConfig:
     for e in experiments:
         if e.kind in _TAIL_KINDS and k_max < 4:
             raise ConfigError(f"{e.kind} needs k_max >= 4 to read a tail rate")
-        if e.kind in _MOLLIFYING_KINDS and e.params.get("n_list", [1])[0] < net.oscillation_hint:
+        n_list = e.params.get("n_list", _MOLLIFYING_KINDS.get(e.kind))
+        if n_list and n_list[0] < net.oscillation_hint:
             raise ConfigError(f"{e.kind} needs every n_list entry >= the net's oscillation hint")
         if e.kind == "regular-bound" and net.support_box is None:
             raise ConfigError("regular-bound needs a net with a declared support_box")

@@ -147,10 +147,11 @@ def node_count(e: Expr) -> int:
     return total
 
 
-def check_size(e: Expr, cap: int = EXPR_SIZE_CAP) -> Expr:
+def check_size(e: Expr) -> Expr:
+    """e itself; SizeCapError when it has more than EXPR_SIZE_CAP nodes."""
     n = node_count(e)
-    if n > cap:
-        raise SizeCapError(f"expression has {n} nodes, exceeds cap {cap}")
+    if n > EXPR_SIZE_CAP:
+        raise SizeCapError(f"expression has {n} nodes, exceeds cap {EXPR_SIZE_CAP}")
     return e
 
 

@@ -16,7 +16,6 @@ from .nodes import (
     EpsPow,
     Expr,
     ExpressionError,
-    EXPR_SIZE_CAP,
     IntPow,
     Mul,
     Sin,
@@ -272,11 +271,11 @@ def _diff(e: Expr, i: int) -> Expr:
     raise ExpressionError(f"cannot differentiate {e!r}")
 
 
-def differentiate(e: Expr, var_index: int, cap: int = EXPR_SIZE_CAP) -> Expr:
+def differentiate(e: Expr, var_index: int) -> Expr:
     """Partial derivative with respect to x_{var_index+1}; eps is a constant.
 
-    The result is simplified; exceeding the node-count cap raises SizeCapError.
+    The result is simplified; more than EXPR_SIZE_CAP nodes raise SizeCapError.
     """
     if not 0 <= var_index <= 2:
         raise ExpressionError(f"variable index {var_index} out of range 0..2")
-    return check_size(simplify(_diff(e, var_index)), cap)
+    return check_size(simplify(_diff(e, var_index)))

@@ -41,11 +41,16 @@ from .nets import (
     seminorm_table,
     sharp_seminorm,
 )
-from .scale import EpsGrid, default_grid, estimate_valuation, jsonable
+from .scale import EpsGrid, estimate_valuation, jsonable
 
 DEFAULT_QUAD_ORDER = 32
 DEFAULT_N_LIST = (1, 2, 3, 4)
+DENSITY_N_LIST = (1, 2, 3)  # n_list of the regular-bound and sublinear-density experiments
 DEFAULT_ENLARGEMENT = 0.5
+CONVERGENCE_SLACK = 0.2
+REGULAR_BOUND_J0 = 4
+REGULAR_BOUND_SLACK = 0.1
+CLASS_A_SLACK = 0.1
 # A difference is numerically null when it stays this far (in ln) below the
 # base net's own magnitude; quadrature-weight round-off sits near 1e-16.
 LN_NUMERICALLY_NULL = math.log(1e-10)
@@ -54,7 +59,7 @@ LN_NUMERICALLY_NULL = math.log(1e-10)
 # like eps^(2(n-1)) relative to u, so on the steep default grid it falls
 # below float64 cancellation noise for n >= 3; a gentler ratio keeps every
 # fitted window well above round-off while still spanning two decades.
-CONVERGENCE_GRID = EpsGrid(0.5, 0.8, 20)
+CONVERGENCE_GRID = EpsGrid(ratio=0.8)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +276,7 @@ def cutoff_net(u: FunctionNet, inner_box: CompactBox, outer_margin: float) -> Fu
 class ConvergenceEntry:
     n: int
     v_hat: float  # fitted valuation of p_{k,K}(u star psi_{eps^n} - u)
-    required: float  # n + reference - slack
+    required: float  # n + reference - CONVERGENCE_SLACK
     ok: bool
     stable: bool
 
@@ -316,19 +321,16 @@ def convergence_experiment(
     K: CompactBox,
     k: int,
     n_list: Sequence[int] = DEFAULT_N_LIST,
-    grid: Optional[EpsGrid] = None,
+    grid: EpsGrid = CONVERGENCE_GRID,
     sampling: Sampling = DEFAULT_SAMPLING,
     r: float = DEFAULT_ENLARGEMENT,
     mollifier: Optional[Mollifier] = None,
-    slack: float = 0.2,
 ) -> ConvergenceRecord:
     """Fit the valuation of u star psi_{eps^n} - u for each n and compare
-    against the quantitative bound n + v(p_{k+1, K+r})."""
+    against the quantitative bound n + v(p_{k+1, K+r}) - CONVERGENCE_SLACK."""
     n_list = tuple(n_list)
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise NetError("n_list must be strictly increasing and non-empty")
-    if grid is None:
-        grid = CONVERGENCE_GRID
     ref = sharp_seminorm(u, k + 1, enlarge(K, r), grid, sampling)
     v_ref = ref.estimate.value
     base_lns = None
@@ -341,7 +343,7 @@ def convergence_experiment(
         diff = DifferenceNet(mollify(u, n, mollifier), u)
         table = seminorm_table(diff, k, K, grid, sampling)
         est = estimate_valuation(table.samples(), log_values=True)
-        required = math.inf if v_ref == math.inf else n + v_ref - slack
+        required = math.inf if v_ref == math.inf else n + v_ref - CONVERGENCE_SLACK
         if v_ref == math.inf:
             ok = all(
                 ln_d == -math.inf
@@ -393,18 +395,14 @@ def regular_bound_experiment(
     K: CompactBox,
     k: int,
     n: int,
-    grid: Optional[EpsGrid] = None,
+    grid: EpsGrid = EpsGrid(),
     sampling: Sampling = DEFAULT_SAMPLING,
-    j0: int = 4,
-    slack: float = 0.1,
     mollifier: Optional[Mollifier] = None,
 ) -> RegularBoundReport:
-    """Check p_{k,K}(u star psi_{eps^n}) <= eps^(-nk-1) sup_L |u_eps| in the
-    ln domain for every grid index j >= j0, derivatives placed on psi."""
+    """Check p_{k,K}(u star psi_{eps^n}) <= eps^(-nk-1) sup_L |u_eps| in the ln domain,
+    up to REGULAR_BOUND_SLACK, for every grid index j >= REGULAR_BOUND_J0, derivatives on psi."""
     if u.support_box is None:
         raise NetError("the regular bound needs a net with a declared support_box")
-    if grid is None:
-        grid = default_grid()
     if mollifier is None:
         mollifier = _default_mollifier(u.dimension)
     route = PsiRouteNet(u, n, mollifier)
@@ -412,12 +410,12 @@ def regular_bound_experiment(
     rows = []
     ok_all = True
     for j, eps in enumerate(grid.points):
-        if j < j0:
+        if j < REGULAR_BOUND_J0:
             continue
         lhs = seminorm(route, k, K, eps, sampling).ln_value
         sup0 = seminorm(u, 0, L, eps, sampling).ln_value
         rhs = (-n * k - 1) * math.log(eps) + sup0
-        ok = lhs <= rhs + slack
+        ok = lhs <= rhs + REGULAR_BOUND_SLACK
         ok_all = ok_all and ok
         rows.append(BoundCheckRow(j, eps, lhs, rhs, ok))
     return RegularBoundReport(k, n, tuple(rows), "yes" if ok_all else "no")
@@ -428,7 +426,7 @@ class ClassARow:
     K: CompactBox
     k: int
     v_hat: float
-    bound: float  # -Nk - N - slack
+    bound: float  # -Nk - N - CLASS_A_SLACK
     ok: bool
     stable: bool
 
@@ -445,16 +443,13 @@ def class_A_membership(
     N: int,
     Ks: Sequence[CompactBox],
     k_max: int,
-    grid: Optional[EpsGrid] = None,
+    grid: EpsGrid = EpsGrid(),
     sampling: Sampling = DEFAULT_SAMPLING,
-    slack: float = 0.1,
 ) -> ClassAReport:
     """Evidence for p_{k,K}(u_eps) <= eps^(-Nk-N): fitted valuations must
-    stay above -Nk - N - slack for all k <= k_max and all compacts."""
+    stay above -Nk - N - CLASS_A_SLACK for all k <= k_max and all compacts."""
     if not isinstance(N, int) or N < 1:
         raise NetError("N must be a positive integer")
-    if grid is None:
-        grid = default_grid()
     rows = []
     any_unstable = False
     any_violation = False
@@ -462,7 +457,7 @@ def class_A_membership(
         for k in range(k_max + 1):
             s = sharp_seminorm(u, k, K, grid, sampling)
             est = s.estimate
-            bound = -N * k - N - slack
+            bound = -N * k - N - CLASS_A_SLACK
             ok = est.value >= bound
             if not est.stable:
                 any_unstable = True

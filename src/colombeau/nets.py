@@ -29,12 +29,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import expr as ex
-from .scale import (
-    EpsGrid,
-    NEGLIGIBLE_FLOOR,
-    ValuationEstimate,
-    estimate_valuation,
-)
+from .scale import EpsGrid, ValuationEstimate, estimate_valuation
 
 K_MAX_CAP = 8
 M_MAX_NEGLIGIBLE = 40.0
@@ -244,6 +239,14 @@ class FunctionNet:
         return {"variant": type(self).__name__, "dimension": self.dimension}
 
 
+def _hint(value: Fraction | int | str) -> Fraction:
+    """An oscillation hint as a Fraction; every net variant rejects a negative one."""
+    hint = Fraction(value)
+    if hint < 0:
+        raise NetError("oscillation hint must be >= 0")
+    return hint
+
+
 def _check_alpha(alpha: tuple[int, ...], d: int) -> None:
     if len(alpha) != d:
         raise NetError(f"multi-index length {len(alpha)} != dimension {d}")
@@ -271,9 +274,7 @@ class ExpressionNet(FunctionNet):
         used = ex.max_var_index(self.expression)
         if used >= dimension:
             raise NetError(f"expression uses x{used + 1} beyond dimension {dimension}")
-        self.oscillation_hint = Fraction(oscillation_hint)
-        if self.oscillation_hint < 0:
-            raise NetError("oscillation hint must be >= 0")
+        self.oscillation_hint = _hint(oscillation_hint)
         self.support_box = support_box
         self.name = name
         self._deriv_cache: dict[tuple[int, ...], ex.Expr] = {tuple([0] * dimension): self.expression}
@@ -323,7 +324,7 @@ class FiniteSumNet(FunctionNet):
             raise NetError("finite_sum needs at least one term")
         self.dimension = dimension
         self.parts = [ExpressionNet(dimension, t) for t in terms]
-        self.oscillation_hint = Fraction(oscillation_hint)
+        self.oscillation_hint = _hint(oscillation_hint)
         self.support_box = support_box
         self.name = name
 
@@ -368,7 +369,7 @@ class BandedNet(FunctionNet):
             raise NetError("topmost band must reach 1")
         self.dimension = dimension
         self.bands = [((lo, hi), ExpressionNet(dimension, e)) for (lo, hi), e in ordered]
-        self.oscillation_hint = Fraction(oscillation_hint)
+        self.oscillation_hint = _hint(oscillation_hint)
         self.support_box = support_box
         self.name = name
 
@@ -416,7 +417,9 @@ class CutoffProductNet(FunctionNet):
         self.name = name
         self._outer = tuple((c - 2 * r, c + 2 * r) for c, r in zip(self.centers, self.radii))
         base_boxes = () if base.support_box is None else base.support_box.boxes
-        cut = [b for b in (_clip(self._outer, enumerate(bb)) for bb in base_boxes) if b is not None]
+        # a base box that only touches the outer box meets it in a zero-width box
+        cut = [b for b in (_clip(self._outer, enumerate(bb)) for bb in base_boxes)
+               if b is not None and all(lo < hi for lo, hi in b)]
         self.support_box = CompactBox.of(*cut) if cut else CompactBox.of(self._outer)
 
     def derivative_batch(self, alpha, coords, eps):
@@ -645,11 +648,10 @@ def sharp_seminorm(
     K: CompactBox,
     grid: EpsGrid,
     sampling: Sampling = DEFAULT_SAMPLING,
-    window: int = 8,
-    floor: float = NEGLIGIBLE_FLOOR,
 ) -> SharpSeminorm:
+    """exp(-v), v fitted with scale.DEFAULT_WINDOW and scale.NEGLIGIBLE_FLOOR."""
     table = seminorm_table(net, k, K, grid, sampling)
-    est = estimate_valuation(table.samples(), window=window, floor=floor, log_values=True)
+    est = estimate_valuation(table.samples(), log_values=True)
     value = 0.0 if est.value == math.inf else math.exp(-est.value)
     return SharpSeminorm(k, K, est, value)
 
@@ -667,9 +669,9 @@ class ModerationVerdict:
     stable: bool
 
 
-def is_moderate(net: FunctionNet, K: CompactBox, k: int, grid: EpsGrid,
-                sampling: Sampling = DEFAULT_SAMPLING) -> ModerationVerdict:
-    s = sharp_seminorm(net, k, K, grid, sampling)
+def is_moderate(net: FunctionNet, K: CompactBox, k: int, grid: EpsGrid) -> ModerationVerdict:
+    """Evidence that p_{k,K} <= eps^-N for some N, sampled with DEFAULT_SAMPLING."""
+    s = sharp_seminorm(net, k, K, grid)
     v = s.estimate.value
     if not s.estimate.stable:
         return ModerationVerdict("inconclusive", v, 0, False)
@@ -688,15 +690,14 @@ class NegligibilityVerdict:
     stable: bool
 
 
-def is_negligible(net: FunctionNet, K: CompactBox, k: int, grid: EpsGrid,
-                  sampling: Sampling = DEFAULT_SAMPLING,
-                  m_max: float = M_MAX_NEGLIGIBLE) -> NegligibilityVerdict:
-    s = sharp_seminorm(net, k, K, grid, sampling)
+def is_negligible(net: FunctionNet, K: CompactBox, k: int, grid: EpsGrid) -> NegligibilityVerdict:
+    """Evidence of a valuation at the floor or above M_MAX_NEGLIGIBLE (DEFAULT_SAMPLING)."""
+    s = sharp_seminorm(net, k, K, grid)
     est = s.estimate
     if est.method == "negligible-floor":
         return NegligibilityVerdict("negligible-evidence", est.value, True)
     if not est.stable:
         return NegligibilityVerdict("inconclusive", est.value, False)
-    if est.value > m_max:
+    if est.value > M_MAX_NEGLIGIBLE:
         return NegligibilityVerdict("negligible-evidence", est.value, True)
     return NegligibilityVerdict("no", est.value, True)

@@ -15,6 +15,7 @@ from .nets import (
     CompactBox,
     DEFAULT_SAMPLING,
     FunctionNet,
+    K_MAX_CAP,
     Sampling,
     SharpSeminorm,
     sharp_seminorm,
@@ -72,8 +73,8 @@ def psequence(
     sampling: Sampling = DEFAULT_SAMPLING,
     k_max: int = DEFAULT_K_MAX,
 ) -> PSequence:
-    if k_max < 0 or k_max > 8:
-        raise RegularityError("k_max must lie in 0..8")
+    if not 0 <= k_max <= K_MAX_CAP:
+        raise RegularityError(f"k_max must lie in 0..{K_MAX_CAP}")
     entries = tuple(sharp_seminorm(net, k, K, grid, sampling) for k in range(k_max + 1))
     return PSequence(K, entries)
 
@@ -105,14 +106,10 @@ class LandauReport:
     all_ok: bool  # no 'violated' entry
 
 
-def landau_check(
-    seq: PSequence,
-    tau_trigger: float = LANDAU_TRIGGER,
-    tau_slack: float = LANDAU_SLACK,
-) -> LandauReport:
-    """Check 2 ln P_k <= ln P_{k-1} + ln P_{k+1} (+ slack) at rising steps.
+def landau_check(seq: PSequence) -> LandauReport:
+    """Check 2 ln P_k <= ln P_{k-1} + ln P_{k+1} + LANDAU_SLACK at rising steps.
 
-    Only steps with ln P_k - ln P_{k-1} > tau_trigger are asserted; flat or
+    Only steps with ln P_k - ln P_{k-1} > LANDAU_TRIGGER are asserted; flat or
     falling steps carry no information at fit precision.  Entries whose
     neighbouring fits are unstable are skipped and reported as such.
     """
@@ -126,13 +123,13 @@ def landau_check(
         if mid == -math.inf:
             out.append(LandauEntry(k, "not-triggered", math.nan))
             continue
-        triggered = (lo == -math.inf) or (mid - lo > tau_trigger)
+        triggered = (lo == -math.inf) or (mid - lo > LANDAU_TRIGGER)
         if not triggered:
             out.append(LandauEntry(k, "not-triggered", math.nan))
             continue
         rhs = lo + hi  # -inf if either neighbour is negligible
         margin = rhs - 2 * mid
-        verdict = "satisfied" if margin >= -tau_slack else "violated"
+        verdict = "satisfied" if margin >= -LANDAU_SLACK else "violated"
         ok = ok and verdict == "satisfied"
         out.append(LandauEntry(k, verdict, margin))
     return LandauReport(tuple(out), ok)

@@ -32,6 +32,7 @@ from .mollify import (
     CONVERGENCE_GRID,
     DEFAULT_ENLARGEMENT,
     DEFAULT_N_LIST,
+    DENSITY_N_LIST,
     Mollifier,
     build_mollifier,
     class_A_membership,
@@ -208,7 +209,7 @@ def _class_a(cfg: ExperimentConfig, params: dict) -> Outcome:
 
 def _regular_bound(cfg: ExperimentConfig, params: dict) -> Outcome:
     rows, results = [], []
-    for n in params.get("n_list", (1, 2, 3)):
+    for n in params.get("n_list", DENSITY_N_LIST):
         for k in params.get("k_list", range(4)):
             for ci, K in enumerate(cfg.compacts):
                 rep = regular_bound_experiment(cfg.net, K, k, n, cfg.grid, cfg.sampling)
@@ -223,7 +224,7 @@ def _regular_bound(cfg: ExperimentConfig, params: dict) -> Outcome:
 def _sublinear_density(cfg: ExperimentConfig, params: dict) -> Outcome:
     m = _mollifier(cfg, params)
     rows, results = [], []
-    for n in params.get("n_list", (1, 2, 3)):
+    for n in params.get("n_list", DENSITY_N_LIST):
         rep = classify_sublinear(
             mollify(cfg.net, n, m), cfg.compacts, cfg.grid, cfg.sampling, cfg.k_max
         )

@@ -133,7 +133,7 @@ class EpsGrid:
 
 
 def default_grid() -> EpsGrid:
-    return EpsGrid(0.5, 0.5, 20)
+    return EpsGrid()
 
 
 def sample(z: PowerScale, grid: EpsGrid) -> list[tuple[float, float]]:
@@ -187,12 +187,11 @@ def _ln_magnitude(value: float, log_values: bool) -> float:
 def estimate_valuation(
     samples: Sequence[tuple[float, float]],
     window: int = DEFAULT_WINDOW,
-    floor: float = NEGLIGIBLE_FLOOR,
     log_values: bool = False,
 ) -> ValuationEstimate:
     """Fit ln|value| against ln eps over the last `window` usable samples.
 
-    samples must be ordered by decreasing eps.  Entries at or below `floor`
+    samples must be ordered by decreasing eps.  Entries at or below NEGLIGIBLE_FLOOR
     (or non-finite ones) are unusable; if every sample in the tail window is
     negligible the net is reported as negligible with value +inf.
     """
@@ -202,19 +201,14 @@ def estimate_valuation(
     if n < window:
         raise ScaleError(f"need at least {window} samples, got {n}")
     eps_prev = math.inf
-    lnfloor = math.log(floor)
     lnvals: list[float] = []
     for eps, value in samples:
         if not (0.0 < eps < eps_prev):
             raise ScaleError("samples must be ordered by strictly decreasing eps in (0,1)")
         eps_prev = eps
         lnvals.append(_ln_magnitude(value, log_values))
-    usable = [
-        i
-        for i, v in enumerate(lnvals)
-        if math.isfinite(v) and v > lnfloor
-    ]
-    negligible = {i for i, v in enumerate(lnvals) if v == -math.inf or (math.isfinite(v) and v <= lnfloor)}
+    usable = [i for i, v in enumerate(lnvals) if math.isfinite(v) and v > LN_NEGLIGIBLE_FLOOR]
+    negligible = {i for i, v in enumerate(lnvals) if v <= LN_NEGLIGIBLE_FLOOR}  # -inf included
     tail = range(n - window, n)
     if all(i in negligible for i in tail):
         return ValuationEstimate(math.inf, "negligible-floor", math.inf, 0.0, (n - window, n), True)

@@ -122,6 +122,9 @@ def test_config_accepts_json_string():
         {"net": FAST_OSC, "experiments": [{"kind": "mollify-converge"}]},
         {"net": FAST_OSC, "experiments": [{"kind": "regular-bound", "n_list": [1, 2]}]},
         {"net": FAST_OSC, "k_max": 4, "experiments": [{"kind": "sublinear-density"}]},
+        # a negative oscillation hint, which would pass the check above
+        {"net": {"banded": [{"interval": [0.0, 1.0], "expression": "sin(x1/eps^3)"}],
+                 "oscillation_hint": "-1"}},
     ],
 )
 def test_config_rejections(mutate):
@@ -492,6 +495,21 @@ def test_cli_class_a(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "yes"
     assert len(doc["rows"]) == 6  # 2 default compacts x k = 0..2
+
+
+def test_cli_leaves_out_the_flags_not_given():
+    args = cli.build_parser().parse_args(["classify", "--net", "osc"])
+    doc = cli._config_document(args)
+    assert doc["net"] == {"catalog": "osc"}
+    assert doc["experiments"] == [{"kind": "classify"}]
+    assert "eps_grid" not in doc and "k_max" not in doc
+
+
+@pytest.mark.parametrize("flag", [["--hint", "3"], ["--support=-2,2"]])
+def test_cli_rejects_a_hint_or_support_on_a_catalog_net(capsys, flag):
+    assert cli.main(["landau", "--net", "osc", *flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
 
 
 def test_cli_bad_net_spec(capsys):

@@ -226,6 +226,15 @@ def test_cutoff_net_geometry():
     assert cut.derivative_eval((0,), (2.5,), 0.5) == 0.0
 
 
+def test_cutoff_net_whose_box_only_touches_the_base_support(compact_osc):
+    # c +- 2r is [2, 6], which meets the base support [-2, 2] only at 2, where
+    # the product is 0: the support box falls back to [2, 6]
+    cut = cutoff_net(compact_osc, CompactBox.interval(3.0, 5.0), 1.0)
+    assert cut.support_box.describe() == [[[2.0, 6.0]]]
+    for k in range(3):
+        assert seminorm(cut, k, CompactBox.interval(2.0, 6.0), 2**-4).ln_value == -math.inf
+
+
 def test_cutoff_net_identity_on_inner_box():
     osc = _net("sin(x1/eps)", hint=1)
     cut = cutoff_net(osc, K01, 1.0)

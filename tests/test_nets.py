@@ -125,6 +125,15 @@ def test_finite_sum_net_is_sum_of_parts():
     assert s.derivative_eval((1,), x, 0.25) == pytest.approx(want)
 
 
+def test_every_net_variant_rejects_a_negative_oscillation_hint():
+    with pytest.raises(NetError):
+        ExpressionNet(1, parse("x1"), oscillation_hint=-1)
+    with pytest.raises(NetError):
+        FiniteSumNet(1, [parse("x1")], oscillation_hint=-2)
+    with pytest.raises(NetError):
+        BandedNet(1, [((0.0, 1.0), parse("sin(x1/eps^3)"))], oscillation_hint="-1")
+
+
 def test_difference_net():
     osc = _osc()
     d = DifferenceNet(osc, osc)

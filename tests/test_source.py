@@ -51,3 +51,56 @@ def unused_imports(path: pathlib.Path) -> list[str]:
 )
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+ROOT = PACKAGE.parents[1]
+
+
+def defaulted_parameters() -> dict[tuple[str, str], list[tuple[int, str]]]:
+    """(module, function) -> (position, name) of each parameter with a
+    default, for every public module-level function of the package;
+    keyword-only parameters have position -1."""
+    out = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            params = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            params += [(-1, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            if params:
+                out[str(path.relative_to(PACKAGE)), node.name] = params
+    return out
+
+
+def set_parameters() -> set[tuple[str, str]]:
+    """(function name, parameter) for each argument some call in src/, tests/
+    or perfbench/ passes: the keyword, ``#i`` for the i-th positional
+    argument, and ``*`` for every parameter after ``*args`` or ``**kwargs``.
+    A call is matched to a function by the name it calls."""
+    out = set()
+    for path in sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+            for i, a in enumerate(call.args):
+                out.add((name, "*" if isinstance(a, ast.Starred) else f"#{i}"))
+            out |= {(name, kw.arg or "*") for kw in call.keywords}
+    return out
+
+
+def test_every_default_is_set():
+    """A default that no call ever overrides is a constant in disguise: each
+    one is a setting the tests would have to cover for nothing."""
+    given = set_parameters()
+    unset = [
+        f"{module}:{name}({param})"
+        for (module, name), params in defaulted_parameters().items()
+        for pos, param in params
+        if not given & {(name, "*"), (name, param), (name, f"#{pos}")}
+    ]
+    assert unset == []
