@@ -11,7 +11,9 @@ subcommand prints the experiment's JSON document instead of writing files;
 class-a prints each compact's description in its rows, where the class-a
 CSV of ``colombeau run`` gives the compact's index in ``compacts``.  The worker count for
 seminorm tables is capped by the COLOMBEAU_THREADS environment variable;
-results are identical at any thread count.
+results are identical at any thread count.  A malformed command line (an
+unknown flag, ``--kmax x``) exits 1 with an ``error:`` line, as any other
+configuration error does.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import sys
 from typing import Optional, Sequence
 
 from .catalog import REFERENCE_COMPACTS, catalog_list, parse_catalog_spec
-from .config import load_config, load_config_file
+from .config import ConfigError, load_config, load_config_file
 from .expr import node_count, parse, to_text
 from .mollify import CONVERGENCE_GRID
 from .nets import NetError
@@ -91,8 +93,16 @@ def _add_net_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--count", type=int)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is a configuration error (exit 1), where
+    argparse would exit 2, the code of an unstable fit."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="colombeau",
         description="Seminorm estimation and regularity classification for generalized-function nets.",
     )
@@ -130,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "parse-check":
             e = parse(args.expression, args.dimension)
             print(to_text(e))

@@ -167,6 +167,8 @@ def _num_list(v, lo: float, strict: bool = False) -> bool:
     return isinstance(v, list) and all(_num(x, lo, strict) for x in v)
 
 
+_NUMBER = (lambda v: _num(v, -math.inf), "a number")
+_INTEGER = (lambda v: _int(v, -math.inf), "an integer")
 _K = (lambda v: _int(v, 0, K_MAX_CAP), f"an integer in 0..{K_MAX_CAP}")
 _K_LIST = (
     lambda v: _int_list(v, 0, K_MAX_CAP),
@@ -228,13 +230,17 @@ def _parse_experiment(raw: Any, index: int) -> Experiment:
     return Experiment(kind, params)
 
 
-def _settings(cls, document: dict, key: str, types: dict):
-    """cls from the keys present in document[key], each converted by its
-    entry in types; the defaults of cls fill the rest."""
+def _settings(cls, document: dict, key: str, checks: dict):
+    """cls from the keys present in document[key], each checked by its
+    entry in checks; the defaults of cls fill the rest and cls checks ranges."""
     raw = document.get(key, {})
-    _require_keys(raw, key, [], list(types))
+    _require_keys(raw, key, [], list(checks))
+    for k, v in raw.items():
+        ok, what = checks[k]
+        if not ok(v):
+            raise ConfigError(f"{key}.{k} must be {what}")
     try:
-        return cls(**{k: types[k](v) for k, v in raw.items()})
+        return cls(**raw)
     except (NetError, ScaleError) as e:
         raise ConfigError(str(e)) from e
 
@@ -263,11 +269,11 @@ def load_config(document: dict | str) -> ExperimentConfig:
     compacts = tuple(
         _parse_box_union(c, dimension, f"compacts[{i}]") for i, c in enumerate(raw_compacts)
     )
-    grid = _settings(EpsGrid, document, "eps_grid", {"eps0": float, "ratio": float, "count": int})
+    grid = _settings(EpsGrid, document, "eps_grid", {"eps0": _NUMBER, "ratio": _NUMBER, "count": _INTEGER})
     k_max = document.get("k_max", DEFAULT_K_MAX)
     if not isinstance(k_max, int) or not 0 <= k_max <= K_MAX_CAP:
         raise ConfigError(f"k_max must be an integer in 0..{K_MAX_CAP}")
-    sampling = _settings(Sampling, document, "sampling", {"base_points": int, "cap_points": int})
+    sampling = _settings(Sampling, document, "sampling", {"base_points": _INTEGER, "cap_points": _INTEGER})
     raw_exps = document["experiments"]
     if not isinstance(raw_exps, list) or not raw_exps:
         raise ConfigError("experiments must be a non-empty list")

@@ -20,6 +20,12 @@ exact 0 on and outside the support boundary.  A zero does not hide a factor
 that is constant in space and non-finite: 0*(1/(eps-eps)) is nan, as
 0/(eps-eps) is.  Any non-finite value that survives to the final result is
 reported, never silently returned.
+
+Batches of points come as a ``Grid``: one coordinate array per axis, which
+together broadcast to a block of points.  On a tensor grid axis i has shape
+(1, ..., n_i, ..., 1), so each subtree is evaluated on the broadcast shape of
+the axes it uses: sin(x1/eps) runs once per x1 value, not once per grid
+point.  A (d, N) array of points is a Grid whose axes all have shape (N,).
 """
 from __future__ import annotations
 
@@ -53,6 +59,37 @@ from .nodes import (
 
 class EvaluationError(ExpressionError):
     """Non-finite result (overflow, 0/0, division by zero at the point)."""
+
+
+class Grid:
+    """A block of points stored per axis: ``grid[i]`` is coordinate i.
+
+    The d coordinate arrays broadcast to ``block``; ``shape`` is (d, N) with
+    N = prod(block), the shape of the flat point array that ``np.asarray``
+    returns (points in C order over the block).
+    """
+
+    def __init__(self, coords: Sequence[np.ndarray], block: Sequence[int]):
+        self.coords = tuple(coords)
+        self.block = tuple(block)
+        self.shape = (len(self.coords), math.prod(self.block))
+
+    @classmethod
+    def tensor(cls, axes: Sequence[np.ndarray]) -> "Grid":
+        """The tensor grid over 1-d axes; axis i gets shape (1, ..., n_i, ..., 1)."""
+        d = len(axes)
+        coords = [np.asarray(a, dtype=float).reshape([-1 if j == i else 1 for j in range(d)])
+                  for i, a in enumerate(axes)]
+        return cls(coords, [len(a) for a in axes])
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self.coords[i]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        flat = np.empty(self.shape, dtype=float if dtype is None else dtype)
+        for row, c in zip(flat, self.coords):
+            row[...] = np.broadcast_to(c, self.block).reshape(-1)
+        return flat
 
 
 _KINDS = (Const, Var, Eps, EpsPow, Add, Mul, Sub, Div, IntPow, Sin, Cos, Exp, Bump, Cutoff)
@@ -142,7 +179,7 @@ def _plan_of(e: Expr) -> _Plan:
 
 
 def _is_scalar(v) -> bool:
-    # values are Python or numpy floats, or arrays of shape (N,) or (1,)
+    # values are Python or numpy floats, or arrays that broadcast to the block
     return not isinstance(v, np.ndarray) or v.ndim == 0
 
 
@@ -156,7 +193,7 @@ def _as_batch(vals) -> np.ndarray:
     return np.atleast_1d(np.asarray(vals, dtype=float))
 
 
-def _apply(kind: type, p, arg, coords: np.ndarray, eps: float):
+def _apply(kind: type, p, arg, coords: Grid, eps: float):
     """Value of a leaf or a one-child node, given the child's value."""
     if kind is Const:
         return p
@@ -201,8 +238,9 @@ def _times(acc, mask, v, first: bool):
 _PENDING = object()  # not computed (yet)
 
 
-def _run(plan: _Plan, coords: np.ndarray, eps: float):
-    """Value of the plan's root: a float scalar or an array of shape (N,).
+def _run(plan: _Plan, coords: Grid, eps: float):
+    """Value of the plan's root: a float scalar or an array that broadcasts
+    to the block, shaped by the axes the root uses.
 
     Non-finite entries are allowed here (caller decides how to report them);
     numpy error state must already be suppressed.  Locals never hold a value
@@ -284,14 +322,19 @@ def _run(plan: _Plan, coords: np.ndarray, eps: float):
     return vals[root]
 
 
-def eval_batch(e: Expr, coords: np.ndarray, eps: float) -> np.ndarray:
-    """Evaluate at a batch of points, coords of shape (d, N) -> values (N,).
+def eval_batch(e: Expr, coords: Grid | np.ndarray, eps: float) -> np.ndarray:
+    """Evaluate at a batch of points, a Grid or an array of shape (d, N) ->
+    values (N,), in the order of ``np.asarray(coords)``.
 
+    Each subtree is computed on the broadcast shape of the axes it uses, so
+    on a tensor Grid a subtree of x1 alone costs n_1 evaluations, not N.
     Non-finite entries are returned as inf/nan for the caller to flag.
     """
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim != 2:
-        raise ExpressionError("coords must have shape (d, N)")
+    if not isinstance(coords, Grid):
+        coords = np.asarray(coords, dtype=float)
+        if coords.ndim != 2:
+            raise ExpressionError("coords must have shape (d, N)")
+        coords = Grid(coords, coords.shape[1:])
     plan = _plan_of(e)
     need = plan.max_var + 1
     if coords.shape[0] < need:
@@ -303,7 +346,7 @@ def eval_batch(e: Expr, coords: np.ndarray, eps: float) -> np.ndarray:
         v = _run(plan, coords, eps)
     if _is_scalar(v):
         return np.full(coords.shape[1], float(v))
-    return np.asarray(v, dtype=float)
+    return np.broadcast_to(np.asarray(v, dtype=float), coords.block).reshape(-1)
 
 
 def _check_eps(eps: float) -> None:
@@ -323,7 +366,7 @@ def evaluate(e: Expr, x: Sequence[float], eps: float) -> float:
     if x.size < need:
         raise ExpressionError(f"expression uses {need} variables, point has {x.size}")
     _check_eps(eps)
-    coords = x.reshape(-1, 1)
+    coords = Grid(x.reshape(-1, 1), (1,))
     with np.errstate(all="ignore"):
         v = _run(plan, coords, eps)
     out = float(v if _is_scalar(v) else np.asarray(v).ravel()[0])

@@ -165,6 +165,7 @@ class MollifiedNet(FunctionNet):
     def _convolve(self, alpha, weights, coords, eps):
         """sum_q weights_q * d^alpha u_eps(x - eps^n s_q), in chunks of points."""
         shift = eps**self.n
+        coords = np.asarray(coords)  # a Grid flattens to its (d, N) points
         d, total = coords.shape
         m = self._nodes.shape[1]
         out = np.empty(total)

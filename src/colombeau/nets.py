@@ -15,6 +15,13 @@ calculus reads them), the c +- 2r support of a cutoff product, and a
 mollified net's base region widened by eps^n.  The net vanishes identically
 outside, so concentrated nets stay resolvable after the cap would otherwise
 bind.
+
+A grid reaches a net in blocks of at most ``_CHUNK`` points, each an
+``expr.Grid`` that holds one slice per axis instead of every point: an
+expression net evaluates each subtree on the axes it uses, so on the unit
+square sin(x1/eps)*cos(x2) runs sin on n_1 points and cos on n_2, and only
+the product fills the block.  Nets that do their own per-point arithmetic
+(cutoff products, mollified nets) flatten the block to its (d, N) points.
 """
 from __future__ import annotations
 
@@ -427,6 +434,7 @@ class CutoffProductNet(FunctionNet):
         d = self.dimension
         from .expr.special import cutoff_deriv_values
 
+        coords = np.asarray(coords)  # a Grid flattens to its (d, N) points
         scaled = [
             (coords[i] - self.centers[i]) / self.radii[i] for i in range(d)
         ]
@@ -517,21 +525,28 @@ _CHUNK = 1 << 19
 
 
 def _grid_chunks(axes: list[np.ndarray], limit: int):
-    """Points of the tensor grid over axes, as (d, n) arrays of at most limit points.
+    """The tensor grid over axes as Grid blocks of at most limit points.
 
-    Points come in C order (axis 0 slowest), a few whole rows of axis 0 at a
-    time; a row longer than limit is split the same way along the next axis.
+    A block is the product of one slice per axis, and concatenated the
+    blocks list the points in C order (axis 0 slowest): a few whole rows of
+    axis 0 at a time; a row longer than limit is split the same way along
+    the next axis.
     """
+    for slices in _block_slices(axes, limit):
+        yield ex.Grid.tensor(slices)
+
+
+def _block_slices(axes: list[np.ndarray], limit: int):
     head, rest = axes[0], axes[1:]
     if not rest:
         for a in range(0, head.size, limit):
-            yield head[None, a : a + limit]
+            yield (head[a : a + limit],)
         return
     rows = max(1, limit // math.prod(ax.size for ax in rest))
     for a in range(0, head.size, rows):
         h = head[a : a + rows]
-        for tail in _grid_chunks(rest, limit // h.size):
-            yield np.vstack([np.repeat(h, tail.shape[1]), np.tile(tail, h.size)])
+        for tail in _block_slices(rest, limit // h.size):
+            yield (h,) + tail
 
 
 def _grid_max(net: FunctionNet, alpha, intervals, counts, eps) -> tuple[float, int]:

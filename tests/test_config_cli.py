@@ -125,11 +125,36 @@ def test_config_accepts_json_string():
         # a negative oscillation hint, which would pass the check above
         {"net": {"banded": [{"interval": [0.0, 1.0], "expression": "sin(x1/eps^3)"}],
                  "oscillation_hint": "-1"}},
+        # eps_grid and sampling values are checked, not converted
+        {"eps_grid": {"count": 12.7}},
+        {"eps_grid": {"count": True}},
+        {"eps_grid": {"eps0": "0.25"}},
+        {"eps_grid": {"ratio": False}},
+        {"sampling": {"base_points": 40.9}},
+        {"sampling": {"cap_points": "20001"}},
+        {"sampling": {"base_points": True}},
     ],
 )
 def test_config_rejections(mutate):
     with pytest.raises(ConfigError):
         load_config(base_config(**mutate))
+
+
+@pytest.mark.parametrize("key, setting", [
+    ("eps_grid.count", {"eps_grid": {"count": 12.7}}),
+    ("eps_grid.eps0", {"eps_grid": {"eps0": "0.25"}}),
+    ("sampling.base_points", {"sampling": {"base_points": 40.9}}),
+])
+def test_setting_errors_name_their_key(key, setting):
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        load_config(base_config(**setting))
+
+
+def test_integer_settings_load_as_given():
+    cfg = load_config(base_config(eps_grid={"eps0": 0.25, "ratio": 0.5, "count": 12},
+                                  sampling={"base_points": 40, "cap_points": 401}))
+    assert (cfg.grid.eps0, cfg.grid.count) == (0.25, 12)
+    assert (cfg.sampling.base_points, cfg.sampling.cap_points) == (40, 401)
 
 
 def test_every_experiment_kind_has_one_runner_function():
@@ -407,6 +432,17 @@ def test_run_outputs_deterministic_across_threads(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
+
+
+def test_cli_malformed_flag_is_a_config_error(capsys):
+    # argparse would exit 2, the code of an unstable fit
+    for argv in (["classify", "--net", "osc", "--kmax", "x"], ["classify", "--net", "osc", "--a", "x"],
+                 ["classify", "--kmax", "4"], ["classify", "--net", "osc", "--bogus"]):
+        assert cli.main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["classify", "--help"])
+    assert stop.value.code == 0
 
 
 def test_cli_parse_check(capsys):

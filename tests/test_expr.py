@@ -18,6 +18,7 @@ from colombeau.expr import (
     EpsPow,
     EvaluationError,
     Exp,
+    Grid,
     IntPow,
     Mul,
     ParseError,
@@ -393,6 +394,84 @@ def test_eval_batch_matches_naive_on_2d_tree():
             e = net.derivative_expr(alpha)
             got = eval_batch(e, coords, 0.3)
             assert np.array_equal(got, _naive_batch(e, coords, 0.3), equal_nan=True), alpha
+
+
+# ---------------------------------------------------------------------------
+# tensor grids: each subtree on the axes it uses
+# ---------------------------------------------------------------------------
+
+_LEAF_CONSTS = (Const(0.0), Const(-0.0), Const(1.5), Const(-2.0), Eps(),
+                EpsPow(Fraction(-1)), EpsPow(Fraction(1, 2)))
+
+
+@st.composite
+def _grid_cases(draw):
+    """(tree, Grid, eps): a tree over some of the d axes, d in {2, 3}."""
+    d = draw(st.sampled_from([2, 3]))
+    used = sorted(draw(st.sets(st.integers(0, d - 1), min_size=1)))
+    leaves = st.one_of(st.sampled_from(used).map(Var), st.sampled_from(_LEAF_CONSTS))
+
+    def grow(sub):
+        pairs = st.lists(sub, min_size=2, max_size=3).map(tuple)
+        return st.one_of(
+            sub.map(Sin), sub.map(Cos), sub.map(Exp),
+            st.builds(Bump, sub, st.integers(0, 2)),
+            st.builds(Cutoff, sub, st.integers(0, 2)),
+            st.builds(Div, sub, sub),
+            st.builds(IntPow, sub, st.sampled_from([-2, -1, 2])),
+            st.builds(Sub, sub, sub), pairs.map(Mul), pairs.map(Add),
+        )
+
+    tree = draw(st.recursive(leaves, grow, max_leaves=10))
+    # support seams of bump and cutoff, and 0 for the negative powers
+    point = st.one_of(st.sampled_from([0.0, -1.0, 1.0, -2.0, 2.0]),
+                      st.floats(-2.5, 2.5, allow_nan=False))
+    axes = [draw(st.lists(point, min_size=1, max_size=5)) for _ in range(d)]
+    return tree, Grid.tensor(axes), draw(st.sampled_from([0.5, 0.3, 1 / 1024]))
+
+
+def _same_on_flat_points(e, grid, eps):
+    got = eval_batch(e, grid, eps)
+    flat = np.asarray(grid)
+    assert got.shape == (flat.shape[1],)
+    return np.array_equal(got, eval_batch(e, flat, eps), equal_nan=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grid_cases())
+def test_grid_evaluation_equals_flat_points(case):
+    e, grid, eps = case
+    assert _same_on_flat_points(e, grid, eps), to_text(e)
+
+
+def test_grid_evaluation_of_partial_and_constant_trees():
+    grid = Grid.tensor([np.linspace(-1, 1, 3), np.linspace(0, 2, 4), np.linspace(-2, 1, 5)])
+    only_x2 = parse("sin(x2/eps)*cutoff(x2)", dimension=3)
+    assert eval_batch(only_x2, grid, 0.5).shape == (60,)
+    assert _same_on_flat_points(only_x2, grid, 0.5)
+    constant = Mul((Sin(EpsPow(Fraction(-1))), Const(3.0)))  # a scalar root
+    assert _same_on_flat_points(constant, grid, 0.5)
+    assert np.all(eval_batch(constant, grid, 0.5) == 3.0 * math.sin(2.0))
+
+
+def test_nonfinite_values_are_counted_over_the_whole_grid():
+    from colombeau.nets import CompactBox, ExpressionNet, seminorm
+
+    net = ExpressionNet(2, parse("1/x2", dimension=2), 0)
+    v = seminorm(net, 0, CompactBox.of([(0.0, 1.0), (-1.0, 1.0)]), 0.5)
+    n1, n2 = v.points_per_axis
+    assert 0.0 in np.linspace(-1.0, 1.0, n2)
+    assert v.nonfinite == n1  # x2 = 0 on one point of every row
+
+
+def test_constant_bump_and_cutoff_values_fill_the_batch():
+    # bump or cutoff of eps alone is a one-value array; it must still give
+    # one value, and one non-finite count, per point, as 1/(eps-eps) does
+    from colombeau.nets import CompactBox, ExpressionNet, seminorm
+
+    assert eval_batch(parse("bump(eps)"), np.zeros((1, 5)), 0.5).shape == (5,)
+    net = ExpressionNet(1, parse("1/(cutoff(eps)-1)"), 0)
+    assert seminorm(net, 0, CompactBox.interval(0.0, 1.0), 0.5).nonfinite == 33
 
 
 def test_signed_zero_constants_stay_distinct():

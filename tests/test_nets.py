@@ -341,6 +341,14 @@ def test_grid_chunks_cap_points_and_keep_seminorms(monkeypatch, chunk):
     per_alpha = [math.prod(v.points_per_axis) for v in want]
     n_alphas = [len(multi_indices(net.dimension, k)) for net, *_ in cases for k in range(3)]
     assert sum(sizes) == sum(p * n for p, n in zip(per_alpha, n_alphas))
+    # the blocks list every point of each grid once, in C order
+    grids = [[np.linspace(lo, hi, n) for (lo, hi), n in zip(K.boxes[0], v.points_per_axis)]
+             for (_, K, _, _), v in zip(cases, want[::3])]
+    assert all(
+        np.array_equal(np.hstack([np.asarray(b) for b in nets._grid_chunks(axes, chunk)]),
+                       np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")]))
+        for axes in grids
+    )
 
 
 def test_seminorm_table_and_samples():
