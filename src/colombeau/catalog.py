@@ -28,26 +28,24 @@ REFERENCE_COMPACTS: tuple[CompactBox, ...] = (
 
 
 def _build_osc() -> FunctionNet:
-    return ExpressionNet(1, parse("sin(x1/eps)"), oscillation_hint=1, name="osc")
+    return ExpressionNet(1, parse("sin(x1/eps)"), oscillation_hint=1)
 
 
 def _build_const_ginfty(N: int) -> FunctionNet:
-    return ExpressionNet(
-        1, parse(f"eps^(-{N})*sin(x1)"), oscillation_hint=0, name=f"const_ginfty({N})"
-    )
+    return ExpressionNet(1, parse(f"eps^(-{N})*sin(x1)"), oscillation_hint=0)
 
 
 def _build_delta() -> FunctionNet:
-    return ExpressionNet(1, parse("eps^(-1)*bump(x1/eps)"), oscillation_hint=1, name="delta")
+    return ExpressionNet(1, parse("eps^(-1)*bump(x1/eps)"), oscillation_hint=1)
 
 
 def _build_one() -> FunctionNet:
-    return ExpressionNet(1, parse("1"), oscillation_hint=0, name="one")
+    return ExpressionNet(1, parse("1"), oscillation_hint=0)
 
 
 def _build_multiscale(J: int) -> FunctionNet:
     terms = [parse(f"eps^{j * j}*sin(x1*eps^(-{2 * j}))") for j in range(1, J + 1)]
-    return FiniteSumNet(1, terms, oscillation_hint=2 * J, name=f"multiscale({J})")
+    return FiniteSumNet(1, terms, oscillation_hint=2 * J)
 
 
 def _build_compact_osc() -> FunctionNet:
@@ -56,7 +54,6 @@ def _build_compact_osc() -> FunctionNet:
         parse("cutoff(x1)*sin(x1/eps)"),
         oscillation_hint=1,
         support_box=CompactBox.interval(-2.0, 2.0),
-        name="compact_osc",
     )
 
 

@@ -101,7 +101,7 @@ def _build_net(raw: Any, dimension: int) -> FunctionNet:
     if kinds[0] == "expression":
         try:
             expr = parse(raw["expression"], dimension)
-            return ExpressionNet(dimension, expr, name=raw["expression"], **options)
+            return ExpressionNet(dimension, expr, **options)
         except (ParseError, NetError) as e:
             raise ConfigError(str(e)) from e
     bands = raw["banded"]

@@ -41,7 +41,8 @@ from .nets import (
     seminorm_table,
     sharp_seminorm,
 )
-from .scale import EpsGrid, estimate_valuation, jsonable
+from .regularity import psequence
+from .scale import EpsGrid, jsonable
 
 DEFAULT_QUAD_ORDER = 32
 DEFAULT_N_LIST = (1, 2, 3, 4)
@@ -138,7 +139,7 @@ _EVAL_CHUNK = 1 << 21
 class MollifiedNet(FunctionNet):
     """u_eps star psi_{eps^n}; derivatives fall on the base net."""
 
-    def __init__(self, base: FunctionNet, n: int, mollifier: Mollifier, name: str = ""):
+    def __init__(self, base: FunctionNet, n: int, mollifier: Mollifier):
         if base.dimension != mollifier.dimension:
             raise NetError("mollifier dimension must match the net")
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -157,7 +158,6 @@ class MollifiedNet(FunctionNet):
         self.dimension = base.dimension
         self.oscillation_hint = base.oscillation_hint
         self.support_box = None if base.support_box is None else enlarge(base.support_box, 1.0)
-        self.name = name
         self._keep = mollifier.core_weights != 0.0
         self._nodes = mollifier.nodes[:, self._keep]
         self._weights = mollifier.core_weights[self._keep]
@@ -342,8 +342,8 @@ def convergence_experiment(
     entries = []
     for n in n_list:
         diff = DifferenceNet(mollify(u, n, mollifier), u)
-        table = seminorm_table(diff, k, K, grid, sampling)
-        est = estimate_valuation(table.samples(), log_values=True)
+        s = sharp_seminorm(diff, k, K, grid, sampling)
+        est = s.estimate
         required = math.inf if v_ref == math.inf else n + v_ref - CONVERGENCE_SLACK
         if v_ref == math.inf:
             ok = all(
@@ -352,7 +352,7 @@ def convergence_experiment(
                     math.isfinite(ln_d)
                     and ln_d <= ln_u + LN_NUMERICALLY_NULL
                 )
-                for (_, ln_d), ln_u in zip(table.samples(), base_lns)
+                for (_, ln_d), ln_u in zip(s.table.samples(), base_lns)
             )
         else:
             ok = est.value >= required or est.value == math.inf
@@ -451,20 +451,21 @@ def class_A_membership(
     stay above -Nk - N - CLASS_A_SLACK for all k <= k_max and all compacts."""
     if not isinstance(N, int) or N < 1:
         raise NetError("N must be a positive integer")
+    if not Ks:
+        raise NetError("class A needs at least one compact")
     rows = []
     any_unstable = False
     any_violation = False
     for K in Ks:
-        for k in range(k_max + 1):
-            s = sharp_seminorm(u, k, K, grid, sampling)
+        for s in psequence(u, K, grid, sampling, k_max).entries:
             est = s.estimate
-            bound = -N * k - N - CLASS_A_SLACK
+            bound = -N * s.k - N - CLASS_A_SLACK
             ok = est.value >= bound
             if not est.stable:
                 any_unstable = True
             elif not ok:
                 any_violation = True
-            rows.append(ClassARow(K, k, est.value, bound, ok, est.stable))
+            rows.append(ClassARow(K, s.k, est.value, bound, ok, est.stable))
     if any_violation:
         verdict = "no"
     elif any_unstable:

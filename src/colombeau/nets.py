@@ -272,7 +272,6 @@ class ExpressionNet(FunctionNet):
         expression: ex.Expr,
         oscillation_hint: Fraction | int | str = 0,
         support_box: Optional[CompactBox] = None,
-        name: str = "",
     ):
         if not 1 <= dimension <= 3:
             raise NetError("dimension must be in 1..3")
@@ -283,7 +282,6 @@ class ExpressionNet(FunctionNet):
             raise NetError(f"expression uses x{used + 1} beyond dimension {dimension}")
         self.oscillation_hint = _hint(oscillation_hint)
         self.support_box = support_box
-        self.name = name
         self._deriv_cache: dict[tuple[int, ...], ex.Expr] = {tuple([0] * dimension): self.expression}
         self._constraints = support_constraints(self.expression)
 
@@ -325,7 +323,6 @@ class FiniteSumNet(FunctionNet):
         terms: Sequence[ex.Expr],
         oscillation_hint: Fraction | int | str = 0,
         support_box: Optional[CompactBox] = None,
-        name: str = "",
     ):
         if not terms:
             raise NetError("finite_sum needs at least one term")
@@ -333,7 +330,6 @@ class FiniteSumNet(FunctionNet):
         self.parts = [ExpressionNet(dimension, t) for t in terms]
         self.oscillation_hint = _hint(oscillation_hint)
         self.support_box = support_box
-        self.name = name
 
     def derivative_batch(self, alpha, coords, eps):
         acc = self.parts[0].derivative_batch(alpha, coords, eps)
@@ -359,7 +355,6 @@ class BandedNet(FunctionNet):
         bands: Sequence[tuple[tuple[float, float], ex.Expr]],
         oscillation_hint: Fraction | int | str = 0,
         support_box: Optional[CompactBox] = None,
-        name: str = "",
     ):
         if not bands:
             raise NetError("banded net needs at least one band")
@@ -378,7 +373,6 @@ class BandedNet(FunctionNet):
         self.bands = [((lo, hi), ExpressionNet(dimension, e)) for (lo, hi), e in ordered]
         self.oscillation_hint = _hint(oscillation_hint)
         self.support_box = support_box
-        self.name = name
 
     def _part(self, eps: float) -> ExpressionNet:
         for (lo, hi), part in self.bands:
@@ -411,7 +405,7 @@ class CutoffProductNet(FunctionNet):
     separate across axes so their mixed derivatives are 1-d evaluations.
     """
 
-    def __init__(self, base: FunctionNet, centers: Sequence[float], radii: Sequence[float], name: str = ""):
+    def __init__(self, base: FunctionNet, centers: Sequence[float], radii: Sequence[float]):
         if len(centers) != base.dimension or len(radii) != base.dimension:
             raise NetError("centers/radii must match the base dimension")
         if any(r <= 0 for r in radii):
@@ -421,7 +415,6 @@ class CutoffProductNet(FunctionNet):
         self.radii = tuple(float(r) for r in radii)
         self.dimension = base.dimension
         self.oscillation_hint = base.oscillation_hint
-        self.name = name
         self._outer = tuple((c - 2 * r, c + 2 * r) for c, r in zip(self.centers, self.radii))
         base_boxes = () if base.support_box is None else base.support_box.boxes
         # a base box that only touches the outer box meets it in a zero-width box
@@ -471,7 +464,7 @@ class CutoffProductNet(FunctionNet):
 class DifferenceNet(FunctionNet):
     """Internal combinator: pointwise difference a - b of two nets."""
 
-    def __init__(self, a: FunctionNet, b: FunctionNet, name: str = ""):
+    def __init__(self, a: FunctionNet, b: FunctionNet):
         if a.dimension != b.dimension:
             raise NetError("difference requires equal dimensions")
         self.a = a
@@ -479,7 +472,6 @@ class DifferenceNet(FunctionNet):
         self.dimension = a.dimension
         self.oscillation_hint = max(a.oscillation_hint, b.oscillation_hint)
         self.support_box = None
-        self.name = name
 
     def derivative_batch(self, alpha, coords, eps):
         return self.a.derivative_batch(alpha, coords, eps) - self.b.derivative_batch(alpha, coords, eps)
@@ -515,6 +507,10 @@ def _sub_multi_indices(alpha: tuple[int, ...]):
 
 @dataclass(frozen=True)
 class SeminormValue:
+    """p_{k,K}(u_eps) at one eps as ``seminorm`` sampled it: undersampled when
+    an axis cap bound, nonfinite values left out of the max."""
+
+    eps: float
     ln_value: float  # ln p_{k,K}(eps); -inf for an exact zero
     undersampled: bool
     nonfinite: int
@@ -555,6 +551,10 @@ def _grid_max(net: FunctionNet, alpha, intervals, counts, eps) -> tuple[float, i
     bad = 0
     for chunk in _grid_chunks(axes, _CHUNK):
         vals = net.derivative_batch(alpha, chunk, eps)
+        hi, lo = float(vals.max()), float(vals.min())
+        if math.isfinite(hi) and math.isfinite(lo):  # no nan or inf: no mask, no copy
+            best = max(best, hi, -lo)
+            continue
         finite = np.isfinite(vals)
         bad += int(vals.size - np.count_nonzero(finite))
         if finite.any():
@@ -594,22 +594,17 @@ def seminorm(
             best = max(best, val)
     ln = -math.inf if best <= 0.0 else math.log(best)
     points = tuple(regions[-1][1]) if regions else ()
-    return SeminormValue(ln, undersampled, nonfinite, points)
-
-
-@dataclass(frozen=True)
-class TableEntry:
-    eps: float
-    ln_value: float
-    undersampled: bool
-    nonfinite: int
+    return SeminormValue(eps, ln, undersampled, nonfinite, points)
 
 
 @dataclass(frozen=True)
 class SeminormTable:
+    """p_{k,K}(u_eps) sampled over an eps grid: the ``SeminormValue`` that
+    ``seminorm`` returned for each eps, in the grid's (decreasing) order."""
+
     k: int
     K: CompactBox
-    entries: tuple[TableEntry, ...]
+    entries: tuple[SeminormValue, ...]
 
     def samples(self) -> list[tuple[float, float]]:
         """(eps, ln p) pairs; entries with non-finite evaluations become nan."""
@@ -633,28 +628,36 @@ def seminorm_table(
     workers = worker_count()
     if workers > 1 and len(eps_list) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            vals = list(pool.map(lambda e: seminorm(net, k, K, e, sampling), eps_list))
+            entries = tuple(pool.map(lambda e: seminorm(net, k, K, e, sampling), eps_list))
     else:
-        vals = [seminorm(net, k, K, e, sampling) for e in eps_list]
-    entries = tuple(
-        TableEntry(e, v.ln_value, v.undersampled, v.nonfinite) for e, v in zip(eps_list, vals)
-    )
+        entries = tuple(seminorm(net, k, K, e, sampling) for e in eps_list)
     return SeminormTable(k, K, entries)
 
 
 @dataclass(frozen=True)
 class SharpSeminorm:
-    k: int
-    K: CompactBox
+    """The sharp seminorm P_{k,K} = exp(-v): a sampled table and the
+    valuation v fitted to it.  Order, compact and every sample are the
+    table's; ln_value and value derive from the estimate."""
+
+    table: SeminormTable
     estimate: ValuationEstimate
-    value: float  # exp(-v); 0 when the net is negligible at this order
+
+    @property
+    def k(self) -> int:
+        return self.table.k
 
     @property
     def ln_value(self) -> float:
-        """ln P_{k,K}: -inf for a negligible order."""
+        """ln P_{k,K} = -v: -inf for a negligible order."""
         if self.estimate.value == math.inf:
             return -math.inf
         return -self.estimate.value
+
+    @property
+    def value(self) -> float:
+        """P_{k,K} = exp(ln_value); 0 for a negligible order."""
+        return math.exp(self.ln_value)
 
 
 def sharp_seminorm(
@@ -666,9 +669,7 @@ def sharp_seminorm(
 ) -> SharpSeminorm:
     """exp(-v), v fitted with scale.DEFAULT_WINDOW and scale.NEGLIGIBLE_FLOOR."""
     table = seminorm_table(net, k, K, grid, sampling)
-    est = estimate_valuation(table.samples(), log_values=True)
-    value = 0.0 if est.value == math.inf else math.exp(-est.value)
-    return SharpSeminorm(k, K, est, value)
+    return SharpSeminorm(table, estimate_valuation(table.samples(), log_values=True))
 
 
 # ---------------------------------------------------------------------------

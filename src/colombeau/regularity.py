@@ -40,9 +40,9 @@ class RegularityError(ValueError):
 
 @dataclass(frozen=True)
 class PSequence:
-    """Sharp seminorms P_{k,K} for consecutive orders k = 0..k_max."""
+    """Sharp seminorms P_{k,K} for consecutive orders k = 0..k_max on one
+    compact K, which each entry's table names."""
 
-    K: CompactBox
     entries: tuple[SharpSeminorm, ...]
 
     def __post_init__(self):
@@ -75,8 +75,7 @@ def psequence(
 ) -> PSequence:
     if not 0 <= k_max <= K_MAX_CAP:
         raise RegularityError(f"k_max must lie in 0..{K_MAX_CAP}")
-    entries = tuple(sharp_seminorm(net, k, K, grid, sampling) for k in range(k_max + 1))
-    return PSequence(K, entries)
+    return PSequence(tuple(sharp_seminorm(net, k, K, grid, sampling) for k in range(k_max + 1)))
 
 
 def _ln_le(a: float, b: float, tol: float) -> bool:
@@ -269,6 +268,8 @@ def classify_sublinear(
     The negative signal is a growing tail rate: the slope read at k_max
     exceeding the slope read at k_max/2 by more than tol.
     """
+    if not Ks:
+        raise RegularityError("need at least one compact")
     if k_max < 4:
         raise RegularityError("need k_max >= 4")
     rows: list[SublinearPerK] = []

@@ -41,8 +41,8 @@ from .mollify import (
     regular_bound_experiment,
 )
 from .expr import ExpressionError
-from .nets import NetError, seminorm_table
-from .scale import EpsGrid, ScaleError, estimate_valuation, jsonable
+from .nets import NetError, seminorm_table, sharp_seminorm
+from .scale import EpsGrid, ScaleError, jsonable
 from .regularity import (
     RegularityError,
     build_report,
@@ -126,9 +126,9 @@ def _valuation(cfg: ExperimentConfig, params: dict) -> Outcome:
     k = params.get("k", 0)
     rows, results = [], []
     for ci, K in enumerate(cfg.compacts):
-        table = seminorm_table(cfg.net, k, K, cfg.grid, cfg.sampling)
-        est = estimate_valuation(table.samples(), log_values=True)
-        rows += [(ci, e.eps, e.ln_value, e.undersampled, e.nonfinite) for e in table.entries]
+        s = sharp_seminorm(cfg.net, k, K, cfg.grid, cfg.sampling)
+        rows += [(ci, e.eps, e.ln_value, e.undersampled, e.nonfinite) for e in s.table.entries]
+        est = s.estimate
         results.append(
             {
                 "compact": K.describe(),

@@ -157,15 +157,14 @@ def sample(z: PowerScale, grid: EpsGrid) -> list[tuple[float, float]]:
 class ValuationEstimate:
     """Fitted valuation of a sampled net.
 
-    value is the estimate (may be +inf), method one of 'exact', 'fitted',
-    'negligible-floor'.  For fitted results, slope is the log-log regression
-    slope (== value), residual the RMS fit residual, window the index range
-    [start, stop) of samples used, and stable is residual <= 0.25.
+    value is the estimate, method one of 'exact', 'fitted' (value is the
+    log-log regression slope) or 'negligible-floor' (value +inf).  residual
+    is the RMS fit residual, window the index range [start, stop) of samples
+    used, and stable is residual <= STABLE_RESIDUAL.
     """
 
     value: float
     method: str
-    slope: float
     residual: float
     window: tuple[int, int]
     stable: bool
@@ -173,7 +172,7 @@ class ValuationEstimate:
     @staticmethod
     def exact(value: float | Fraction) -> "ValuationEstimate":
         v = float(value)
-        return ValuationEstimate(v, "exact", v, 0.0, (0, 0), True)
+        return ValuationEstimate(v, "exact", 0.0, (0, 0), True)
 
 
 def _ln_magnitude(value: float, log_values: bool) -> float:
@@ -211,7 +210,7 @@ def estimate_valuation(
     negligible = {i for i, v in enumerate(lnvals) if v <= LN_NEGLIGIBLE_FLOOR}  # -inf included
     tail = range(n - window, n)
     if all(i in negligible for i in tail):
-        return ValuationEstimate(math.inf, "negligible-floor", math.inf, 0.0, (n - window, n), True)
+        return ValuationEstimate(math.inf, "negligible-floor", 0.0, (n - window, n), True)
     if len(usable) < window:
         raise ScaleError(
             f"only {len(usable)} usable samples above the negligible floor, need {window}"
@@ -221,13 +220,11 @@ def estimate_valuation(
     y = np.array([lnvals[i] for i in idx])
     A = np.vstack([x, np.ones_like(x)]).T
     coef, _, _, _ = np.linalg.lstsq(A, y, rcond=None)
-    slope = float(coef[0])
     resid = y - A @ coef
     rms = float(np.sqrt(np.mean(resid**2)))
     return ValuationEstimate(
-        value=slope,
+        value=float(coef[0]),
         method="fitted",
-        slope=slope,
         residual=rms,
         window=(idx[0], idx[-1] + 1),
         stable=rms <= STABLE_RESIDUAL,

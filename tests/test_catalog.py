@@ -31,15 +31,15 @@ def test_parse_catalog_spec():
 
 
 def test_catalog_net_parameters():
-    assert catalog_net("multiscale(3)").name == "multiscale(3)"
-    assert catalog_net("multiscale").name == "multiscale(8)"
-    assert catalog_net("const_ginfty", parameter=2).name == "const_ginfty(2)"
+    assert len(catalog_net("multiscale(3)").describe()["terms"]) == 3
+    assert len(catalog_net("multiscale").describe()["terms"]) == 8
+    assert catalog_net("const_ginfty", parameter=2).describe()["expression"] == "eps^(-2)*sin(x1)"
     with pytest.raises(NetError):
         catalog_net("osc", parameter=3)
     with pytest.raises(NetError):
         catalog_net("multiscale(3)", parameter=4)
     # consistent duplicate parameter is tolerated
-    assert catalog_net("multiscale(3)", parameter=3).name == "multiscale(3)"
+    assert len(catalog_net("multiscale(3)", parameter=3).describe()["terms"]) == 3
     with pytest.raises(NetError):
         catalog_net("const_ginfty(0)")
 

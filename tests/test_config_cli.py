@@ -59,7 +59,7 @@ def test_minimal_config_defaults():
 
 def test_config_accepts_json_string():
     cfg = load_config(json.dumps(base_config()))
-    assert cfg.net.name == "one"
+    assert cfg.net.describe()["expression"] == "1"
     with pytest.raises(ConfigError):
         load_config("{not json")
 

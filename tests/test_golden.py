@@ -9,7 +9,13 @@ recorded before the refactor it guards:
   grid and ``k_max = 5`` keep it fast);
 - ``mollify-converge`` on ``compact_osc``, which exercises
   ``build_mollifier`` and ``MollifiedNet``, and on ``one``, whose reference
-  valuation is ``+inf`` and so goes through the JSON encoder's ``"inf"``.
+  valuation is ``+inf`` and so goes through the JSON encoder's ``"inf"``;
+- ``valuation`` (k = 1) on ``compact_osc`` and on ``one``, whose ``v_hat``
+  is ``"inf"`` by the ``negligible-floor`` method, ``seminorms`` (k in
+  [0, 2]) on ``delta`` and ``class-a`` (N = 1) on ``const_ginfty``: the
+  paths from a sampled seminorm table to its fit.  These digests were
+  recorded before the change that made ``sharp_seminorm`` the one place a
+  table is fitted and let every fit keep its table.
 
 The digests were recorded with Python 3.11.7 and numpy 2.4.6.  Another
 numpy can round the last bit of a float differently; a mismatch there means
@@ -65,7 +71,31 @@ GOLDEN = {
         "00-mollify-converge.csv": "c20638ec2364edd411b250250f730afcd9e07613206c604f0ed67dc989057d12",
         "summary.json": "7e2b2d056d8883540935fee0fabccb138ac36042a86f5fb3615a8864ed963293",
     },
+    "valuation_compact_osc": {
+        "00-valuation.csv": "2e47c49826e33360b80dc012d611b122000f3c90bc56a8d7edb646072e4b4928",
+        "summary.json": "da98c33cac06029d65ed66d41544753f24029b8bdaf2052f864461553964e346",
+    },
+    "valuation_one": {
+        "00-valuation.csv": "52635abf985bd12b2d336946d9382ab46fb0d0ec5254bd1c66853beb505b168a",
+        "summary.json": "cd56d83bd9a8a400575036f28ba07d8175228f9e41a7c057dda29e3bfcf0d8e6",
+    },
+    "seminorms_delta": {
+        "00-seminorms.csv": "8f199b9cf305eaf0a2f5a64b26f259e8881253edef6c3f73729ca949729019ee",
+        "summary.json": "25fb2d4eb2e4c4b0a72da5e6251e732e2bd3e47466990942ebccad820b5670d4",
+    },
+    "class_a_const_ginfty": {
+        "00-class-a.csv": "c9ff1139990fe4c2cad70caf1a586cf4025c284eaf71a3c9bac060bf0b0cf3d9",
+        "summary.json": "49e7ecab5d1000c72aeac55fab1bde0d0d7024f66e5daddb5fe05937108ec876",
+    },
 }
+
+
+_FIT_CASES = [
+    ("valuation_compact_osc", "compact_osc", {"kind": "valuation", "k": 1}),
+    ("valuation_one", "one", {"kind": "valuation", "k": 1}),
+    ("seminorms_delta", "delta", {"kind": "seminorms", "k_list": [0, 2]}),
+    ("class_a_const_ginfty", "const_ginfty", {"kind": "class-a", "N": 1}),
+]
 
 
 def _config(name, net, experiment, grid, outdir):
@@ -83,6 +113,8 @@ def _config(name, net, experiment, grid, outdir):
 def _cases(outdir):
     for net in CATALOG:
         yield net, _config(net, net, {"kind": "classify"}, _CLASSIFY_GRID, outdir)
+    for name, net, experiment in _FIT_CASES:
+        yield name, _config(name, net, experiment, _CLASSIFY_GRID, outdir)
     for net in ("compact_osc", "one"):
         experiment = {"kind": "mollify-converge", "k": 1, "n_list": [1, 2, 3]}
         name = f"converge_{net}"

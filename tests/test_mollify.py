@@ -20,9 +20,12 @@ from colombeau.nets import (
     CompactBox,
     DifferenceNet,
     ExpressionNet,
+    FunctionNet,
+    K_MAX_CAP,
     NetError,
     seminorm,
 )
+from colombeau.regularity import RegularityError
 
 K01 = CompactBox.interval(0.0, 1.0)
 
@@ -342,8 +345,26 @@ def test_class_a_multiscale_no():
     assert {r.k for r in bad} == {5, 6}
 
 
+class _RefusesSampling(FunctionNet):
+    """A 1-d net that fails the test if anything samples it."""
+
+    dimension = 1
+    oscillation_hint = 0
+    support_box = None
+
+    def derivative_batch(self, alpha, coords, eps):
+        raise AssertionError("sampled")
+
+
 def test_class_a_validation():
     with pytest.raises(NetError):
         class_A_membership(_net("1"), 0, [K01], 2)
     with pytest.raises(NetError):
         class_A_membership(_net("1"), 1.5, [K01], 2)
+    # no compact, no evidence
+    with pytest.raises(NetError):
+        class_A_membership(_net("1"), 1, [], 3)
+    # an order outside 0..K_MAX_CAP is refused before anything is sampled
+    for k_max in (-1, K_MAX_CAP + 1):
+        with pytest.raises(RegularityError):
+            class_A_membership(_RefusesSampling(), 1, [K01], k_max)

@@ -17,7 +17,7 @@ from colombeau.nets import (
     NetError,
     Sampling,
     SeminormTable,
-    TableEntry,
+    SeminormValue,
     DERIVATIVE_ORDER_CAP,
     enlarge,
     is_moderate,
@@ -358,7 +358,7 @@ def test_seminorm_table_and_samples():
         assert ln == pytest.approx(-math.log(eps))
     # a nonfinite-only entry is reported as nan, not as an exact zero
     t = SeminormTable(
-        0, K01, (TableEntry(0.5, -math.inf, False, 3),)
+        0, K01, (SeminormValue(0.5, -math.inf, False, 3, (33,)),)
     )
     assert math.isnan(t.samples()[0][1])
 

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from colombeau.nets import CompactBox, SharpSeminorm
+from colombeau.nets import CompactBox, SeminormTable, SharpSeminorm
 from colombeau.regularity import (
     PSequence,
     RegularityError,
@@ -27,15 +27,11 @@ def fake_seq(ln_values, stable=None):
     for k, ln in enumerate(ln_values):
         flag = True if stable is None else stable[k]
         if ln == -math.inf:
-            est = ValuationEstimate(
-                math.inf, "negligible-floor", math.inf, 0.0, (0, 8), flag
-            )
-            value = 0.0
+            est = ValuationEstimate(math.inf, "negligible-floor", 0.0, (0, 8), flag)
         else:
-            est = ValuationEstimate(-ln, "fitted", -ln, 0.0, (0, 8), flag)
-            value = math.exp(ln)
-        entries.append(SharpSeminorm(k, K01, est, value))
-    return PSequence(K01, tuple(entries))
+            est = ValuationEstimate(-ln, "fitted", 0.0, (0, 8), flag)
+        entries.append(SharpSeminorm(SeminormTable(k, K01, ()), est))
+    return PSequence(tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -45,10 +41,10 @@ def fake_seq(ln_values, stable=None):
 
 def test_psequence_validation():
     with pytest.raises(RegularityError):
-        PSequence(K01, ())
+        PSequence(())
     good = fake_seq([0.0, 1.0])
     with pytest.raises(RegularityError):
-        PSequence(K01, (good.entries[1],))  # starts at k=1
+        PSequence((good.entries[1],))  # starts at k=1
     with pytest.raises(RegularityError):
         psequence(None, K01, None, k_max=9)
 
@@ -260,6 +256,9 @@ def test_sublinear_constant_net(catalog_nets, compacts, grid):
 def test_sublinear_requires_enough_orders(catalog_nets, compacts, grid):
     with pytest.raises(RegularityError):
         classify_sublinear(catalog_nets["one"], compacts, grid, k_max=3)
+    # no compact, no evidence
+    with pytest.raises(RegularityError):
+        classify_sublinear(catalog_nets["osc"], [], grid)
 
 
 def test_growth_char_validation():
