@@ -16,6 +16,11 @@ Cutoff derivatives are obtained by truncated-Taylor (jet) propagation through
 the closed form B(2-|t|)/(B(2-|t|)+B(|t|-1)) on the transition band
 1 < |t| < 2; the function is identically 1 / 0 (all derivatives zero) on the
 plateau / outside the support, including at the seam points |t| = 1, 2.
+The cutoff itself (order 0) skips the jets: hi * (1/(hi + lo)) with
+hi = exp(-(1/(2-s))) and lo = exp(-(1/(s-1))) is the order-0 jet's own
+sequence of operations, so it gives the same bits, and a block that lies
+wholly on the plateau or wholly outside the support is filled without a
+mask.  nan maps to 0, as it falls in neither region.
 """
 from __future__ import annotations
 
@@ -116,16 +121,23 @@ def bump_deriv_values(order: int, t: np.ndarray) -> np.ndarray:
 # cutoff via jets
 # ---------------------------------------------------------------------------
 
+# Each helper allocates its result and one work row per call.  Row k of
+# the result is coefficient k's accumulator: it starts at +0.0 and adds the
+# terms in the order j = 1, 2, ..., so values and zero signs are those of a
+# fresh accumulator per coefficient.
+
 def _jet_recip(a: np.ndarray) -> np.ndarray:
     # reciprocal of a truncated power series; a has shape (K+1, n)
     K = a.shape[0] - 1
     r = np.zeros_like(a)
     r[0] = 1.0 / a[0]
+    tmp = np.empty_like(a[0])
     for k in range(1, K + 1):
-        acc = np.zeros_like(a[0])
+        acc = r[k]
         for j in range(1, k + 1):
-            acc += a[j] * r[k - j]
-        r[k] = -acc * r[0]
+            acc += np.multiply(a[j], r[k - j], out=tmp)
+        np.negative(acc, out=acc)
+        acc *= r[0]
     return r
 
 
@@ -133,22 +145,24 @@ def _jet_exp(a: np.ndarray) -> np.ndarray:
     K = a.shape[0] - 1
     e = np.zeros_like(a)
     e[0] = np.exp(a[0])
+    tmp = np.empty_like(a[0])
     for k in range(1, K + 1):
-        acc = np.zeros_like(a[0])
+        acc = e[k]
         for j in range(1, k + 1):
-            acc += j * a[j] * e[k - j]
-        e[k] = acc / k
+            np.multiply(a[j], j, out=tmp)
+            acc += np.multiply(tmp, e[k - j], out=tmp)
+        acc /= k
     return e
 
 
 def _jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     K = a.shape[0] - 1
     c = np.zeros_like(a)
+    tmp = np.empty_like(a[0])
     for k in range(K + 1):
-        acc = np.zeros_like(a[0])
+        acc = c[k]
         for j in range(k + 1):
-            acc += a[j] * b[k - j]
-        c[k] = acc
+            acc += np.multiply(a[j], b[k - j], out=tmp)
     return c
 
 
@@ -175,13 +189,29 @@ def _cutoff_band_jets(s: np.ndarray, order: int) -> np.ndarray:
     return jets
 
 
+def _cutoff_values(s: np.ndarray) -> np.ndarray:
+    """The cutoff at s = |t|, in the closed form of its order-0 jet."""
+    if s.size and s.max() <= 1.0:  # a nan fails both tests
+        return np.ones_like(s)
+    if s.size and s.min() >= 2.0:
+        return np.zeros_like(s)
+    out = (s <= 1.0).astype(float)
+    band = (s > 1.0) & (s < 2.0)
+    if np.any(band):
+        sb = s[band]
+        hi = np.exp(-(1.0 / (2.0 - sb)))
+        lo = np.exp(-(1.0 / (sb - 1.0)))
+        out[band] = hi * (1.0 / (hi + lo))
+    return out
+
+
 def cutoff_deriv_values(order: int, t: np.ndarray) -> np.ndarray:
     """Vectorised d^order/dt^order of the plateau cutoff."""
     t = np.asarray(t, dtype=float)
     s = np.abs(t)
-    out = np.zeros_like(t)
     if order == 0:
-        out[s <= 1.0] = 1.0
+        return _cutoff_values(s)
+    out = np.zeros_like(t)
     band = (s > 1.0) & (s < 2.0)
     if np.any(band):
         jets = _cutoff_band_jets(s[band], order)

@@ -18,6 +18,16 @@ growth-bound check PsiRouteNet puts it on psi instead -- u star
 d^alpha(psi_{eps^n}) -- with weights w_q psi^(alpha)(s_q) eps^(-n|alpha|),
 and the agreement of the two routes is itself a test.  psi and its
 derivatives come from the bump recurrence in expr.special.
+
+The loop hands the base net blocks of about _EVAL_CHUNK shifted points, so
+every temporary the evaluator makes stays near 128 KB.  Each output point is
+a row of M shifted nodes, and a block's weighted sum is one BLAS
+matrix-vector product.  BLAS sums a full group of rows in one order, and a
+product's last few rows, or a product of one row, in another.  Blocks of
+whole _ROW_GROUPs, with a one-row tail joined to the block before it, give
+every row the bits of a single-threaded product over all rows, whatever the
+block size.  Blocks this small are also far below the size at which
+OpenBLAS splits a product across threads, which moves those group bounds.
 """
 from __future__ import annotations
 
@@ -133,7 +143,16 @@ def _default_mollifier(d: int) -> Mollifier:
 # mollified nets
 # ---------------------------------------------------------------------------
 
-_EVAL_CHUNK = 1 << 21
+# Shifted points per base-net call: 2^14 float64 values are 128 KB per
+# temporary, which the allocator recycles from block to block.  Larger
+# temporaries are fresh pages on every call: on a 2-vCPU VM, eval_batch of
+# the order-0 cutoff cost 2.2-2.7 times as much per point in calls of 2^21
+# points as in calls of 2^14, and cutoff(x1)*sin(x1/eps) 1.6 times.
+_EVAL_CHUNK = 1 << 14
+# Output points per block are a multiple of this, bar a last block that
+# takes one point more (see the module docstring).  OpenBLAS's matrix-vector
+# kernels sum rows in groups of 4; 64 leaves room for wider ones.
+_ROW_GROUP = 64
 
 
 class MollifiedNet(FunctionNet):
@@ -163,18 +182,21 @@ class MollifiedNet(FunctionNet):
         self._weights = mollifier.core_weights[self._keep]
 
     def _convolve(self, alpha, weights, coords, eps):
-        """sum_q weights_q * d^alpha u_eps(x - eps^n s_q), in chunks of points."""
+        """sum_q weights_q * d^alpha u_eps(x - eps^n s_q), in blocks of points."""
         shift = eps**self.n
         coords = np.asarray(coords)  # a Grid flattens to its (d, N) points
         d, total = coords.shape
         m = self._nodes.shape[1]
         out = np.empty(total)
-        step = max(1, _EVAL_CHUNK // m)
-        for start in range(0, total, step):
-            block = coords[:, start : start + step]
+        step = max(1, _EVAL_CHUNK // m // _ROW_GROUP) * _ROW_GROUP
+        start = 0
+        while start < total:
+            stop = total if total - start <= step + 1 else start + step
+            block = coords[:, start:stop]
             shifted = block[:, :, None] - shift * self._nodes[:, None, :]
             vals = self.base.derivative_batch(alpha, shifted.reshape(d, -1), eps)
-            out[start : start + block.shape[1]] = vals.reshape(-1, m) @ weights
+            out[start:stop] = vals.reshape(-1, m) @ weights
+            start = stop
         return out
 
     def derivative_batch(self, alpha, coords, eps):

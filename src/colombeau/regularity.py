@@ -142,16 +142,19 @@ class NullPropagationReport:
 
 
 def null_propagation_check(seq: PSequence) -> NullPropagationReport:
-    """P_{k0} = 0 must force P_l = 0 for every l >= k0."""
+    """P_{k0} = 0 must force P_l = 0 for every l >= k0.
+
+    P_k = 0 is read as ln P_k = -inf: exp(ln P_k) would overflow for a steep
+    order and round a merely tiny one to 0."""
     first_zero = None
     for k in range(seq.k_max + 1):
-        if seq.entries[k].value == 0.0:
+        if seq.ln(k) == -math.inf:
             first_zero = k
             break
     if first_zero is None:
         return NullPropagationReport(True, None, None)
     for l in range(first_zero + 1, seq.k_max + 1):
-        if seq.entries[l].value != 0.0:
+        if seq.ln(l) != -math.inf:
             return NullPropagationReport(False, first_zero, l)
     return NullPropagationReport(True, first_zero, None)
 

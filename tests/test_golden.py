@@ -15,7 +15,13 @@ recorded before the refactor it guards:
   [0, 2]) on ``delta`` and ``class-a`` (N = 1) on ``const_ginfty``: the
   paths from a sampled seminorm table to its fit.  These digests were
   recorded before the change that made ``sharp_seminorm`` the one place a
-  table is fitted and let every fit keep its table.
+  table is fitted and let every fit keep its table;
+- ``regular-bound`` and ``sublinear-density`` (``n_list [1, 2]``) on
+  ``compact_osc`` over both reference compacts, on a ten-point grid (more
+  than ``REGULAR_BOUND_J0`` = 4, so every row from j = 4 on is checked),
+  and ``examples/sin_cos_2d.json``, the one d = 2 output.  These were
+  recorded before the change that cut the mollifier quadrature into
+  smaller blocks and gave the order-0 cutoff a closed form.
 
 The digests were recorded with Python 3.11.7 and numpy 2.4.6.  Another
 numpy can round the last bit of a float differently; a mismatch there means
@@ -27,6 +33,7 @@ and its exit code (0, 2 and 3 all occur), plus the exit code 1 and the
 ``error:`` prefix of rejected inputs.
 """
 import hashlib
+import json
 import os
 
 import pytest
@@ -37,6 +44,8 @@ from colombeau.catalog import CATALOG, REFERENCE_COMPACTS
 _COMPACTS = [K.describe() for K in REFERENCE_COMPACTS]
 _CLASSIFY_GRID = {"eps0": 0.5, "ratio": 0.5, "count": 16}
 _CONVERGE_GRID = {"eps0": 0.5, "ratio": 0.8, "count": 20}
+_DENSITY_GRID = {"eps0": 0.5, "ratio": 0.5, "count": 10}
+_EXAMPLE_2D = os.path.join(os.path.dirname(__file__), os.pardir, "examples", "sin_cos_2d.json")
 
 GOLDEN = {
     "osc": {
@@ -87,6 +96,19 @@ GOLDEN = {
         "00-class-a.csv": "c9ff1139990fe4c2cad70caf1a586cf4025c284eaf71a3c9bac060bf0b0cf3d9",
         "summary.json": "49e7ecab5d1000c72aeac55fab1bde0d0d7024f66e5daddb5fe05937108ec876",
     },
+    "regular_bound_compact_osc": {
+        "00-regular-bound.csv": "ca1a4e3d6f5d7f3515ae8c73f7dad40e0c0bf4597f36b3b11223772ed230eba9",
+        "summary.json": "9a6e3299444b9eaa7454c7b5eb0817759236a0af3627ca87bcd2e8a99123e4b8",
+    },
+    "sublinear_density_compact_osc": {
+        "00-sublinear-density.csv": "dbaab6ce3422bee8c059da3a06a92b1e7b1007f916ffedecd775d1ec9fd68564",
+        "summary.json": "68696174f5261c7aea62ce3aff50b15b797a3428aac761c56c0e5426e3f966f6",
+    },
+    "sin_cos_2d": {
+        "00-seminorms.csv": "869598c91508975088ce07f163f816e1bf8ceb9639dd97b2b60713cc46539529",
+        "01-valuation.csv": "78a94d1fa5ef8aad338bedbf5b76e8500372ba7b67ecdcf83625188de5341459",
+        "summary.json": "88d20e8862d271c2b41dbc474e6b8ebae7e516f5832ff47072566a1f9614cb5c",
+    },
 }
 
 
@@ -119,6 +141,14 @@ def _cases(outdir):
         experiment = {"kind": "mollify-converge", "k": 1, "n_list": [1, 2, 3]}
         name = f"converge_{net}"
         yield name, _config(name, net, experiment, _CONVERGE_GRID, outdir)
+    for kind in ("regular-bound", "sublinear-density"):
+        name = f"{kind.replace('-', '_')}_compact_osc"
+        experiment = {"kind": kind, "n_list": [1, 2]}
+        yield name, _config(name, "compact_osc", experiment, _DENSITY_GRID, outdir)
+    with open(_EXAMPLE_2D, encoding="utf-8") as fh:
+        document = json.load(fh)
+    document["output_prefix"] = os.path.join(outdir, "sin_cos_2d")
+    yield "sin_cos_2d", load_config(document)
 
 
 def _digests(files, name):

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -368,3 +369,40 @@ def test_class_a_validation():
     for k_max in (-1, K_MAX_CAP + 1):
         with pytest.raises(RegularityError):
             class_A_membership(_RefusesSampling(), 1, [K01], k_max)
+
+
+# ---------------------------------------------------------------------------
+# quadrature blocks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_quadrature_blocks_move_no_bit(d, monkeypatch):
+    # the package re-exports the function mollify under the module's name
+    mollify_module = importlib.import_module("colombeau.mollify")
+    rng = np.random.default_rng(5)
+    # 64q + 1 points: blocks of 64 points leave a one-point tail, whose sum
+    # differs from a long product's last row at some random points
+    if d == 1:
+        base = _net("cutoff(x1)*sin(x1/eps)", hint=1, support=CompactBox.interval(-2, 2))
+        point_sets = [np.linspace(-2.5, 2.5, 18 * 64 + 1)[None, :]]
+        point_sets += [rng.uniform(-2.2, 2.2, size=(1, 2 * 64 + 1)) for _ in range(8)]
+        alphas = [(0,), (1,), (3,)]
+    else:
+        base = ExpressionNet(2, parse("cutoff(x1)*sin(x2/eps)*cos(x1)", dimension=2),
+                             oscillation_hint=1)
+        point_sets = [rng.uniform(-2.2, 2.2, size=(2, 2 * 64 + 1)) for _ in range(3)]
+        alphas = [(0, 0), (1, 0), (1, 2)]
+    nets = [MollifiedNet(base, 1, build_mollifier(d)), PsiRouteNet(base, 1, build_mollifier(d))]
+    m = nets[0]._nodes.shape[1]
+    for pts in point_sets:
+        # m and 7m + 3 shifted points (the latter ends 3 nodes into a row),
+        # the default, and one block for all points
+        sizes = [m, 7 * m + 3, mollify_module._EVAL_CHUNK, pts.shape[1] * m]
+        for net in nets:
+            for alpha in alphas:
+                got = []
+                for size in sizes:
+                    monkeypatch.setattr(mollify_module, "_EVAL_CHUNK", size)
+                    got.append(net.derivative_batch(alpha, pts, 2**-4))
+                assert all(np.array_equal(g, got[-1]) for g in got), (type(net), alpha)

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from colombeau.nets import CompactBox, SeminormTable, SharpSeminorm
+from colombeau.expr import parse
+from colombeau.nets import CompactBox, ExpressionNet, SeminormTable, SharpSeminorm
 from colombeau.regularity import (
     PSequence,
     RegularityError,
@@ -16,7 +17,7 @@ from colombeau.regularity import (
     null_propagation_check,
     psequence,
 )
-from colombeau.scale import ValuationEstimate
+from colombeau.scale import EpsGrid, ValuationEstimate
 
 K01 = CompactBox.interval(0.0, 1.0)
 
@@ -125,6 +126,22 @@ def test_null_propagation_violation():
     rep = null_propagation_check(fake_seq([0.0, -math.inf, 2.0]))
     assert not rep.ok
     assert rep.first_zero == 1 and rep.first_violation == 2
+
+
+def test_null_propagation_reads_ln_values_beyond_the_float_range():
+    # exp(800) overflows and exp(-800) rounds to 0: neither is P = 0
+    rep = null_propagation_check(fake_seq([-800.0, -900.0, -math.inf]))
+    assert rep.ok and rep.first_zero == 2
+    rep = null_propagation_check(fake_seq([800.0, 900.0]))
+    assert rep.ok and rep.first_zero is None
+
+
+def test_null_propagation_of_a_steep_constant_net():
+    net = ExpressionNet(1, parse("eps^(-800)"))
+    seq = psequence(net, K01, EpsGrid(0.5, 0.9999, 10), k_max=2)
+    assert seq.ln(0) == pytest.approx(800.0)
+    rep = null_propagation_check(seq)
+    assert rep.ok and rep.first_zero == 1 and rep.first_violation is None
 
 
 # ---------------------------------------------------------------------------

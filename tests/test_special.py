@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colombeau.expr import special
 from colombeau.expr.special import (
     bump_deriv_values,
     bump_poly,
@@ -148,3 +149,87 @@ def test_cutoff_range(t):
     v = cutoff_deriv_values(0, np.array([t]))[0]
     assert 0.0 <= v <= 1.0
 
+
+
+def _cutoff_points():
+    seams = np.array([1.0, 2.0])
+    edges = np.concatenate([seams, np.nextafter(seams, 0.0), np.nextafter(seams, np.inf)])
+    special_values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    rng = np.random.default_rng(7)
+    return np.concatenate([edges, -edges, special_values, rng.uniform(-3.0, 3.0, 400)])
+
+
+def _same_bits(got, want):
+    return (got.shape == want.shape
+            and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+def test_cutoff_closed_form_matches_the_order_zero_jet_bit_for_bit():
+    for t in (_cutoff_points(), np.linspace(-1.0, 1.0, 9), np.array([-0.0, 0.0]),
+              np.array([2.0, -2.0, 7.5, np.inf, -np.inf]), np.array([np.nan]),
+              np.array([])):
+        s = np.abs(t)
+        band = (s > 1.0) & (s < 2.0)
+        want = np.where(s <= 1.0, 1.0, 0.0)  # nan falls in neither region
+        if band.any():
+            want[band] = special._cutoff_band_jets(s[band], 0)[0]
+        assert _same_bits(cutoff_deriv_values(0, t), want), t
+
+
+# the jet helpers as they were when each coefficient had its own fresh
+# accumulator; the in-place helpers must give the same bits
+def _recip_fresh(a):
+    r = np.zeros_like(a)
+    r[0] = 1.0 / a[0]
+    for k in range(1, a.shape[0]):
+        acc = np.zeros_like(a[0])
+        for j in range(1, k + 1):
+            acc += a[j] * r[k - j]
+        r[k] = -acc * r[0]
+    return r
+
+
+def _exp_fresh(a):
+    e = np.zeros_like(a)
+    e[0] = np.exp(a[0])
+    for k in range(1, a.shape[0]):
+        acc = np.zeros_like(a[0])
+        for j in range(1, k + 1):
+            acc += j * a[j] * e[k - j]
+        e[k] = acc / k
+    return e
+
+
+def _mul_fresh(a, b):
+    c = np.zeros_like(a)
+    for k in range(a.shape[0]):
+        acc = np.zeros_like(a[0])
+        for j in range(k + 1):
+            acc += a[j] * b[k - j]
+        c[k] = acc
+    return c
+
+
+def test_jet_helpers_match_fresh_accumulators_bit_for_bit():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(10, 64))
+    b = rng.normal(size=(10, 64))
+    a[rng.random(a.shape) < 0.3] = 0.0
+    b[rng.random(b.shape) < 0.3] = -0.0
+    a[0] = np.where(a[0] == 0.0, 0.5, a[0])
+    for K in range(10):
+        x, y = a[: K + 1], b[: K + 1]
+        assert _same_bits(special._jet_recip(x), _recip_fresh(x)), K
+        assert _same_bits(special._jet_exp(x), _exp_fresh(x)), K
+        assert _same_bits(special._jet_mul(x, y), _mul_fresh(x, y)), K
+
+
+def test_cutoff_derivatives_match_fresh_accumulators_bit_for_bit(monkeypatch):
+    t = _cutoff_points()
+    got = {order: cutoff_deriv_values(order, t) for order in range(1, 10)}
+    monkeypatch.setattr(special, "_jet_recip", _recip_fresh)
+    monkeypatch.setattr(special, "_jet_exp", _exp_fresh)
+    monkeypatch.setattr(special, "_jet_mul", _mul_fresh)
+    for order in range(1, 10):
+        assert _same_bits(got[order], cutoff_deriv_values(order, t)), order
