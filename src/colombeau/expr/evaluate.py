@@ -26,12 +26,23 @@ together broadcast to a block of points.  On a tensor grid axis i has shape
 (1, ..., n_i, ..., 1), so each subtree is evaluated on the broadcast shape of
 the axes it uses: sin(x1/eps) runs once per x1 value, not once per grid
 point.  A (d, N) array of points is a Grid whose axes all have shape (N,).
+
+A Grid may carry a ``LeafMemo``: the values of its x-dependent sin, cos,
+exp, bump and cutoff nodes, kept across trees.  The key is the node's
+structural key, the one ``_compile`` interns with (kind, parameter with
+-0.0 and 1.0 told from 0.0 and 1, children's keys), together with eps.  A
+later tree on the same Grid that holds an equal node takes the stored value
+and never evaluates that node's argument.  The stored value is the result
+of the same operations on the same inputs, so no bit moves; it is
+read-only, so an in-place write into it raises instead of corrupting later
+trees.  A memo holds at most ``limit`` numbers and stores nothing more once
+full.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -66,21 +77,24 @@ class Grid:
 
     The d coordinate arrays broadcast to ``block``; ``shape`` is (d, N) with
     N = prod(block), the shape of the flat point array that ``np.asarray``
-    returns (points in C order over the block).
+    returns (points in C order over the block).  ``memo``, if given, keeps
+    leaf values from one tree to the next on this block.
     """
 
-    def __init__(self, coords: Sequence[np.ndarray], block: Sequence[int]):
+    def __init__(self, coords: Sequence[np.ndarray], block: Sequence[int],
+                 memo: Optional["LeafMemo"] = None):
         self.coords = tuple(coords)
         self.block = tuple(block)
         self.shape = (len(self.coords), math.prod(self.block))
+        self.memo = memo
 
     @classmethod
-    def tensor(cls, axes: Sequence[np.ndarray]) -> "Grid":
+    def tensor(cls, axes: Sequence[np.ndarray], memo: Optional["LeafMemo"] = None) -> "Grid":
         """The tensor grid over 1-d axes; axis i gets shape (1, ..., n_i, ..., 1)."""
         d = len(axes)
         coords = [np.asarray(a, dtype=float).reshape([-1 if j == i else 1 for j in range(d)])
                   for i, a in enumerate(axes)]
-        return cls(coords, [len(a) for a in axes])
+        return cls(coords, [len(a) for a in axes], memo)
 
     def __getitem__(self, i: int) -> np.ndarray:
         return self.coords[i]
@@ -92,7 +106,25 @@ class Grid:
         return flat
 
 
+class LeafMemo:
+    """Leaf values on one Grid by (structural key, eps); at most limit numbers."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.size = 0
+        self.values: dict = {}
+
+    def keep(self, key, v) -> None:
+        n = np.size(v)
+        if self.size + n <= self.limit:
+            if isinstance(v, np.ndarray):
+                v.flags.writeable = False
+            self.values[key] = v
+            self.size += n
+
+
 _KINDS = (Const, Var, Eps, EpsPow, Add, Mul, Sub, Div, IntPow, Sin, Cos, Exp, Bump, Cutoff)
+_MEMO_KINDS = (Sin, Cos, Exp, Bump, Cutoff)  # the costly leaves a LeafMemo keeps
 
 
 @dataclass(frozen=True)
@@ -110,6 +142,7 @@ class _Plan:
     uses: tuple[int, ...]  # references from the other distinct nodes
     varies: tuple[bool, ...]  # the subtree depends on x
     max_var: int  # largest variable index, -1 for a spatially constant net
+    memo_keys: tuple  # structural key of an x-dependent leaf a LeafMemo keeps, else None
 
 
 def _param(e: Expr):
@@ -132,6 +165,7 @@ def _compile(root: Expr) -> _Plan:
     kids: list[tuple[int, ...]] = []
     uses: list[int] = []
     varies: list[bool] = []
+    skeys: list[tuple] = []  # key with the children's skeys in place of their slots
     max_var = -1
     stack = [root]
     while stack:
@@ -151,7 +185,8 @@ def _compile(root: Expr) -> _Plan:
         p = _param(node)
         ks = tuple(slot_of[id(c)] for c in children)
         # repr tells -0.0 from 0.0 and 1 from 1.0, which compare equal
-        key = (kind, repr(p) if kind is Const else p, ks)
+        pkey = repr(p) if kind is Const else p
+        key = (kind, pkey, ks)
         slot = interned.get(key)
         if slot is None:
             slot = interned[key] = len(kinds)
@@ -160,12 +195,16 @@ def _compile(root: Expr) -> _Plan:
             kids.append(ks)
             uses.append(0)
             varies.append(kind is Var or any(varies[c] for c in ks))
+            skeys.append((kind, pkey, tuple(skeys[c] for c in ks)))
             for c in ks:
                 uses[c] += 1
             if kind is Var:
                 max_var = max(max_var, p)
         slot_of[id(node)] = slot
-    return _Plan(tuple(kinds), tuple(params), tuple(kids), tuple(uses), tuple(varies), max_var)
+    memo_keys = tuple(sk if kind in _MEMO_KINDS and vary else None
+                      for kind, vary, sk in zip(kinds, varies, skeys))
+    return _Plan(tuple(kinds), tuple(params), tuple(kids), tuple(uses), tuple(varies), max_var,
+                 memo_keys)
 
 
 def _plan_of(e: Expr) -> _Plan:
@@ -246,9 +285,21 @@ def _run(plan: _Plan, coords: Grid, eps: float):
     numpy error state must already be suppressed.  Locals never hold a value
     beyond its step, and the last consumer of a value takes its only
     reference, so numpy can reuse a temporary's buffer as a plain recursive
-    walk lets it.
+    walk lets it.  A value the Grid's memo holds is taken from it, and the
+    node's argument counts as read.
     """
     kinds, params, kids, varies = plan.kinds, plan.params, plan.kids, plan.varies
+    memo = coords.memo
+    keys = plan.memo_keys if memo is not None else None
+
+    def recall(slot: int):
+        # the memo's value of slot, None when it holds none
+        return None if keys is None or keys[slot] is None else memo.values.get((keys[slot], eps))
+
+    root = len(kinds) - 1
+    hit = recall(root)
+    if hit is not None:
+        return hit
     vals: list = [_PENDING] * len(kinds)
     left = list(plan.uses)
 
@@ -271,7 +322,6 @@ def _run(plan: _Plan, coords: Grid, eps: float):
                     todo.extend(kids[s])
                 vals[s] = None
 
-    root = len(kinds) - 1
     # frame: slot, next child, running Add/Mul value, zero mask of array
     # factors, a scalar factor was 0, a scalar factor was non-finite
     stack = [[root, 0, None, None, False, False]]
@@ -289,10 +339,16 @@ def _run(plan: _Plan, coords: Grid, eps: float):
                 skip(c)
                 continue
             if vals[c] is _PENDING:
-                if kids[c]:
+                hit = recall(c)
+                if hit is not None:
+                    vals[c] = hit
+                    for g in kids[c]:
+                        skip(g)
+                elif kids[c]:
                     stack.append([c, 0, None, None, False, False])
                     continue
-                vals[c] = _apply(kinds[c], params[c], None, coords, eps)
+                else:
+                    vals[c] = _apply(kinds[c], params[c], None, coords, eps)
             frame[1] = i + 1
             if kind is Add:
                 frame[2] = take(c) if i == 0 else frame[2] + take(c)
@@ -319,6 +375,8 @@ def _run(plan: _Plan, coords: Grid, eps: float):
             vals[s] = take(ks[0]) / _divisor(take(ks[1]))
         else:
             vals[s] = _apply(kind, params[s], take(ks[0]) if ks else None, coords, eps)
+            if keys is not None and keys[s] is not None:
+                memo.keep((keys[s], eps), vals[s])
     return vals[root]
 
 

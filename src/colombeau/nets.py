@@ -22,11 +22,25 @@ expression net evaluates each subtree on the axes it uses, so on the unit
 square sin(x1/eps)*cos(x2) runs sin on n_1 points and cos on n_2, and only
 the product fills the block.  Nets that do their own per-point arithmetic
 (cutoff products, mollified nets) flatten the block to its (d, N) points.
+
+The sample points depend on (net, K, eps, sampling) but not on the order k;
+one such tuple is a sweep (``_Sweep``).  A sweep clips and sizes its regions
+once and serves every order from them.  A region that fits one block keeps
+that block, with an ``expr.LeafMemo``: the x-dependent sin, cos, exp, bump
+and cutoff values that one order's derivative tree computes there are
+reused by the next order's tree, bit for bit.  Each thread keeps only its
+latest sweep, so a new sweep frees the previous one's blocks and leaf
+values.  Each net keeps the small ``SeminormValue`` of every order of every
+sweep it was sampled on, for as long as the net lives, so a repeated
+``seminorm`` call samples nothing.  ``regularity.psequence`` visits eps
+outer and k inner so that all orders at one eps meet the same live sweep.
 """
 from __future__ import annotations
 
 import math
 import os
+import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -545,11 +559,10 @@ def _block_slices(axes: list[np.ndarray], limit: int):
             yield (h,) + tail
 
 
-def _grid_max(net: FunctionNet, alpha, intervals, counts, eps) -> tuple[float, int]:
-    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(intervals, counts)]
+def _grid_max(net: FunctionNet, alpha, blocks, eps) -> tuple[float, int]:
     best = -1.0
     bad = 0
-    for chunk in _grid_chunks(axes, _CHUNK):
+    for chunk in blocks:
         vals = net.derivative_batch(alpha, chunk, eps)
         hi, lo = float(vals.max()), float(vals.min())
         if math.isfinite(hi) and math.isfinite(lo):  # no nan or inf: no mask, no copy
@@ -562,6 +575,60 @@ def _grid_max(net: FunctionNet, alpha, intervals, counts, eps) -> tuple[float, i
     return best, bad
 
 
+class _Sweep:
+    """The sampling of one (net, K, eps, sampling), shared by every order.
+
+    Each box is clipped and sized once.  A region that fits one block keeps
+    that block as a Grid with a ``LeafMemo``, so the sin, cos, exp, bump and
+    cutoff values one order computes are reused by the next.  A larger
+    region is cut into blocks again for each multi-index, as a block list
+    would grow with the grid.
+    """
+
+    def __init__(self, net: FunctionNet, K: CompactBox, eps: float, sampling: Sampling):
+        self.net = weakref.ref(net)  # a sweep does not keep its net alive
+        self.key = (K, eps, sampling)
+        self.regions = []  # (axes, the one block or None) of each box the net can be non-zero on
+        self.undersampled = False
+        for box in K.boxes:
+            intervals = net.sample_intervals(box, eps)
+            if intervals is None:
+                continue  # net vanishes on this box
+            sized = [sampling.axis_count(hi - lo, eps, net.oscillation_hint) for lo, hi in intervals]
+            self.undersampled = self.undersampled or any(capped for _, capped in sized)
+            axes = [np.linspace(lo, hi, n) for (lo, hi), (n, _) in zip(intervals, sized)]
+            one = None
+            if math.prod(a.size for a in axes) <= _CHUNK:
+                one = ex.Grid.tensor(axes, ex.LeafMemo(_CHUNK))
+            self.regions.append((axes, one))
+
+    def value(self, net: FunctionNet, k: int) -> SeminormValue:
+        eps = self.key[1]
+        best = -1.0
+        nonfinite = 0
+        for alpha in multi_indices(net.dimension, k):
+            for axes, one in self.regions:
+                blocks = (one,) if one is not None else _grid_chunks(axes, _CHUNK)
+                val, bad = _grid_max(net, alpha, blocks, eps)
+                nonfinite += bad
+                best = max(best, val)
+        ln = -math.inf if best <= 0.0 else math.log(best)
+        points = tuple(a.size for a in self.regions[-1][0]) if self.regions else ()
+        return SeminormValue(eps, ln, self.undersampled, nonfinite, points)
+
+
+_LIVE = threading.local()  # the one sweep, with its blocks and leaf values, of each thread
+
+
+def _sweep(net: FunctionNet, K: CompactBox, eps: float, sampling: Sampling) -> _Sweep:
+    live = getattr(_LIVE, "sweep", None)
+    if live is not None and live.net() is net and live.key == (K, eps, sampling):
+        return live
+    _LIVE.sweep = None  # free the previous sweep's blocks before sizing the next
+    _LIVE.sweep = live = _Sweep(net, K, eps, sampling)
+    return live
+
+
 def seminorm(
     net: FunctionNet,
     k: int,
@@ -569,32 +636,27 @@ def seminorm(
     eps: float,
     sampling: Sampling = DEFAULT_SAMPLING,
 ) -> SeminormValue:
-    """ln of p_{k,K}(u_eps): max |d^alpha u_eps| over |alpha| = k, sampled on K."""
+    """ln of p_{k,K}(u_eps): max |d^alpha u_eps| over |alpha| = k, sampled on K.
+
+    The sample points depend on (net, K, eps, sampling) only, not on k: that
+    is a sweep.  The net keeps each order's value per sweep for its whole
+    lifetime, so a repeated call returns the stored value without sampling.
+    Otherwise the order is sampled on the sweep's blocks; each thread keeps
+    its one latest sweep, and a call for another sweep drops it with its
+    blocks and leaf values.
+    """
     if K.dimension != net.dimension:
         raise NetError("compact set dimension mismatch")
     if not (0.0 < eps < 1.0):
         raise NetError("eps must lie in (0,1)")
     if k < 0 or k > K_MAX_CAP:
         raise NetError(f"order k={k} outside 0..{K_MAX_CAP}")
-    regions = []  # (intervals, counts) of each box the net can be non-zero on
-    undersampled = False
-    for box in K.boxes:
-        intervals = net.sample_intervals(box, eps)
-        if intervals is None:
-            continue  # net vanishes on this box
-        sized = [sampling.axis_count(hi - lo, eps, net.oscillation_hint) for lo, hi in intervals]
-        undersampled = undersampled or any(capped for _, capped in sized)
-        regions.append((intervals, [n for n, _ in sized]))
-    best = -1.0
-    nonfinite = 0
-    for alpha in multi_indices(net.dimension, k):
-        for intervals, counts in regions:
-            val, bad = _grid_max(net, alpha, intervals, counts, eps)
-            nonfinite += bad
-            best = max(best, val)
-    ln = -math.inf if best <= 0.0 else math.log(best)
-    points = tuple(regions[-1][1]) if regions else ()
-    return SeminormValue(eps, ln, undersampled, nonfinite, points)
+    # the net's own record: SeminormValue per order per sweep, as long as it lives
+    per_order = vars(net).setdefault("_seminorm_values", {}).setdefault((K, eps, sampling), {})
+    value = per_order.get(k)
+    if value is None:
+        value = per_order[k] = _sweep(net, K, eps, sampling).value(net, k)
+    return value
 
 
 @dataclass(frozen=True)
@@ -617,6 +679,18 @@ class SeminormTable:
         return out
 
 
+def map_eps(fn, grid: EpsGrid) -> list:
+    """fn at each eps of the grid, in grid order, on up to worker_count()
+    threads; each call sees only its own eps, so the thread count moves
+    no result."""
+    eps_list = grid.points
+    workers = worker_count()
+    if workers > 1 and len(eps_list) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, eps_list))
+    return [fn(e) for e in eps_list]
+
+
 def seminorm_table(
     net: FunctionNet,
     k: int,
@@ -624,14 +698,7 @@ def seminorm_table(
     grid: EpsGrid,
     sampling: Sampling = DEFAULT_SAMPLING,
 ) -> SeminormTable:
-    eps_list = grid.points
-    workers = worker_count()
-    if workers > 1 and len(eps_list) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = tuple(pool.map(lambda e: seminorm(net, k, K, e, sampling), eps_list))
-    else:
-        entries = tuple(seminorm(net, k, K, e, sampling) for e in eps_list)
-    return SeminormTable(k, K, entries)
+    return SeminormTable(k, K, tuple(map_eps(lambda e: seminorm(net, k, K, e, sampling), grid)))
 
 
 @dataclass(frozen=True)
@@ -642,6 +709,11 @@ class SharpSeminorm:
 
     table: SeminormTable
     estimate: ValuationEstimate
+
+    @classmethod
+    def fit(cls, table: SeminormTable) -> "SharpSeminorm":
+        """v fitted with scale.DEFAULT_WINDOW and scale.NEGLIGIBLE_FLOOR."""
+        return cls(table, estimate_valuation(table.samples(), log_values=True))
 
     @property
     def k(self) -> int:
@@ -667,9 +739,8 @@ def sharp_seminorm(
     grid: EpsGrid,
     sampling: Sampling = DEFAULT_SAMPLING,
 ) -> SharpSeminorm:
-    """exp(-v), v fitted with scale.DEFAULT_WINDOW and scale.NEGLIGIBLE_FLOOR."""
-    table = seminorm_table(net, k, K, grid, sampling)
-    return SharpSeminorm(table, estimate_valuation(table.samples(), log_values=True))
+    """exp(-v), v fitted to the table of seminorm_table."""
+    return SharpSeminorm.fit(seminorm_table(net, k, K, grid, sampling))
 
 
 # ---------------------------------------------------------------------------

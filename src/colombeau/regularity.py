@@ -17,8 +17,10 @@ from .nets import (
     FunctionNet,
     K_MAX_CAP,
     Sampling,
+    SeminormTable,
     SharpSeminorm,
-    sharp_seminorm,
+    map_eps,
+    seminorm,
 )
 from .scale import EpsGrid, jsonable
 
@@ -73,9 +75,19 @@ def psequence(
     sampling: Sampling = DEFAULT_SAMPLING,
     k_max: int = DEFAULT_K_MAX,
 ) -> PSequence:
+    """sharp_seminorm(net, k, K, grid, sampling) for k = 0..k_max.
+
+    The seminorm calls are those of the k_max + 1 sharp seminorms, made eps
+    outer and k inner: all orders at one eps share one sweep (its blocks and
+    leaf values) before the next eps starts one.
+    """
     if not 0 <= k_max <= K_MAX_CAP:
         raise RegularityError(f"k_max must lie in 0..{K_MAX_CAP}")
-    return PSequence(tuple(sharp_seminorm(net, k, K, grid, sampling) for k in range(k_max + 1)))
+    ks = range(k_max + 1)
+    rows = map_eps(lambda eps: [seminorm(net, k, K, eps, sampling) for k in ks], grid)
+    return PSequence(tuple(
+        SharpSeminorm.fit(SeminormTable(k, K, tuple(row[k] for row in rows))) for k in ks
+    ))
 
 
 def _ln_le(a: float, b: float, tol: float) -> bool:

@@ -20,6 +20,7 @@ from colombeau.expr import (
     Exp,
     Grid,
     IntPow,
+    LeafMemo,
     Mul,
     ParseError,
     Sin,
@@ -404,25 +405,35 @@ _LEAF_CONSTS = (Const(0.0), Const(-0.0), Const(1.5), Const(-2.0), Eps(),
                 EpsPow(Fraction(-1)), EpsPow(Fraction(1, 2)))
 
 
+def _grow(sub):
+    pairs = st.lists(sub, min_size=2, max_size=3).map(tuple)
+    return st.one_of(
+        sub.map(Sin), sub.map(Cos), sub.map(Exp),
+        st.builds(Bump, sub, st.integers(0, 2)),
+        st.builds(Cutoff, sub, st.integers(0, 2)),
+        st.builds(Div, sub, sub),
+        st.builds(IntPow, sub, st.sampled_from([-2, -1, 2])),
+        st.builds(Sub, sub, sub), pairs.map(Mul), pairs.map(Add),
+    )
+
+
+_TREES: dict = {}  # tree strategy per tuple of used axes; at most 10 of them
+
+
+def _trees(used: tuple[int, ...]):
+    """Trees over the axes in used, a strategy built once per axis set."""
+    if used not in _TREES:
+        leaves = st.one_of(st.sampled_from(used).map(Var), st.sampled_from(_LEAF_CONSTS))
+        _TREES[used] = st.recursive(leaves, _grow, max_leaves=10)
+    return _TREES[used]
+
+
 @st.composite
 def _grid_cases(draw):
     """(tree, Grid, eps): a tree over some of the d axes, d in {2, 3}."""
     d = draw(st.sampled_from([2, 3]))
-    used = sorted(draw(st.sets(st.integers(0, d - 1), min_size=1)))
-    leaves = st.one_of(st.sampled_from(used).map(Var), st.sampled_from(_LEAF_CONSTS))
-
-    def grow(sub):
-        pairs = st.lists(sub, min_size=2, max_size=3).map(tuple)
-        return st.one_of(
-            sub.map(Sin), sub.map(Cos), sub.map(Exp),
-            st.builds(Bump, sub, st.integers(0, 2)),
-            st.builds(Cutoff, sub, st.integers(0, 2)),
-            st.builds(Div, sub, sub),
-            st.builds(IntPow, sub, st.sampled_from([-2, -1, 2])),
-            st.builds(Sub, sub, sub), pairs.map(Mul), pairs.map(Add),
-        )
-
-    tree = draw(st.recursive(leaves, grow, max_leaves=10))
+    used = tuple(sorted(draw(st.sets(st.integers(0, d - 1), min_size=1))))
+    tree = draw(_trees(used))
     # support seams of bump and cutoff, and 0 for the negative powers
     point = st.one_of(st.sampled_from([0.0, -1.0, 1.0, -2.0, 2.0]),
                       st.floats(-2.5, 2.5, allow_nan=False))
@@ -480,6 +491,59 @@ def test_signed_zero_constants_stay_distinct():
     x = np.ones((1, 3))
     assert np.array_equal(eval_batch(e, x, 0.5), _naive_batch(e, x, 0.5))
     assert np.all(eval_batch(e, x, 0.5) == math.inf)
+
+
+def test_leaf_memo_keys_keep_signed_zeros_and_int_constants_apart():
+    # nodes built directly: parse and simplify would fold these constants
+    axis = np.array([-1.5, -0.0, 0.0, 0.25, 2.0])
+    pairs = [
+        (Sin(Mul((Var(0), Const(0.0)))), Sin(Mul((Var(0), Const(-0.0))))),
+        (Exp(Div(Var(0), Const(0.0))), Exp(Div(Var(0), Const(-0.0)))),  # exp(+-inf)
+        (Cutoff(Add((Var(0), Const(1)))), Cutoff(Add((Var(0), Const(1.0))))),
+    ]
+    memo = LeafMemo(1 << 10)
+    shared = Grid.tensor([axis], memo)
+    for pair in pairs:
+        for e in pair:
+            got = eval_batch(e, shared, 0.5)
+            want = eval_batch(e, Grid.tensor([axis]), 0.5)
+            assert np.array_equal(got, want, equal_nan=True), to_text(e)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), to_text(e)
+    assert len(memo.values) == 6  # no pair shares a key
+    arrays = [v for v in memo.values.values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 4  # sin(x*0.0) is a scalar
+    assert all(not v.flags.writeable for v in arrays)
+    with pytest.raises(ValueError):
+        arrays[0][0] = 1.0
+
+
+def test_leaf_memo_serves_later_trees_and_skips_their_arguments(monkeypatch):
+    axis = np.linspace(-2.5, 2.5, 11)
+    shared = Grid.tensor([axis], LeafMemo(1 << 10))
+    first = parse("cutoff(x1)*sin(x1/eps)")
+    eval_batch(first, shared, 0.5)
+    orders = []
+    real = special.cutoff_deriv_values
+    monkeypatch.setattr(
+        special, "cutoff_deriv_values", lambda order, t: orders.append(order) or real(order, t)
+    )
+    d1 = differentiate(first, 0)
+    got = eval_batch(d1, shared, 0.5)
+    assert orders == [1]  # cutoff(x1) and sin(x1/eps) come from the memo
+    assert np.array_equal(got, eval_batch(d1, Grid.tensor([axis]), 0.5))
+    # another eps is another key
+    orders.clear()
+    eval_batch(first, shared, 0.25)
+    assert orders == [0]
+
+
+def test_leaf_memo_stops_storing_at_its_limit():
+    axis = np.linspace(0.0, 1.0, 8)
+    memo = LeafMemo(20)
+    shared = Grid.tensor([axis], memo)
+    e = parse("sin(x1) + cos(x1) + exp(x1)")
+    assert np.array_equal(eval_batch(e, shared, 0.5), eval_batch(e, Grid.tensor([axis]), 0.5))
+    assert memo.size == 16 and len(memo.values) == 2
 
 
 def test_each_distinct_subtree_is_evaluated_once(monkeypatch):

@@ -318,15 +318,17 @@ def test_seminorm_refinement_stability():
 def test_grid_chunks_cap_points_and_keep_seminorms(monkeypatch, chunk):
     import colombeau.nets as nets
 
-    cases = [
-        (ExpressionNet(2, parse("sin(x1/eps)*cos(x2)", dimension=2), 1),
-         CompactBox.of([(0.0, 1.0), (0.0, 1.0)]), 0.1, Sampling()),
-        (ExpressionNet(3, parse("sin(x1/eps)*cos(x2*x3)", dimension=3), 1),
-         CompactBox.of([(0.0, 1.0), (-1.0, 0.5), (0.0, 2.0)]), 0.2, Sampling(9)),
-    ]
+    def cases():
+        # fresh nets: a net returns the values it already holds without sampling
+        return [
+            (ExpressionNet(2, parse("sin(x1/eps)*cos(x2)", dimension=2), 1),
+             CompactBox.of([(0.0, 1.0), (0.0, 1.0)]), 0.1, Sampling()),
+            (ExpressionNet(3, parse("sin(x1/eps)*cos(x2*x3)", dimension=3), 1),
+             CompactBox.of([(0.0, 1.0), (-1.0, 0.5), (0.0, 2.0)]), 0.2, Sampling(9)),
+        ]
 
     def run():
-        return [seminorm(net, k, K, eps, sp) for net, K, eps, sp in cases for k in range(3)]
+        return [seminorm(net, k, K, eps, sp) for net, K, eps, sp in cases() for k in range(3)]
 
     want = run()  # the default chunk holds each whole grid
     sizes = []
@@ -339,11 +341,11 @@ def test_grid_chunks_cap_points_and_keep_seminorms(monkeypatch, chunk):
     assert run() == want
     assert max(sizes) <= chunk
     per_alpha = [math.prod(v.points_per_axis) for v in want]
-    n_alphas = [len(multi_indices(net.dimension, k)) for net, *_ in cases for k in range(3)]
+    n_alphas = [len(multi_indices(net.dimension, k)) for net, *_ in cases() for k in range(3)]
     assert sum(sizes) == sum(p * n for p, n in zip(per_alpha, n_alphas))
     # the blocks list every point of each grid once, in C order
     grids = [[np.linspace(lo, hi, n) for (lo, hi), n in zip(K.boxes[0], v.points_per_axis)]
-             for (_, K, _, _), v in zip(cases, want[::3])]
+             for (_, K, _, _), v in zip(cases(), want[::3])]
     assert all(
         np.array_equal(np.hstack([np.asarray(b) for b in nets._grid_chunks(axes, chunk)]),
                        np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")]))

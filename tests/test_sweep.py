@@ -1,0 +1,154 @@
+"""Sweeps: every order of one (net, K, eps, sampling) shares one sampling.
+
+``psequence`` visits eps outer and k inner, so the orders at one eps reuse
+the sweep's blocks and the leaf values on them, and each net keeps the
+value of every order it was asked for.  These tests pin that the sharing
+moves no bit against k-outer tables on fresh nets, that the sharing happens,
+and that a sweep's leaf values do not outlive the next sweep.
+"""
+import sys
+import weakref
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import colombeau.nets as nets
+from colombeau.catalog import CATALOG, REFERENCE_COMPACTS, catalog_net
+from colombeau.expr import parse, special
+from colombeau.mollify import mollify
+from colombeau.nets import (
+    BandedNet,
+    CompactBox,
+    DifferenceNet,
+    ExpressionNet,
+    FiniteSumNet,
+    Sampling,
+    seminorm,
+    seminorm_table,
+)
+from colombeau.regularity import psequence
+from colombeau.scale import EpsGrid
+
+GRID = EpsGrid(0.5, 0.5, 8)
+
+
+def _square():
+    return ExpressionNet(2, parse("sin(x1/eps)*cos(x2)", dimension=2), oscillation_hint=1)
+
+
+def _cube():
+    return ExpressionNet(3, parse("sin(x1/eps)*cos(x2*x3)*cutoff(x3)", dimension=3), 1)
+
+
+def _banded():
+    return BandedNet(1, [((0.0, 0.1), parse("cutoff(x1/eps)*sin(x1/eps)")),
+                         ((0.1, 1.0), parse("exp(-x1^2)*cos(x1)"))], oscillation_hint=1)
+
+
+def _mollified_difference():
+    u = catalog_net("compact_osc")
+    return DifferenceNet(mollify(u, 2), u)
+
+
+# (name, net builder, compact, eps grid, sampling, k_max)
+CASES = [
+    (f"{name}{K.boxes}", lambda name=name: catalog_net(name), K, GRID, Sampling(), 6)
+    for name in CATALOG for K in REFERENCE_COMPACTS
+] + [
+    ("grid_2d", _square, CompactBox.of([(0.0, 1.0), (0.0, 1.0)]), GRID,
+     Sampling(), 2),
+    ("cube", _cube, CompactBox.of([(0.0, 1.0), (-1.0, 0.5), (-2.5, 2.0)]), GRID,
+     Sampling(9, 65), 2),
+    ("banded", _banded, CompactBox.interval(-1.0, 2.0), GRID, Sampling(), 6),
+    ("mollified-difference", _mollified_difference, CompactBox.interval(-1.0, 2.0),
+     GRID, Sampling(), 2),
+]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name, build, K, grid, sampling, k_max", CASES, ids=[c[0] for c in CASES])
+def test_psequence_tables_equal_k_outer_tables_on_fresh_nets(
+    monkeypatch, threads, name, build, K, grid, sampling, k_max
+):
+    monkeypatch.setenv("COLOMBEAU_THREADS", threads)
+    seq = psequence(build(), K, grid, sampling, k_max)
+    for k in range(k_max + 1):
+        # == on SeminormValue compares eps, ln_value, undersampled, nonfinite
+        # and points_per_axis
+        assert seq.entries[k].table == seminorm_table(build(), k, K, grid, sampling), (name, k)
+
+
+def test_many_threads_switching_often_share_a_net(monkeypatch):
+    # more worker threads than cores, each sweeping its own eps of one net
+    K = CompactBox.interval(-1.0, 2.0)
+    net = catalog_net("compact_osc")
+    monkeypatch.setenv("COLOMBEAU_THREADS", "8")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        seq = psequence(net, K, GRID, k_max=4)
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setenv("COLOMBEAU_THREADS", "1")
+    for k in range(5):
+        want = seminorm_table(catalog_net("compact_osc"), k, K, GRID)
+        assert seq.entries[k].table == want
+        assert seminorm_table(net, k, K, GRID) == want  # the values the net kept
+
+
+def test_each_cutoff_order_runs_once_per_eps(monkeypatch):
+    grid = GRID
+    orders = []
+    real = special.cutoff_deriv_values
+    monkeypatch.setattr(
+        special, "cutoff_deriv_values", lambda order, t: orders.append(order) or real(order, t)
+    )
+    psequence(catalog_net("compact_osc"), CompactBox.interval(0.0, 1.0), grid, k_max=6)
+    # sampled k-outer, order k would run the cutoff jets of orders 0..k again:
+    # 28 calls per eps instead of 7
+    assert Counter(orders) == {order: grid.count for order in range(7)}
+
+
+def test_each_multiscale_term_runs_sin_and_cos_once_per_eps(monkeypatch):
+    grid = GRID
+    net = catalog_net("multiscale")
+    assert isinstance(net, FiniteSumNet) and len(net.parts) == 8
+    calls = Counter()
+    for fn in ("sin", "cos"):
+        real = getattr(np, fn)
+
+        def counted(x, *args, fn=fn, real=real, **kwargs):
+            if isinstance(x, np.ndarray) and x.ndim > 0:
+                calls[fn] += 1
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, fn, counted)
+    psequence(net, CompactBox.interval(0.0, 1.0), grid, k_max=6)
+    assert calls == {"sin": 8 * grid.count, "cos": 8 * grid.count}
+
+
+def test_a_repeated_psequence_samples_nothing(monkeypatch):
+    net = catalog_net("osc")
+    K = CompactBox.interval(-1.0, 2.0)
+    first = psequence(net, K, GRID, k_max=4)
+
+    def refuse(self, alpha, coords, eps):
+        raise AssertionError("a repeated seminorm sampled the net again")
+
+    monkeypatch.setattr(ExpressionNet, "derivative_batch", refuse)
+    again = psequence(net, K, GRID, k_max=4)
+    assert [e.table for e in again.entries] == [e.table for e in first.entries]
+
+
+def test_a_new_sweep_drops_the_leaf_values_of_the_last():
+    K = CompactBox.interval(0.0, 1.0)
+    first = catalog_net("compact_osc")
+    seminorm(first, 2, K, 0.125)
+    (_, block), = nets._LIVE.sweep.regions
+    leaves = [weakref.ref(v) for v in block.memo.values.values()]
+    assert len(leaves) == 5  # sin, cos and the cutoff of orders 0, 1, 2
+    assert all(not v().flags.writeable for v in leaves)
+    del block
+    seminorm(catalog_net("osc"), 0, K, 0.125)
+    assert all(ref() is None for ref in leaves)
