@@ -75,7 +75,7 @@ CATALOG: dict[str, CatalogEntry] = {
     "osc": CatalogEntry(
         "osc",
         "sin(x1/eps); v(p_k) = -k",
-        lambda: _build_osc(),
+        _build_osc,
         lambda k: Fraction(-k),
     ),
     "const_ginfty": CatalogEntry(
@@ -89,13 +89,13 @@ CATALOG: dict[str, CatalogEntry] = {
     "delta": CatalogEntry(
         "delta",
         "eps^(-1)*bump(x1/eps); v(p_k) = -k-1",
-        lambda: _build_delta(),
+        _build_delta,
         lambda k: Fraction(-k - 1),
     ),
     "one": CatalogEntry(
         "one",
         "constant 1; v(p_0) = 0, negligible for k >= 1",
-        lambda: _build_one(),
+        _build_one,
         lambda k: Fraction(0) if k == 0 else math.inf,
     ),
     "multiscale": CatalogEntry(
@@ -109,7 +109,7 @@ CATALOG: dict[str, CatalogEntry] = {
     "compact_osc": CatalogEntry(
         "compact_osc",
         "cutoff(x1)*sin(x1/eps), support [-2,2]; v(p_k) = -k",
-        lambda: _build_compact_osc(),
+        _build_compact_osc,
         lambda k: Fraction(-k),
     ),
 }

@@ -46,6 +46,14 @@ def _require_keys(obj: dict, where: str, required: Sequence[str], optional: Sequ
         raise ConfigError(f"missing key(s) in {where}: {', '.join(sorted(missing))}")
 
 
+def _interval(iv: Any, where: str) -> tuple[float, float]:
+    """[lo, hi] of two finite numbers, as floats."""
+    if not (isinstance(iv, list) and len(iv) == 2
+            and all(_num(v, -math.inf) and math.isfinite(v) for v in iv)):
+        raise ConfigError(f"intervals in {where} must be [lo, hi] of finite numbers")
+    return float(iv[0]), float(iv[1])
+
+
 def _parse_box_union(raw: Any, dimension: int, where: str) -> CompactBox:
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{where} must be a non-empty list of boxes")
@@ -55,9 +63,7 @@ def _parse_box_union(raw: Any, dimension: int, where: str) -> CompactBox:
             raise ConfigError(f"each box in {where} needs {dimension} [lo, hi] pairs")
         box = []
         for iv in b:
-            if not (isinstance(iv, list) and len(iv) == 2):
-                raise ConfigError(f"intervals in {where} must be [lo, hi]")
-            lo, hi = float(iv[0]), float(iv[1])
+            lo, hi = _interval(iv, where)
             if not lo < hi:
                 raise ConfigError(f"empty interval [{lo}, {hi}] in {where}")
             box.append((lo, hi))
@@ -88,11 +94,13 @@ def _build_net(raw: Any, dimension: int) -> FunctionNet:
     if "support_box" in raw:
         options["support_box"] = _parse_box_union(raw["support_box"], dimension, "net.support_box")
 
+    if kinds[0] != "banded" and not isinstance(raw[kinds[0]], str):
+        raise ConfigError(f"net.{kinds[0]} must be a string")
     if kinds[0] == "catalog":
         if options:
             raise ConfigError(f"catalog nets fix their own {next(iter(options))}")
         param = raw.get("parameter")
-        if param is not None and not isinstance(param, int):
+        if param is not None and not _int(param, -math.inf):
             raise ConfigError("net.parameter must be an integer")
         try:
             return catalog_net(raw["catalog"], param)
@@ -110,11 +118,11 @@ def _build_net(raw: Any, dimension: int) -> FunctionNet:
     parsed = []
     for band in bands:
         _require_keys(band, "net.banded[]", ["interval", "expression"])
-        iv = band["interval"]
-        if not (isinstance(iv, list) and len(iv) == 2):
-            raise ConfigError("band interval must be [lo, hi]")
+        interval = _interval(band["interval"], "net.banded[]")
+        if not isinstance(band["expression"], str):
+            raise ConfigError("net.banded[].expression must be a string")
         try:
-            parsed.append(((float(iv[0]), float(iv[1])), parse(band["expression"], dimension)))
+            parsed.append((interval, parse(band["expression"], dimension)))
         except ParseError as e:
             raise ConfigError(str(e)) from e
     try:
@@ -213,6 +221,14 @@ _MOLLIFYING_KINDS = {
 }
 
 
+def _check(values: dict, checks: dict, where: str) -> None:
+    """Each value passes its (check, what it must be) entry in checks."""
+    for key, value in values.items():
+        ok, what = checks[key]
+        if not ok(value):
+            raise ConfigError(f"{where}.{key} must be {what}")
+
+
 def _parse_experiment(raw: Any, index: int) -> Experiment:
     where = f"experiments[{index}]"
     if not isinstance(raw, dict) or "kind" not in raw:
@@ -223,10 +239,7 @@ def _parse_experiment(raw: Any, index: int) -> Experiment:
     required, checks = _EXPERIMENT_PARAMS[kind]
     _require_keys(raw, where, ["kind"] + required, list(checks))
     params = {k: v for k, v in raw.items() if k != "kind"}
-    for key, value in params.items():
-        ok, what = checks[key]
-        if not ok(value):
-            raise ConfigError(f"{where}.{key} must be {what}")
+    _check(params, checks, where)
     return Experiment(kind, params)
 
 
@@ -235,10 +248,7 @@ def _settings(cls, document: dict, key: str, checks: dict):
     entry in checks; the defaults of cls fill the rest and cls checks ranges."""
     raw = document.get(key, {})
     _require_keys(raw, key, [], list(checks))
-    for k, v in raw.items():
-        ok, what = checks[k]
-        if not ok(v):
-            raise ConfigError(f"{key}.{k} must be {what}")
+    _check(raw, checks, key)
     try:
         return cls(**raw)
     except (NetError, ScaleError) as e:
@@ -258,7 +268,7 @@ def load_config(document: dict | str) -> ExperimentConfig:
         ["eps_grid", "k_max", "sampling", "output_prefix"],
     )
     dimension = document["dimension"]
-    if dimension not in (1, 2, 3):
+    if not _int(dimension, 1, 3):
         raise ConfigError("dimension must be 1, 2 or 3")
     net = _build_net(document["net"], dimension)
     if net.dimension != dimension:
@@ -271,7 +281,7 @@ def load_config(document: dict | str) -> ExperimentConfig:
     )
     grid = _settings(EpsGrid, document, "eps_grid", {"eps0": _NUMBER, "ratio": _NUMBER, "count": _INTEGER})
     k_max = document.get("k_max", DEFAULT_K_MAX)
-    if not isinstance(k_max, int) or not 0 <= k_max <= K_MAX_CAP:
+    if not _int(k_max, 0, K_MAX_CAP):
         raise ConfigError(f"k_max must be an integer in 0..{K_MAX_CAP}")
     sampling = _settings(Sampling, document, "sampling", {"base_points": _INTEGER, "cap_points": _INTEGER})
     raw_exps = document["experiments"]

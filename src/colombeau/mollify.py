@@ -32,7 +32,7 @@ OpenBLAS splits a product across threads, which moves those group bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -158,6 +158,8 @@ _ROW_GROUP = 64
 class MollifiedNet(FunctionNet):
     """u_eps star psi_{eps^n}; derivatives fall on the base net."""
 
+    variant = "mollified"
+
     def __init__(self, base: FunctionNet, n: int, mollifier: Mollifier):
         if base.dimension != mollifier.dimension:
             raise NetError("mollifier dimension must match the net")
@@ -212,7 +214,7 @@ class MollifiedNet(FunctionNet):
 
     def describe(self):
         return {
-            "variant": "mollified",
+            "variant": self.variant,
             "scale_power": self.n,
             "quadrature_order": self.mollifier.order,
             "base": self.base.describe(),
@@ -233,6 +235,8 @@ class PsiRouteNet(MollifiedNet):
     which equals the mollified net's alpha-derivative up to quadrature error.
     """
 
+    variant = "psi-route"
+
     def __init__(self, base: FunctionNet, n: int, mollifier: Mollifier):
         super().__init__(base, n, mollifier)
         self._weight_cache: dict[tuple[int, ...], np.ndarray] = {}
@@ -246,14 +250,6 @@ class PsiRouteNet(MollifiedNet):
             self._weight_cache[alpha] = weights
         scale = float(np.float64(eps) ** (-self.n * sum(alpha)))
         return self._convolve((0,) * self.dimension, weights, coords, eps) * scale
-
-    def describe(self):
-        return {
-            "variant": "psi-route",
-            "scale_power": self.n,
-            "quadrature_order": self.mollifier.order,
-            "base": self.base.describe(),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -326,16 +322,7 @@ class ConvergenceRecord:
             "reference": self.reference,
             "slope": self.slope,
             "all_ok": self.all_ok,
-            "entries": [
-                {
-                    "n": e.n,
-                    "v_hat": e.v_hat,
-                    "required": e.required,
-                    "ok": e.ok,
-                    "stable": e.stable,
-                }
-                for e in self.entries
-            ],
+            "entries": [asdict(e) for e in self.entries],
         })
 
 

@@ -44,7 +44,7 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -446,7 +446,7 @@ class CutoffProductNet(FunctionNet):
             (coords[i] - self.centers[i]) / self.radii[i] for i in range(d)
         ]
         acc = np.zeros(coords.shape[1])
-        for beta in _sub_multi_indices(tuple(alpha)):
+        for beta in product(*(range(a + 1) for a in alpha)):
             coef = 1.0
             for i in range(d):
                 coef *= math.comb(alpha[i], beta[i])
@@ -501,17 +501,6 @@ class DifferenceNet(FunctionNet):
 
     def describe(self):
         return {"variant": "difference", "a": self.a.describe(), "b": self.b.describe()}
-
-
-def _sub_multi_indices(alpha: tuple[int, ...]):
-    """All beta <= alpha componentwise."""
-    if not alpha:
-        yield ()
-        return
-    head, rest = alpha[0], alpha[1:]
-    for i in range(head + 1):
-        for tail in _sub_multi_indices(rest):
-            yield (i,) + tail
 
 
 # ---------------------------------------------------------------------------

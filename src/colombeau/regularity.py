@@ -8,7 +8,7 @@ Every classifier reports evidence, not proof: 'yes-evidence' / 'no' /
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from .nets import (
@@ -269,6 +269,13 @@ class SublinearReport:
     verdict: str  # 'sublinear-evidence' | 'not-sublinear-evidence' | 'inconclusive'
     per_compact: tuple[SublinearPerK, ...]
 
+    def to_json_dict(self) -> dict:
+        return jsonable({
+            "verdict": self.verdict,
+            "slopes": [r.s_full for r in self.per_compact],
+            "witness_rates": [r.a_witness for r in self.per_compact],
+        })
+
 
 def classify_sublinear(
     net: FunctionNet,
@@ -374,40 +381,11 @@ class RegularityReport:
             "k_max": self.k_max,
             "ln_p": self.ln_p,
             "stable": self.stable,
-            "ginfty": {
-                "verdict": self.ginfty.verdict,
-                "bound_verdict": self.ginfty.bound_verdict,
-                "decreasing_verdict": self.ginfty.decreasing_verdict,
-                "agree": self.ginfty.agree,
-            },
-            "gla": [
-                {
-                    "a": g.a,
-                    "verdict": g.verdict,
-                    "a_prime": g.a_prime,
-                    "b": g.b,
-                    "s_hat": g.s_hat,
-                }
-                for g in self.gla
-            ],
-            "sublinear": {
-                "verdict": self.sublinear.verdict,
-                "slopes": [r.s_full for r in self.sublinear.per_compact],
-                "witness_rates": [r.a_witness for r in self.sublinear.per_compact],
-            },
-            "landau": [
-                {"k": e.k, "verdict": e.verdict, "margin": e.margin}
-                for e in self.landau.entries
-            ],
-            "growth_char": [
-                {
-                    "base": g.base,
-                    "bound_verdict": g.bound_verdict,
-                    "ratio_verdict": g.ratio_verdict,
-                    "agree": g.agree,
-                }
-                for g in self.growth_char
-            ],
+            "ginfty": asdict(self.ginfty),
+            "gla": [asdict(g) for g in self.gla],
+            "sublinear": self.sublinear.to_json_dict(),
+            "landau": [asdict(e) for e in self.landau.entries],
+            "growth_char": [asdict(g) for g in self.growth_char],
         })
 
 

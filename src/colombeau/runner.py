@@ -24,11 +24,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 from .config import Experiment, ExperimentConfig
 from .mollify import (
+    BoundCheckRow,
     CONVERGENCE_GRID,
     DEFAULT_ENLARGEMENT,
     DEFAULT_N_LIST,
@@ -42,8 +43,9 @@ from .mollify import (
 )
 from .expr import ExpressionError
 from .nets import NetError, seminorm_table, sharp_seminorm
-from .scale import EpsGrid, ScaleError, jsonable
+from .scale import ScaleError, jsonable
 from .regularity import (
+    LandauEntry,
     RegularityError,
     build_report,
     classify_sublinear,
@@ -113,10 +115,6 @@ def exit_code(outcomes: Iterable[Outcome]) -> int:
     return EXIT_UNSTABLE if any(o.unstable for o in outcomes) else EXIT_OK
 
 
-def _grid_doc(grid: EpsGrid) -> dict:
-    return {"eps0": grid.eps0, "ratio": grid.ratio, "count": grid.count}
-
-
 def _mollifier(cfg: ExperimentConfig, params: dict) -> Optional[Mollifier]:
     Q = params.get("quadrature_order")
     return build_mollifier(cfg.dimension, Q) if Q else None
@@ -163,9 +161,9 @@ def _classify(cfg: ExperimentConfig, params: dict) -> Outcome:
 
 def _landau(cfg: ExperimentConfig, params: dict) -> Outcome:
     rep = landau_check(psequence(cfg.net, cfg.compacts[0], cfg.grid, cfg.sampling, cfg.k_max))
-    header = ("k", "verdict", "margin")
-    rows = [(e.k, e.verdict, e.margin) for e in rep.entries]
-    doc = {"all_ok": rep.all_ok, "entries": [dict(zip(header, row)) for row in rows]}
+    header = tuple(f.name for f in fields(LandauEntry))
+    rows = [astuple(e) for e in rep.entries]
+    doc = {"all_ok": rep.all_ok, "entries": [asdict(e) for e in rep.entries]}
     skipped = any(e.verdict == "skipped" for e in rep.entries)
     return Outcome(doc, doc, (header, rows), unstable=skipped, violation=not rep.all_ok)
 
@@ -185,7 +183,7 @@ def _mollify_converge(cfg: ExperimentConfig, params: dict) -> Outcome:
     doc = record.to_json_dict()
     # the summary's top-level eps_grid is the config's; name the grid used
     # when it is not that one
-    summary = {"record": doc} if cfg.grid_given else {"record": doc, "eps_grid": _grid_doc(grid)}
+    summary = {"record": doc} if cfg.grid_given else {"record": doc, "eps_grid": asdict(grid)}
     table = (("n", "v_hat", "reference", "margin"), record.to_csv_rows())
     unstable = any(not e.stable for e in record.entries)
     return Outcome(doc, summary, table, unstable=unstable, violation=not record.all_ok)
@@ -213,10 +211,10 @@ def _regular_bound(cfg: ExperimentConfig, params: dict) -> Outcome:
         for k in params.get("k_list", range(4)):
             for ci, K in enumerate(cfg.compacts):
                 rep = regular_bound_experiment(cfg.net, K, k, n, cfg.grid, cfg.sampling)
-                rows += [(n, k, ci, r.j, r.eps, r.ln_lhs, r.ln_rhs, r.ok) for r in rep.rows]
+                rows += [(n, k, ci, *astuple(r)) for r in rep.rows]
                 results.append({"n": n, "k": k, "compact": K.describe(), "verdict": rep.verdict})
     doc = {"results": results}
-    header = ("n", "k", "compact", "j", "eps", "ln_lhs", "ln_rhs", "ok")
+    header = ("n", "k", "compact", *(f.name for f in fields(BoundCheckRow)))
     violation = any(r["verdict"] == "no" for r in results)
     return Outcome(doc, doc, (header, rows), violation=violation)
 
@@ -232,14 +230,7 @@ def _sublinear_density(cfg: ExperimentConfig, params: dict) -> Outcome:
             (n, ci, r.s_full, r.s_half, r.a_witness, r.stable)
             for ci, r in enumerate(rep.per_compact)
         ]
-        results.append(
-            {
-                "n": n,
-                "verdict": rep.verdict,
-                "slopes": [r.s_full for r in rep.per_compact],
-                "witness_rates": [r.a_witness for r in rep.per_compact],
-            }
-        )
+        results.append({"n": n, **rep.to_json_dict()})
     doc = {"results": results}
     header = ("n", "compact", "s_full", "s_half", "witness_rate", "stable")
     unstable = any(r["verdict"] == "inconclusive" for r in results)
@@ -296,7 +287,7 @@ def run_config(cfg: ExperimentConfig) -> RunResult:
     summary = {
         "net": cfg.net.describe(),
         "compacts": [K.describe() for K in cfg.compacts],
-        "eps_grid": _grid_doc(cfg.grid),
+        "eps_grid": asdict(cfg.grid),
         "k_max": cfg.k_max,
         "experiments": [
             {"kind": exp.kind, **out.summary} for exp, out in zip(cfg.experiments, outcomes)

@@ -25,6 +25,26 @@ FAST_OSC = {
 }
 
 
+# a boolean where an integer is wanted, a non-number or non-finite interval
+# bound, and a net text field that is not a string
+MALFORMED = [
+    {"dimension": True},
+    {"k_max": True},
+    {"net": {"catalog": "multiscale", "parameter": True}},
+    {"compacts": [[[["0", True]]]]},
+    {"compacts": [[[[0.0, [1]]]]]},
+    {"compacts": [[[[0.0, math.inf]]]]},
+    {"compacts": [[[[math.nan, 1.0]]]]},
+    {"net": {"expression": "x1", "support_box": [[[-1.0, True]]]}},
+    {"net": {"expression": "x1", "support_box": [[["-1", 1.0]]]}},
+    {"net": {"banded": [{"interval": [0.0, True], "expression": "x1"}]}},
+    {"net": {"banded": [{"interval": [0.0, [1]], "expression": "x1"}]}},
+    {"net": {"catalog": 5}},
+    {"net": {"expression": 5}},
+    {"net": {"banded": [{"interval": [0.0, 1.0], "expression": 7}]}},
+]
+
+
 def base_config(**overrides):
     doc = {
         "dimension": 1,
@@ -133,11 +153,24 @@ def test_config_accepts_json_string():
         {"sampling": {"base_points": 40.9}},
         {"sampling": {"cap_points": "20001"}},
         {"sampling": {"base_points": True}},
+        *MALFORMED,
     ],
 )
 def test_config_rejections(mutate):
     with pytest.raises(ConfigError):
         load_config(base_config(**mutate))
+
+
+def test_cli_run_reports_malformed_documents(tmp_path, capsys):
+    # a malformed document is one `error:` line and exit 1: no traceback,
+    # no converted value and no file written
+    path = tmp_path / "bad.json"
+    for mutate in MALFORMED:
+        path.write_text(json.dumps(base_config(output_prefix=str(tmp_path / "r"), **mutate)))
+        assert cli.main(["run", str(path)]) == 1, mutate
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, (mutate, err)
+    assert not list(tmp_path.glob("r-*"))
 
 
 @pytest.mark.parametrize("key, setting", [

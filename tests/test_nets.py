@@ -182,6 +182,61 @@ def test_cutoff_product_net():
     assert CutoffProductNet(based, [5.0], [1.0]).support_box.describe() == [[[3.0, 7.0]]]
 
 
+# sha256 of the values of a 2-d cutoff product's derivative_batch for every
+# alpha with |alpha| <= 3 (multi_indices order) on a 9 x 7 tensor grid at
+# eps = 0.3, recorded before CutoffProductNet enumerated its Leibniz terms
+# with itertools.product.  The grid crosses the zero, transition and plateau
+# parts of both cutoffs, so a change in the order of the beta terms moves bits.
+CUTOFF_2D_DIGEST = "be8f71815b4f4c5e19ed4f6ed0b4d6d48830782b5406ee581ab0c38420e841fc"
+
+
+def test_cutoff_product_2d_derivatives_match_digest():
+    from colombeau.expr import Grid
+
+    base = ExpressionNet(2, parse("sin(x1/eps)*cos(x2)", 2))
+    cp = CutoffProductNet(base, (0.5, 0.5), (0.75, 0.75))
+    grid = Grid.tensor([np.linspace(-1.2, 2.2, 9), np.linspace(-0.6, 1.6, 7)])
+    h = hashlib.sha256()
+    for k in range(4):
+        for alpha in multi_indices(2, k):
+            h.update(cp.derivative_batch(alpha, grid, 0.3).tobytes())
+    assert h.hexdigest() == CUTOFF_2D_DIGEST
+
+
+def test_describe_every_variant():
+    """Exact describe() of each net variant, recorded before the two
+    quadrature routes shared one describe."""
+    from colombeau.mollify import PsiRouteNet, build_mollifier, mollify
+
+    base = _osc()
+    m = build_mollifier(1, 32)
+    base_doc = {"variant": "expression", "dimension": 1,
+                "expression": "sin(x1*eps^(-1))", "oscillation_hint": "1"}
+    route = {"scale_power": 2, "quadrature_order": 32, "base": base_doc}
+    cases = [
+        (base, base_doc),
+        (FiniteSumNet(1, [parse("sin(x1/eps)"), parse("x1^2")], oscillation_hint="1/2"),
+         {"variant": "finite_sum", "dimension": 1, "terms": ["sin(x1*eps^(-1))", "x1^2"],
+          "oscillation_hint": "1/2"}),
+        (BandedNet(1, [((0.0, 0.5), parse("x1")), ((0.5, 1.0), parse("eps*x1"))]),
+         {"variant": "banded", "dimension": 1,
+          "bands": [{"interval": [0.0, 0.5], "expression": "x1"},
+                    {"interval": [0.5, 1.0], "expression": "eps*x1"}],
+          "oscillation_hint": "0"}),
+        (CutoffProductNet(base, [0.5], [0.75]),
+         {"variant": "cutoff_product", "dimension": 1, "centers": [0.5], "radii": [0.75],
+          "base": base_doc}),
+        (DifferenceNet(base, ExpressionNet(1, parse("x1"))),
+         {"variant": "difference", "a": base_doc,
+          "b": {"variant": "expression", "dimension": 1, "expression": "x1",
+                "oscillation_hint": "0"}}),
+        (mollify(base, 2, m), {"variant": "mollified", **route}),
+        (PsiRouteNet(base, 2, m), {"variant": "psi-route", **route}),
+    ]
+    for net, want in cases:
+        assert net.describe() == want
+
+
 def test_support_restriction():
     delta = _delta()
     assert delta.sample_intervals(((-3.0, 3.0),), 0.25) == [(-0.25, 0.25)]
