@@ -5,8 +5,10 @@ silently running a default.  Validation happens before any computation:
 parameter values per kind (``regular-bound``: ``k_list`` in 0..8,
 ``n_list`` strictly increasing and >= 1), ``k_max >= 4`` where a tail rate
 is read, ``n_list`` entries >= the net's oscillation hint where the net is
-mollified, and a declared ``support_box`` for ``regular-bound``.  A key left
-out takes its default from the class, function or constant that owns it.
+mollified, and a declared ``support_box`` for ``regular-bound``.  No
+experiment may run zero checks (``landau`` with ``k_max < 2``,
+``regular-bound`` on a grid of ``REGULAR_BOUND_J0`` points or fewer).  A key
+left out takes its default from the class, function or constant that owns it.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from typing import Any, Sequence
 
 from .catalog import catalog_net
 from .expr import ParseError, parse
-from .mollify import DEFAULT_N_LIST, DENSITY_N_LIST
+from .mollify import DEFAULT_N_LIST, DENSITY_N_LIST, REGULAR_BOUND_J0
 from .nets import (
     BandedNet,
     CompactBox,
@@ -296,6 +298,10 @@ def load_config(document: dict | str) -> ExperimentConfig:
             raise ConfigError(f"{e.kind} needs every n_list entry >= the net's oscillation hint")
         if e.kind == "regular-bound" and net.support_box is None:
             raise ConfigError("regular-bound needs a net with a declared support_box")
+        if e.kind == "regular-bound" and grid.count <= REGULAR_BOUND_J0:
+            raise ConfigError(f"regular-bound needs eps_grid.count > {REGULAR_BOUND_J0}")
+        if e.kind == "landau" and k_max < 2:
+            raise ConfigError("landau needs k_max >= 2 to check a step")
     prefix = document.get("output_prefix", "colombeau-run")
     if not isinstance(prefix, str) or not prefix:
         raise ConfigError("output_prefix must be a non-empty string")

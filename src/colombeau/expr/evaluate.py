@@ -6,17 +6,17 @@ their use counts and the largest variable index.  The plan is kept on the
 root node, so it lives exactly as long as the tree and a call neither
 hashes nor walks the tree again.  One call computes each distinct subtree
 at most once, however often the tree repeats it: the product rule gives
-d^k of cutoff(x)*sin(x/eps) 2^k terms over only k+2 distinct factors.  A
-value is dropped after its last consumer, so a tree that shares nothing
-holds no more arrays at a time than a plain recursive walk would.
+d^k of cutoff(x)*sin(x/eps) 2^k terms over only k+2 distinct factors.
 
-Evaluation follows demand from the root.  The key contract is the
-exact-zero product short circuit: a product with a factor that evaluates to
-exactly 0 is 0.  After a scalar zero the later factors that depend on x are
-never evaluated; an array factor's zeros mask the product pointwise.
-Derivatives of bump/cutoff pair a vanishing primitive with a blowing-up
-rational prefactor, and the short circuit is what makes them evaluate to an
-exact 0 on and outside the support boundary.  A zero does not hide a factor
+Evaluation is a recursive walk over the plan from the root (``_Walk``): a
+slot is computed when a reader first asks for it and dropped after its last
+reader, so a tree that shares nothing holds no more arrays at a time than a
+walk over the tree itself.  The walk recurses as deep as the tree, as
+``simplify`` and ``differentiate`` do; a tree too deep for it raises
+ExpressionError.  The key contract is the exact-zero product short circuit:
+a product with a factor that evaluates to exactly 0 is 0.  After a scalar
+zero the later factors that depend on x are never evaluated; an array
+factor's zeros mask the product pointwise.  A zero does not hide a factor
 that is constant in space and non-finite: 0*(1/(eps-eps)) is nan, as
 0/(eps-eps) is.  Any non-finite value that survives to the final result is
 reported, never silently returned.
@@ -222,16 +222,6 @@ def _is_scalar(v) -> bool:
     return not isinstance(v, np.ndarray) or v.ndim == 0
 
 
-def _divisor(v):
-    # a numpy scalar divides as arrays do: x/0 is +-inf or nan, where two
-    # Python floats would raise ZeroDivisionError
-    return np.float64(v) if _is_scalar(v) else v
-
-
-def _as_batch(vals) -> np.ndarray:
-    return np.atleast_1d(np.asarray(vals, dtype=float))
-
-
 def _apply(kind: type, p, arg, coords: Grid, eps: float):
     """Value of a leaf or a one-child node, given the child's value."""
     if kind is Const:
@@ -260,124 +250,119 @@ def _apply(kind: type, p, arg, coords: Grid, eps: float):
             except OverflowError:
                 return math.inf
         return np.exp(arg)
-    if kind is Bump:
-        return special.bump_deriv_values(p, _as_batch(arg))
-    return special.cutoff_deriv_values(p, _as_batch(arg))
-
-
-def _times(acc, mask, v, first: bool):
-    """Fold one non-zero-scalar factor into a running product and zero mask."""
-    if not _is_scalar(v):
-        m = v == 0.0
-        if m.any():
-            mask = m if mask is None else (mask | m)
-    return (v if first else acc * v), mask
+    deriv_values = special.bump_deriv_values if kind is Bump else special.cutoff_deriv_values
+    return deriv_values(p, np.atleast_1d(np.asarray(arg, dtype=float)))
 
 
 _PENDING = object()  # not computed (yet)
 
 
-def _run(plan: _Plan, coords: Grid, eps: float):
-    """Value of the plan's root: a float scalar or an array that broadcasts
-    to the block, shaped by the axes the root uses.
+class _Walk:
+    """One evaluation of a plan on a Grid at one eps.
 
-    Non-finite entries are allowed here (caller decides how to report them);
-    numpy error state must already be suppressed.  Locals never hold a value
-    beyond its step, and the last consumer of a value takes its only
-    reference, so numpy can reuse a temporary's buffer as a plain recursive
-    walk lets it.  A value the Grid's memo holds is taken from it, and the
-    node's argument counts as read.
+    ``take(slot)`` hands a slot's value to one reader: ``value`` computes it
+    on the first read, and the last reader takes the only reference, so numpy
+    can reuse a temporary's buffer.  A memo hit counts the node's argument as
+    read.  Values may be non-finite; numpy error state must be suppressed.
+    Bound methods of one object, unlike closures that call each other, form
+    no reference cycle that would keep the Grid alive after the call.
     """
-    kinds, params, kids, varies = plan.kinds, plan.params, plan.kids, plan.varies
-    memo = coords.memo
-    keys = plan.memo_keys if memo is not None else None
 
-    def recall(slot: int):
-        # the memo's value of slot, None when it holds none
-        return None if keys is None or keys[slot] is None else memo.values.get((keys[slot], eps))
+    def __init__(self, plan: _Plan, coords: Grid, eps: float):
+        self.plan, self.coords, self.eps = plan, coords, eps
+        self.keys = plan.memo_keys if coords.memo is not None else None
+        self.vals: list = [_PENDING] * len(plan.kinds)
+        self.left = list(plan.uses)
 
-    root = len(kinds) - 1
-    hit = recall(root)
-    if hit is not None:
-        return hit
-    vals: list = [_PENDING] * len(kinds)
-    left = list(plan.uses)
-
-    def take(slot: int):
-        v = vals[slot]
-        left[slot] -= 1
-        if left[slot] == 0:
-            vals[slot] = None
+    def take(self, slot: int):
+        v = self.vals[slot]
+        if v is _PENDING:
+            v = self.value(slot)
+        self.left[slot] -= 1
+        self.vals[slot] = None if self.left[slot] == 0 else v
         return v
 
-    def skip(slot: int) -> None:
-        # a consumer that will never read slot; a slot nobody will read is
-        # never computed, and its own children lose that consumer too
-        todo = [slot]
-        while todo:
-            s = todo.pop()
-            left[s] -= 1
-            if left[s] == 0:
-                if vals[s] is _PENDING:
-                    todo.extend(kids[s])
-                vals[s] = None
+    def skip(self, slot: int) -> None:
+        # a reader that will never read slot; a slot nobody will read is
+        # never computed, and its own children lose that reader too
+        self.left[slot] -= 1
+        if self.left[slot] == 0:
+            if self.vals[slot] is _PENDING:
+                for c in self.plan.kids[slot]:
+                    self.skip(c)
+            self.vals[slot] = None
 
-    # frame: slot, next child, running Add/Mul value, zero mask of array
-    # factors, a scalar factor was 0, a scalar factor was non-finite
-    stack = [[root, 0, None, None, False, False]]
-    while stack:
-        frame = stack[-1]
-        s, i = frame[0], frame[1]
-        kind, ks = kinds[s], kids[s]
-        if i < len(ks):
-            c = ks[i]
-            if frame[4] and varies[c]:
+    def value(self, slot: int):
+        """A float scalar or an array shaped by the axes the slot uses."""
+        plan, eps = self.plan, self.eps
+        kind, ks = plan.kinds[slot], plan.kids[slot]
+        key = None if self.keys is None else self.keys[slot]
+        if key is not None:
+            hit = self.coords.memo.values.get((key, eps))
+            if hit is not None:
+                for c in ks:
+                    self.skip(c)
+                return hit
+        if kind is Add:
+            acc = self.take(ks[0])
+            for c in ks[1:]:
+                acc = acc + self.take(c)
+            return acc
+        if kind is Mul:
+            return self.product(ks)
+        if kind is Sub:
+            return self.take(ks[0]) - self.take(ks[1])
+        if kind is Div:
+            # a numpy scalar divides as arrays do: x/0 is +-inf or nan, where
+            # two Python floats would raise ZeroDivisionError
+            num, den = self.take(ks[0]), self.take(ks[1])
+            return num / (np.float64(den) if _is_scalar(den) else den)
+        v = _apply(kind, plan.params[slot], self.take(ks[0]) if ks else None, self.coords, eps)
+        if key is not None:
+            self.coords.memo.keep((key, eps), v)
+        return v
+
+    def product(self, ks: tuple[int, ...]):
+        """The factors folded in order, with the exact-zero short circuit."""
+        acc = mask = None  # running product, zero mask of the array factors
+        zero = nonfinite = False  # a scalar factor was 0, was non-finite
+        for i, c in enumerate(ks):
+            if zero and self.plan.varies[c]:
                 # after an exact scalar zero only factors that are constant
                 # in space can change the product (to nan); the others are
                 # never evaluated
-                frame[1] = i + 1
-                skip(c)
+                self.skip(c)
                 continue
-            if vals[c] is _PENDING:
-                hit = recall(c)
-                if hit is not None:
-                    vals[c] = hit
-                    for g in kids[c]:
-                        skip(g)
-                elif kids[c]:
-                    stack.append([c, 0, None, None, False, False])
-                    continue
-                else:
-                    vals[c] = _apply(kinds[c], params[c], None, coords, eps)
-            frame[1] = i + 1
-            if kind is Add:
-                frame[2] = take(c) if i == 0 else frame[2] + take(c)
-            elif kind is Mul:
-                if _is_scalar(vals[c]):
-                    frame[4] = frame[4] or vals[c] == 0.0
-                    frame[5] = frame[5] or not math.isfinite(vals[c])
-                if frame[4]:
-                    take(c)
-                    frame[2] = frame[3] = None  # the running product is moot
-                else:
-                    frame[2], frame[3] = _times(frame[2], frame[3], take(c), i == 0)
-            continue
-        stack.pop()
-        if kind is Add:
-            vals[s] = frame[2]
-        elif kind is Mul and frame[4]:
-            vals[s] = math.nan if frame[5] else 0.0
-        elif kind is Mul:
-            vals[s] = frame[2] if frame[3] is None else np.where(frame[3], 0.0, frame[2])
-        elif kind is Sub:
-            vals[s] = take(ks[0]) - take(ks[1])
-        elif kind is Div:
-            vals[s] = take(ks[0]) / _divisor(take(ks[1]))
-        else:
-            vals[s] = _apply(kind, params[s], take(ks[0]) if ks else None, coords, eps)
-            if keys is not None and keys[s] is not None:
-                memo.keep((keys[s], eps), vals[s])
-    return vals[root]
+            v = self.take(c)
+            if _is_scalar(v):
+                zero = zero or v == 0.0
+                nonfinite = nonfinite or not math.isfinite(v)
+            if zero:
+                acc = mask = None  # the running product is moot
+            else:
+                if not _is_scalar(v):
+                    m = v == 0.0
+                    if m.any():
+                        mask = m if mask is None else (mask | m)
+                acc = v if i == 0 else acc * v
+            del v  # the factor lives no longer than its step
+        if zero:
+            return math.nan if nonfinite else 0.0
+        return acc if mask is None else np.where(mask, 0.0, acc)
+
+
+def _root_value(e: Expr, coords: Grid, eps: float):
+    """The Walk's value of e's root, after the checks both entries share."""
+    plan = _plan_of(e)
+    if coords.shape[0] <= plan.max_var:
+        raise ExpressionError(f"expression uses {plan.max_var + 1} variables, got {coords.shape[0]}")
+    if not (0.0 < eps < 1.0):
+        raise ExpressionError(f"eps must lie in (0,1), got {eps}")
+    with np.errstate(all="ignore"):
+        try:
+            return _Walk(plan, coords, eps).value(len(plan.kinds) - 1)
+        except RecursionError:
+            raise ExpressionError("expression is nested too deeply to evaluate") from None
 
 
 def eval_batch(e: Expr, coords: Grid | np.ndarray, eps: float) -> np.ndarray:
@@ -393,23 +378,10 @@ def eval_batch(e: Expr, coords: Grid | np.ndarray, eps: float) -> np.ndarray:
         if coords.ndim != 2:
             raise ExpressionError("coords must have shape (d, N)")
         coords = Grid(coords, coords.shape[1:])
-    plan = _plan_of(e)
-    need = plan.max_var + 1
-    if coords.shape[0] < need:
-        raise ExpressionError(
-            f"expression uses {need} variables, coords provide {coords.shape[0]}"
-        )
-    _check_eps(eps)
-    with np.errstate(all="ignore"):
-        v = _run(plan, coords, eps)
+    v = _root_value(e, coords, eps)
     if _is_scalar(v):
         return np.full(coords.shape[1], float(v))
     return np.broadcast_to(np.asarray(v, dtype=float), coords.block).reshape(-1)
-
-
-def _check_eps(eps: float) -> None:
-    if not (0.0 < eps < 1.0):
-        raise ExpressionError(f"eps must lie in (0,1), got {eps}")
 
 
 def evaluate(e: Expr, x: Sequence[float], eps: float) -> float:
@@ -419,14 +391,7 @@ def evaluate(e: Expr, x: Sequence[float], eps: float) -> float:
         raise ExpressionError("point must be a flat sequence of coordinates")
     if not np.all(np.isfinite(x)):
         raise ExpressionError("point coordinates must be finite")
-    plan = _plan_of(e)
-    need = plan.max_var + 1
-    if x.size < need:
-        raise ExpressionError(f"expression uses {need} variables, point has {x.size}")
-    _check_eps(eps)
-    coords = Grid(x.reshape(-1, 1), (1,))
-    with np.errstate(all="ignore"):
-        v = _run(plan, coords, eps)
+    v = _root_value(e, Grid(x.reshape(-1, 1), (1,)), eps)
     out = float(v if _is_scalar(v) else np.asarray(v).ravel()[0])
     if not math.isfinite(out):
         raise EvaluationError(

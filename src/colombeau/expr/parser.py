@@ -12,7 +12,9 @@
 Binding strength is ^ > unary minus > * / > + - with left association for
 the binary operators.  Rational exponents are only meaningful on ``eps``;
 any other base requires an integer exponent.  The returned tree is in
-simplified normal form.
+simplified normal form.  Brackets, function calls and unary minus signs nest
+at most ``MAX_NESTING`` deep, so that parsing, simplifying and evaluating a
+parsed tree stay within Python's default recursion limit.
 """
 from __future__ import annotations
 
@@ -47,6 +49,8 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+
+MAX_NESTING = 100  # open brackets, function calls and unary minus signs at one point
 
 _FUNCS = {"sin": Sin, "cos": Cos, "exp": Exp, "bump": Bump, "cutoff": Cutoff}
 _VAR_RE = re.compile(r"^x([1-9]\d*)$")
@@ -89,6 +93,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.dimension = dimension
+        self.depth = 0  # nesting at the current token
 
     # -- token helpers ------------------------------------------------------
     def peek(self) -> _Token:
@@ -108,6 +113,12 @@ class _Parser:
     def at_op(self, *ops: str) -> bool:
         tok = self.peek()
         return tok.kind == "op" and tok.text in ops
+
+    def enter(self, tok: _Token) -> None:
+        # one level down at an open bracket or minus sign; the caller steps back up
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
+        self.depth += 1
 
     # -- grammar ------------------------------------------------------------
     def parse(self) -> Expr:
@@ -135,8 +146,10 @@ class _Parser:
 
     def unary(self) -> Expr:
         if self.at_op("-"):
-            self.advance()
-            return Mul((Const(-1.0), self.unary()))
+            self.enter(self.advance())
+            e = Mul((Const(-1.0), self.unary()))
+            self.depth -= 1
+            return e
         return self.factor()
 
     def factor(self) -> Expr:
@@ -184,6 +197,14 @@ class _Parser:
             return Fraction(sign * num, den)
         raise ParseError("expected exponent", tok.pos)
 
+    def bracketed(self, open_tok: _Token) -> Expr:
+        """The expression after an open bracket, up to its closing one."""
+        self.enter(open_tok)
+        e = self.expr()
+        self.expect_op(")")
+        self.depth -= 1
+        return e
+
     def atom(self) -> Expr:
         tok = self.peek()
         if tok.kind == "num":
@@ -205,16 +226,10 @@ class _Parser:
                     )
                 return Var(idx - 1)
             if name in _FUNCS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return _FUNCS[name](arg)
+                return _FUNCS[name](self.bracketed(self.expect_op("(")))
             raise ParseError(f"unknown identifier {name!r}", tok.pos)
         if self.at_op("("):
-            self.advance()
-            e = self.expr()
-            self.expect_op(")")
-            return e
+            return self.bracketed(self.advance())
         raise ParseError(f"expected expression, found {tok.text or 'end of input'!r}", tok.pos)
 
 

@@ -413,6 +413,8 @@ def regular_bound_experiment(
     up to REGULAR_BOUND_SLACK, for every grid index j >= REGULAR_BOUND_J0, derivatives on psi."""
     if u.support_box is None:
         raise NetError("the regular bound needs a net with a declared support_box")
+    if grid.count <= REGULAR_BOUND_J0:
+        raise NetError(f"the regular bound checks eps grid indices from {REGULAR_BOUND_J0} on")
     if mollifier is None:
         mollifier = _default_mollifier(u.dimension)
     route = PsiRouteNet(u, n, mollifier)

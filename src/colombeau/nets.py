@@ -42,7 +42,7 @@ import os
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from typing import Iterable, Optional, Sequence
@@ -701,8 +701,12 @@ class SharpSeminorm:
 
     @classmethod
     def fit(cls, table: SeminormTable) -> "SharpSeminorm":
-        """v fitted with scale.DEFAULT_WINDOW and scale.NEGLIGIBLE_FLOOR."""
-        return cls(table, estimate_valuation(table.samples(), log_values=True))
+        """v fitted with scale.DEFAULT_WINDOW and scale.NEGLIGIBLE_FLOOR; a
+        non-finite sample inside the fit window makes the fit unstable."""
+        estimate = estimate_valuation(table.samples(), log_values=True)
+        if any(e.nonfinite > 0 for e in table.entries[slice(*estimate.window)]):
+            estimate = replace(estimate, stable=False)
+        return cls(table, estimate)
 
     @property
     def k(self) -> int:

@@ -122,8 +122,11 @@ def landau_check(seq: PSequence) -> LandauReport:
 
     Only steps with ln P_k - ln P_{k-1} > LANDAU_TRIGGER are asserted; flat or
     falling steps carry no information at fit precision.  Entries whose
-    neighbouring fits are unstable are skipped and reported as such.
+    neighbouring fits are unstable are skipped and reported as such.  k_max
+    must be at least 2, so that there is a step to check.
     """
+    if seq.k_max < 2:
+        raise RegularityError("the Landau check needs k_max >= 2")
     out: list[LandauEntry] = []
     ok = True
     for k in range(1, seq.k_max):

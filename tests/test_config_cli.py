@@ -9,6 +9,7 @@ import pytest
 
 from colombeau.catalog import catalog_net
 from colombeau.config import EXPERIMENT_KINDS, ConfigError, load_config, load_config_file
+from colombeau.expr.parser import MAX_NESTING
 from colombeau.mollify import regular_bound_experiment
 from colombeau.nets import CompactBox
 from colombeau.runner import EXPERIMENTS, run_config
@@ -26,7 +27,8 @@ FAST_OSC = {
 
 
 # a boolean where an integer is wanted, a non-number or non-finite interval
-# bound, and a net text field that is not a string
+# bound, a net text field that is not a string, and an experiment that would
+# run zero checks
 MALFORMED = [
     {"dimension": True},
     {"k_max": True},
@@ -42,6 +44,9 @@ MALFORMED = [
     {"net": {"catalog": 5}},
     {"net": {"expression": 5}},
     {"net": {"banded": [{"interval": [0.0, 1.0], "expression": 7}]}},
+    {"net": {"catalog": "compact_osc"}, "eps_grid": {"count": 4},
+     "experiments": [{"kind": "regular-bound"}]},
+    {"k_max": 1, "experiments": [{"kind": "landau"}]},
 ]
 
 
@@ -491,6 +496,32 @@ def test_cli_parse_check_error(capsys):
     assert err.startswith("error:")
 
 
+def test_cli_refuses_nesting_past_the_parser_limit(tmp_path, capsys):
+    at, past = ("sin(" * n + "x1" + ")" * n for n in (MAX_NESTING, MAX_NESTING + 1))
+    assert cli.main(["parse-check", at]) == 0
+    capsys.readouterr()
+    assert cli.main(["parse-check", past]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nesting" in err and "Traceback" not in err
+    path = tmp_path / "deep.json"
+    for text, code in ((at, 0), (past, 1)):
+        path.write_text(json.dumps(base_config(net={"expression": text},
+                                               output_prefix=str(tmp_path / "r"))))
+        assert cli.main(["run", str(path)]) == code, code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.startswith("error:") == (code == 1), err
+
+
+def test_cli_run_valuation_with_nonfinite_samples_is_unstable(tmp_path, capsys):
+    # x1 = 0 is a sample point of [-1, 1] at every eps
+    path = tmp_path / "inv.json"
+    path.write_text(json.dumps(base_config(net={"expression": "1/x1"}, compacts=[[[[-1.0, 1.0]]]],
+                                           output_prefix=str(tmp_path / "r"))))
+    assert cli.main(["run", str(path)]) == 2
+    summary = json.loads((tmp_path / "r-summary.json").read_text())
+    assert summary["experiments"][0]["results"][0]["stable"] is False
+
+
 def test_cli_catalog(capsys):
     assert cli.main(["catalog"]) == 0
     out = capsys.readouterr().out
@@ -548,6 +579,9 @@ def test_cli_landau(capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["all_ok"] is True
+    # k_max 1 leaves no step to check
+    assert cli.main(["landau", "--net", "osc", "--kmax", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_mollify_constant(capsys):

@@ -1,5 +1,8 @@
+import gc
 import math
 import random
+import sys
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +21,7 @@ from colombeau.expr import (
     EpsPow,
     EvaluationError,
     Exp,
+    ExpressionError,
     Grid,
     IntPow,
     LeafMemo,
@@ -36,6 +40,7 @@ from colombeau.expr import (
     to_text,
 )
 from colombeau.expr import special
+from colombeau.expr.parser import MAX_NESTING
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +540,53 @@ def test_leaf_memo_serves_later_trees_and_skips_their_arguments(monkeypatch):
     orders.clear()
     eval_batch(first, shared, 0.25)
     assert orders == [0]
+
+
+def test_an_evaluation_leaves_no_cycle_that_keeps_its_grid_alive():
+    # reference counting alone frees the grid and its leaf values: state in a
+    # reference cycle would keep them until the cyclic collector ran
+    e = parse("cutoff(x1)*sin(x1/eps)")
+    for _ in range(3):
+        e = differentiate(e, 0)
+    grid = Grid.tensor([np.linspace(-2.5, 2.5, 101)], LeafMemo(1 << 12))
+    gc.disable()
+    try:
+        eval_batch(e, grid, 0.5)
+        refs = [weakref.ref(grid)] + [weakref.ref(v) for v in grid.memo.values.values()]
+        assert len(refs) == 7  # cutoff of orders 0..3, sin and cos
+        del grid
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
+
+
+def test_a_tree_too_deep_for_the_walk_raises_an_expression_error():
+    # built directly: parse refuses such nesting, and simplify would recurse
+    e = Var(0)
+    for _ in range(sys.getrecursionlimit()):
+        e = Sin(e)
+    with pytest.raises(ExpressionError, match="nested too deeply"):
+        evaluate(e, (0.5,), 0.5)
+    with pytest.raises(ExpressionError, match="nested too deeply"):
+        eval_batch(e, np.array([[0.1, 0.2]]), 0.5)
+
+
+def _nested(units, depth):
+    # depth nesting levels that cycle through units, each an opening
+    # (bracket or function call) or a unary minus
+    opens = [units[i % len(units)] for i in range(depth)]
+    return "".join(opens) + "x1" + ")" * sum(u.endswith("(") for u in opens)
+
+
+@pytest.mark.parametrize("units", [["sin("], ["("], ["-"], ["-", "("], ["cos(", "-", "exp("]])
+def test_parser_nesting_limit(units):
+    at = parse(_nested(units, MAX_NESTING))
+    assert math.isfinite(evaluate(at, (0.5,), 0.5))
+    past = _nested(units, MAX_NESTING + 1)
+    with pytest.raises(ParseError, match="nesting") as err:
+        parse(past)
+    # reported at the bracket or minus sign one level too deep
+    assert err.value.position == past.index("x1") - 1
 
 
 def test_leaf_memo_stops_storing_at_its_limit():

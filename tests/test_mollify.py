@@ -8,6 +8,7 @@ from colombeau.expr import parse
 from colombeau.expr.special import bump_deriv_values
 from colombeau.mollify import (
     CONVERGENCE_GRID,
+    REGULAR_BOUND_J0,
     MollifiedNet,
     PsiRouteNet,
     build_mollifier,
@@ -27,6 +28,7 @@ from colombeau.nets import (
     seminorm,
 )
 from colombeau.regularity import RegularityError
+from colombeau.scale import EpsGrid
 
 K01 = CompactBox.interval(0.0, 1.0)
 
@@ -313,6 +315,15 @@ def test_regular_bound_holds(compact_osc):
 def test_regular_bound_needs_support():
     with pytest.raises(NetError):
         regular_bound_experiment(_net("sin(x1/eps)", hint=1), K01, 0, 1)
+
+
+def test_regular_bound_refuses_a_grid_with_nothing_to_check(compact_osc):
+    # the check starts at grid index REGULAR_BOUND_J0, so a grid of that many
+    # points would give no row and a vacuous 'yes'
+    with pytest.raises(NetError):
+        regular_bound_experiment(compact_osc, K01, 0, 1, EpsGrid(count=REGULAR_BOUND_J0))
+    rep = regular_bound_experiment(compact_osc, K01, 0, 1, EpsGrid(count=REGULAR_BOUND_J0 + 1))
+    assert [r.j for r in rep.rows] == [REGULAR_BOUND_J0]
 
 
 def test_psi_route_rejects_unresolvable_base(m32):

@@ -461,6 +461,22 @@ def test_is_moderate_examples():
     assert flat.bound_exponent == 0
 
 
+def test_nonfinite_samples_in_the_fit_window_make_the_fit_unstable():
+    # x1 = 0 is a grid point of [-1, 1], so every eps has a non-finite sample;
+    # the finite max alone would fit a stable v = 0
+    net = ExpressionNet(1, parse("1/x1"))
+    K = CompactBox.interval(-1.0, 1.0)
+    s = sharp_seminorm(net, 0, K, default_grid())
+    assert all(e.nonfinite == 1 for e in s.table.entries)
+    assert not s.estimate.stable
+    assert is_moderate(net, K, 0, default_grid()).verdict == "inconclusive"
+    # non-finite only at eps = 1/2, the first grid point, outside the window
+    late = sharp_seminorm(ExpressionNet(1, parse("sin(x1)/(eps-0.5)")), 0, K01, default_grid())
+    assert [e.eps for e in late.table.entries if e.nonfinite] == [0.5]
+    assert late.estimate.window[0] > 0
+    assert late.estimate.stable
+
+
 def test_is_negligible_examples():
     no = is_negligible(
         ExpressionNet(1, parse("eps^4*sin(x1)")), K01, 0, default_grid()

@@ -62,6 +62,12 @@ def test_fake_seq_roundtrip():
 # ---------------------------------------------------------------------------
 
 
+def test_landau_needs_a_step_to_check():
+    for ln in ([0.0], [0.0, 1.0]):
+        with pytest.raises(RegularityError):
+            landau_check(fake_seq(ln))
+
+
 def test_landau_satisfied_on_linear_growth():
     rep = landau_check(fake_seq([0.0, 1.0, 2.0, 3.0, 4.0]))
     assert rep.all_ok
