@@ -274,8 +274,12 @@ def _diff(e: Expr, i: int) -> Expr:
 def differentiate(e: Expr, var_index: int) -> Expr:
     """Partial derivative with respect to x_{var_index+1}; eps is a constant.
 
-    The result is simplified; more than EXPR_SIZE_CAP nodes raise SizeCapError.
+    The result is simplified; more than EXPR_SIZE_CAP nodes raise SizeCapError,
+    and a tree too deep to recurse through raises ExpressionError.
     """
     if not 0 <= var_index <= 2:
         raise ExpressionError(f"variable index {var_index} out of range 0..2")
-    return check_size(simplify(_diff(e, var_index)))
+    try:
+        return check_size(simplify(_diff(e, var_index)))
+    except RecursionError:
+        raise ExpressionError("expression is nested too deeply to differentiate") from None

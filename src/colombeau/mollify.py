@@ -17,7 +17,12 @@ derivative on u (the exact symbolic path) with weights w_q psi(s_q); for the
 growth-bound check PsiRouteNet puts it on psi instead -- u star
 d^alpha(psi_{eps^n}) -- with weights w_q psi^(alpha)(s_q) eps^(-n|alpha|),
 and the agreement of the two routes is itself a test.  psi and its
-derivatives come from the bump recurrence in expr.special.
+derivatives come from the bump recurrence in expr.special.  On the psi
+route every order reads the same base values, so one pass over a sweep's
+block serves the orders REGULAR_BOUND_K_LIST and the asked one, each formed
+by its own product; the values live in one store on the base net per
+(n, mollifier), which is how regular_bound_experiment's k loop samples the
+base once.
 
 The loop hands the base net blocks of about _EVAL_CHUNK shifted points, so
 every temporary the evaluator makes stays near 128 KB.  Each output point is
@@ -46,7 +51,10 @@ from .nets import (
     NetError,
     Sampling,
     _clip,
+    _block_max,
+    block_max_key,
     enlarge,
+    fill_key,
     seminorm,
     seminorm_table,
     sharp_seminorm,
@@ -57,6 +65,7 @@ from .scale import EpsGrid, jsonable
 DEFAULT_QUAD_ORDER = 32
 DEFAULT_N_LIST = (1, 2, 3, 4)
 DENSITY_N_LIST = (1, 2, 3)  # n_list of the regular-bound and sublinear-density experiments
+REGULAR_BOUND_K_LIST = (0, 1, 2, 3)  # k_list of the regular-bound experiment
 DEFAULT_ENLARGEMENT = 0.5
 CONVERGENCE_SLACK = 0.2
 REGULAR_BOUND_J0 = 4
@@ -183,13 +192,13 @@ class MollifiedNet(FunctionNet):
         self._nodes = mollifier.nodes[:, self._keep]
         self._weights = mollifier.core_weights[self._keep]
 
-    def _convolve(self, alpha, weights, coords, eps):
-        """sum_q weights_q * d^alpha u_eps(x - eps^n s_q), in blocks of points."""
+    def _shifted_values(self, alpha, coords, eps):
+        """(rows, d^alpha u_eps(x - eps^n s_q)) per block of output points:
+        one row of M node values per point, so a block's weighted sum is one
+        matrix-vector product."""
         shift = eps**self.n
-        coords = np.asarray(coords)  # a Grid flattens to its (d, N) points
         d, total = coords.shape
         m = self._nodes.shape[1]
-        out = np.empty(total)
         step = max(1, _EVAL_CHUNK // m // _ROW_GROUP) * _ROW_GROUP
         start = 0
         while start < total:
@@ -197,12 +206,15 @@ class MollifiedNet(FunctionNet):
             block = coords[:, start:stop]
             shifted = block[:, :, None] - shift * self._nodes[:, None, :]
             vals = self.base.derivative_batch(alpha, shifted.reshape(d, -1), eps)
-            out[start:stop] = vals.reshape(-1, m) @ weights
+            yield slice(start, stop), vals.reshape(-1, m)
             start = stop
-        return out
 
     def derivative_batch(self, alpha, coords, eps):
-        return self._convolve(alpha, self._weights, coords, eps)
+        coords = np.asarray(coords)  # a Grid flattens to its (d, N) points
+        out = np.empty(coords.shape[1])
+        for rows, vals in self._shifted_values(alpha, coords, eps):
+            out[rows] = vals @ self._weights
+        return out
 
     def sample_intervals(self, box, eps):
         shift = eps**self.n
@@ -233,6 +245,20 @@ class PsiRouteNet(MollifiedNet):
     derivative_batch(alpha, x, eps) computes
         eps^(-n|alpha|) * sum_q w_q psi^(alpha)(s_q) u_eps(x - eps^n s_q),
     which equals the mollified net's alpha-derivative up to quadrature error.
+
+    Every order reads the same base values u_eps(x - eps^n s_q) and differs
+    only in its weights, so the route samples the orders the regular-bound
+    check asks by default (REGULAR_BOUND_K_LIST) together with the asked
+    one.  On a sweep's first call on a kept block, derivative_batch takes the
+    multi-indices ``seminorm`` left there for this route, evaluates the base
+    once per block of rows and forms each multi-index with its own
+    matrix-vector product (one (M, orders) product would sum in another order
+    and move bits).  It returns the asked one and leaves each other one's
+    block max and non-finite count in the memo for ``_grid_max``.  Every
+    route over the same base, n and mollifier keeps its seminorm values in
+    one store on the base, so a route made for another order finds them; no
+    route is kept, since a base holding routes that hold it would be a
+    reference cycle.
     """
 
     variant = "psi-route"
@@ -240,16 +266,39 @@ class PsiRouteNet(MollifiedNet):
     def __init__(self, base: FunctionNet, n: int, mollifier: Mollifier):
         super().__init__(base, n, mollifier)
         self._weight_cache: dict[tuple[int, ...], np.ndarray] = {}
+        routes = vars(base).setdefault("_psi_route_values", {})
+        self._seminorm_values = routes.setdefault((n, mollifier), {})
 
-    def derivative_batch(self, alpha, coords, eps):
-        alpha = tuple(int(a) for a in alpha)
+    def sampled_together(self, k: int) -> list[int]:
+        return sorted({k, *REGULAR_BOUND_K_LIST})
+
+    def _terms(self, alpha: tuple[int, ...], eps: float) -> tuple[np.ndarray, float]:
+        """(w_q psi^(alpha)(s_q), eps^(-n|alpha|)) for one multi-index."""
         weights = self._weight_cache.get(alpha)
         if weights is None:
             rule = self.mollifier.weights[self._keep]
             weights = rule * self.mollifier.psi_deriv(alpha, self._nodes)
             self._weight_cache[alpha] = weights
-        scale = float(np.float64(eps) ** (-self.n * sum(alpha)))
-        return self._convolve((0,) * self.dimension, weights, coords, eps) * scale
+        return weights, float(np.float64(eps) ** (-self.n * sum(alpha)))
+
+    def derivative_batch(self, alpha, coords, eps):
+        alpha = tuple(int(a) for a in alpha)
+        memo = getattr(coords, "memo", None)
+        asked = () if memo is None else memo.values.pop(fill_key(self), ())
+        others = [a for a in asked if a != alpha]
+        weights, scale = self._terms(alpha, eps)
+        terms = [self._terms(a, eps) for a in others]
+        maxes = [(-1.0, 0)] * len(others)
+        coords = np.asarray(coords)
+        out = np.empty(coords.shape[1])
+        for rows, vals in self._shifted_values((0,) * self.dimension, coords, eps):
+            out[rows] = (vals @ weights) * scale
+            for i, (w, sc) in enumerate(terms):
+                best, bad = _block_max((vals @ w) * sc)
+                maxes[i] = (max(maxes[i][0], best), maxes[i][1] + bad)
+        for a, block_max in zip(others, maxes):
+            memo.keep(block_max_key(self, a), block_max)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +459,11 @@ def regular_bound_experiment(
     mollifier: Optional[Mollifier] = None,
 ) -> RegularBoundReport:
     """Check p_{k,K}(u star psi_{eps^n}) <= eps^(-nk-1) sup_L |u_eps| in the ln domain,
-    up to REGULAR_BOUND_SLACK, for every grid index j >= REGULAR_BOUND_J0, derivatives on psi."""
+    up to REGULAR_BOUND_SLACK, for every grid index j >= REGULAR_BOUND_J0, derivatives on psi.
+
+    The route's seminorms live on u, so a call for another k in
+    REGULAR_BOUND_K_LIST with the same n, K and mollifier reads the orders
+    the first call sampled."""
     if u.support_box is None:
         raise NetError("the regular bound needs a net with a declared support_box")
     if grid.count <= REGULAR_BOUND_J0:

@@ -34,6 +34,18 @@ values.  Each net keeps the small ``SeminormValue`` of every order of every
 sweep it was sampled on, for as long as the net lives, so a repeated
 ``seminorm`` call samples nothing.  ``regularity.psequence`` visits eps
 outer and k inner so that all orders at one eps meet the same live sweep.
+
+A net may name the orders it samples together (``sampled_together``); by
+default only the asked one.  A psi route (``mollify.PsiRouteNet``) reads
+every order from the same base values, so on a miss on a sweep whose
+regions each keep their block, ``seminorm`` leaves in each block's memo,
+under ``fill_key(net)``, the multi-indices of the orders not yet stored.
+The net's first call there forms them all from one pass and leaves each
+one's block max and non-finite count under ``block_max_key``, which
+``_grid_max`` reads before it calls the net.  The request names the net,
+so a net handed another net's block (a difference of nets) forms only the
+asked multi-index.  A region cut into blocks per multi-index keeps no
+memo, so a sweep with such a region samples only the asked order.
 """
 from __future__ import annotations
 
@@ -255,6 +267,11 @@ class FunctionNet:
     def sample_intervals(self, box: tuple[Interval, ...], eps: float) -> Optional[list[Interval]]:
         """Box intersected with known support; None when the net vanishes on it."""
         return list(box)
+
+    def sampled_together(self, k: int) -> Sequence[int]:
+        """The orders ``seminorm`` samples and stores on a miss for order k
+        (see the module docstring); k must be among them."""
+        return (k,)
 
     def describe(self) -> dict:
         return {"variant": type(self).__name__, "dimension": self.dimension}
@@ -548,19 +565,45 @@ def _block_slices(axes: list[np.ndarray], limit: int):
             yield (h,) + tail
 
 
+def fill_key(net: FunctionNet) -> tuple:
+    """The ``LeafMemo`` key under which ``seminorm`` leaves on a kept block
+    the multi-indices net may form on its first call there."""
+    return ("fill", id(net))
+
+
+def block_max_key(net: FunctionNet, alpha: tuple[int, ...]) -> tuple:
+    """The ``LeafMemo`` key under which net leaves a kept block's
+    ``_block_max`` for a multi-index it formed unasked."""
+    return ("block max", id(net), alpha)
+
+
+def _block_max(vals: np.ndarray) -> tuple[float, int]:
+    """(max |value| over the finite values, or -1.0 if none; non-finite count)."""
+    hi, lo = float(vals.max()), float(vals.min())
+    if math.isfinite(hi) and math.isfinite(lo):  # no nan or inf: no mask, no copy
+        return max(hi, -lo), 0
+    finite = np.isfinite(vals)
+    best = float(np.max(np.abs(vals[finite]))) if finite.any() else -1.0
+    return best, int(vals.size - np.count_nonzero(finite))
+
+
 def _grid_max(net: FunctionNet, alpha, blocks, eps) -> tuple[float, int]:
     best = -1.0
     bad = 0
+    key = block_max_key(net, alpha)
     for chunk in blocks:
-        vals = net.derivative_batch(alpha, chunk, eps)
-        hi, lo = float(vals.max()), float(vals.min())
-        if math.isfinite(hi) and math.isfinite(lo):  # no nan or inf: no mask, no copy
-            best = max(best, hi, -lo)
-            continue
-        finite = np.isfinite(vals)
-        bad += int(vals.size - np.count_nonzero(finite))
-        if finite.any():
-            best = max(best, float(np.max(np.abs(vals[finite]))))
+        # A net that formed this multi-index unasked (a psi route) left its
+        # block max in the kept block's memo.  Only this lookup sits in front
+        # of derivative_batch, and vals stays bound until the next block is
+        # allocated: with the reduction moved into a net method, each block's
+        # values were freed first, and every 2^19-point block of a 2-d grid
+        # came on fresh pages.
+        stored = None if chunk.memo is None else chunk.memo.values.get(key)
+        if stored is None:
+            vals = net.derivative_batch(alpha, chunk, eps)
+            stored = _block_max(vals)
+        best = max(best, stored[0])
+        bad += stored[1]
     return best, bad
 
 
@@ -578,6 +621,7 @@ class _Sweep:
         self.net = weakref.ref(net)  # a sweep does not keep its net alive
         self.key = (K, eps, sampling)
         self.regions = []  # (axes, the one block or None) of each box the net can be non-zero on
+        self.kept = True  # every region keeps its one block
         self.undersampled = False
         for box in K.boxes:
             intervals = net.sample_intervals(box, eps)
@@ -589,7 +633,15 @@ class _Sweep:
             one = None
             if math.prod(a.size for a in axes) <= _CHUNK:
                 one = ex.Grid.tensor(axes, ex.LeafMemo(_CHUNK))
+            self.kept = self.kept and one is not None
             self.regions.append((axes, one))
+
+    def ask(self, net: FunctionNet, orders) -> None:
+        """Leave on each kept block the multi-indices of these orders for
+        net's first call there (see ``fill_key``)."""
+        alphas = [a for k in orders for a in multi_indices(net.dimension, k)]
+        for _, one in self.regions:
+            one.memo.values[fill_key(net)] = alphas
 
     def value(self, net: FunctionNet, k: int) -> SeminormValue:
         eps = self.key[1]
@@ -644,7 +696,15 @@ def seminorm(
     per_order = vars(net).setdefault("_seminorm_values", {}).setdefault((K, eps, sampling), {})
     value = per_order.get(k)
     if value is None:
-        value = per_order[k] = _sweep(net, K, eps, sampling).value(net, k)
+        sweep = _sweep(net, K, eps, sampling)
+        orders = [k]
+        if sweep.kept:  # blocks cut again per multi-index keep nothing from one order to the next
+            orders = [o for o in net.sampled_together(k) if o not in per_order]
+        if len(orders) > 1:
+            sweep.ask(net, orders)
+        for order in orders:
+            per_order[order] = sweep.value(net, order)
+        value = per_order[k]
     return value
 
 

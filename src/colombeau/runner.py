@@ -35,6 +35,7 @@ from .mollify import (
     DEFAULT_N_LIST,
     DENSITY_N_LIST,
     Mollifier,
+    REGULAR_BOUND_K_LIST,
     build_mollifier,
     class_A_membership,
     convergence_experiment,
@@ -208,7 +209,7 @@ def _class_a(cfg: ExperimentConfig, params: dict) -> Outcome:
 def _regular_bound(cfg: ExperimentConfig, params: dict) -> Outcome:
     rows, results = [], []
     for n in params.get("n_list", DENSITY_N_LIST):
-        for k in params.get("k_list", range(4)):
+        for k in params.get("k_list", REGULAR_BOUND_K_LIST):
             for ci, K in enumerate(cfg.compacts):
                 rep = regular_bound_experiment(cfg.net, K, k, n, cfg.grid, cfg.sampling)
                 rows += [(n, k, ci, *astuple(r)) for r in rep.rows]

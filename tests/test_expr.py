@@ -571,6 +571,19 @@ def test_a_tree_too_deep_for_the_walk_raises_an_expression_error():
         eval_batch(e, np.array([[0.1, 0.2]]), 0.5)
 
 
+def test_a_tree_too_deep_to_differentiate_raises_an_expression_error():
+    # 600 levels: simplify and ExpressionNet accept the tree, _diff's recursion does not
+    from colombeau.nets import CompactBox, ExpressionNet, seminorm
+
+    e = Var(0)
+    for _ in range(600):
+        e = Sin(e)
+    with pytest.raises(ExpressionError, match="nested too deeply to differentiate"):
+        differentiate(e, 0)
+    with pytest.raises(ExpressionError, match="nested too deeply to differentiate"):
+        seminorm(ExpressionNet(1, e), 1, CompactBox.interval(0.0, 1.0), 0.5)
+
+
 def _nested(units, depth):
     # depth nesting levels that cycle through units, each an opening
     # (bracket or function call) or a unary minus

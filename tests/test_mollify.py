@@ -1,10 +1,12 @@
+import gc
 import importlib
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from colombeau.expr import parse
+from colombeau.expr import Grid, LeafMemo, parse
 from colombeau.expr.special import bump_deriv_values
 from colombeau.mollify import (
     CONVERGENCE_GRID,
@@ -25,6 +27,10 @@ from colombeau.nets import (
     FunctionNet,
     K_MAX_CAP,
     NetError,
+    _grid_max,
+    block_max_key,
+    fill_key,
+    multi_indices,
     seminorm,
 )
 from colombeau.regularity import RegularityError
@@ -326,6 +332,56 @@ def test_regular_bound_refuses_a_grid_with_nothing_to_check(compact_osc):
     assert [r.j for r in rep.rows] == [REGULAR_BOUND_J0]
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_regular_bound_rows_do_not_depend_on_the_order_of_k(monkeypatch, threads):
+    # every route over one base, n and mollifier reads one store of its orders
+    from colombeau.catalog import REFERENCE_COMPACTS, catalog_net
+
+    monkeypatch.setenv("COLOMBEAU_THREADS", threads)
+    grid = EpsGrid(count=14)  # the last two points hit the 20001-point cap on both compacts
+    for K in REFERENCE_COMPACTS:
+        for n in (1, 2, 3):
+            ascending, descending = catalog_net("compact_osc"), catalog_net("compact_osc")
+            up = {k: regular_bound_experiment(ascending, K, k, n, grid).rows for k in range(4)}
+            down = {k: regular_bound_experiment(descending, K, k, n, grid).rows
+                    for k in (3, 2, 1, 0)}
+            for k in range(4):
+                fresh = regular_bound_experiment(catalog_net("compact_osc"), K, k, n, grid).rows
+                assert up[k] == down[k] == fresh, (K, n, k)
+
+
+def test_regular_bound_samples_the_base_once_for_every_k(monkeypatch):
+    from colombeau.catalog import catalog_net
+
+    u = catalog_net("compact_osc")  # not the fixture, whose store other tests fill
+    calls = []
+    real = PsiRouteNet.derivative_batch
+    monkeypatch.setattr(PsiRouteNet, "derivative_batch",
+                        lambda self, *a: calls.append(a[0]) or real(self, *a))
+    grid = EpsGrid(count=REGULAR_BOUND_J0 + 3)
+    regular_bound_experiment(u, K01, 2, 1, grid)
+    assert calls == [(0,)] * 3  # one block per checked eps, all orders at once
+    for k in (0, 1, 3):
+        regular_bound_experiment(u, K01, k, 1, grid)
+    assert len(calls) == 3
+    regular_bound_experiment(u, K01, 2, 2, grid)  # another n samples again
+    assert len(calls) == 6
+
+
+def test_regular_bound_leaves_no_reference_cycle():
+    from colombeau.catalog import catalog_net
+
+    u = catalog_net("compact_osc")
+    gc.disable()
+    try:
+        regular_bound_experiment(u, K01, 1, 2, EpsGrid(count=REGULAR_BOUND_J0 + 2))
+        ref = weakref.ref(u)
+        del u
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_psi_route_rejects_unresolvable_base(m32):
     # under t = eps^n s the integrand has s-features of size eps^(hint - n),
     # which no fixed-order rule resolves; both routes must refuse the net
@@ -417,3 +473,64 @@ def test_quadrature_blocks_move_no_bit(d, monkeypatch):
                     monkeypatch.setattr(mollify_module, "_EVAL_CHUNK", size)
                     got.append(net.derivative_batch(alpha, pts, 2**-4))
                 assert all(np.array_equal(g, got[-1]) for g in got), (type(net), alpha)
+        # on a kept block that names multi-indices for it, the route forms
+        # them all from one pass: the asked values and each stored block max
+        # move no bit either
+        route = nets[1]
+        every = [a for k in range(K_MAX_CAP + 1) for a in multi_indices(d, k)]
+        monkeypatch.setattr(mollify_module, "_EVAL_CHUNK", sizes[2])
+        points = Grid(tuple(pts), (pts.shape[1],))  # without a memo: one order per call
+        want = {block_max_key(route, a): _grid_max(route, a, [points], 2**-4) for a in every}
+        for alpha in alphas:
+            single = route.derivative_batch(alpha, points, 2**-4)
+            unasked = {key: v for key, v in want.items() if key != block_max_key(route, alpha)}
+            for size in sizes:
+                monkeypatch.setattr(mollify_module, "_EVAL_CHUNK", size)
+                memo = LeafMemo(1 << 10)
+                memo.values[fill_key(route)] = every
+                kept = Grid(tuple(pts), (pts.shape[1],), memo)
+                assert np.array_equal(route.derivative_batch(alpha, kept, 2**-4), single)
+                assert memo.values == unasked, (alpha, size)
+                # the request is used up: a second call forms only the asked one
+                assert np.array_equal(route.derivative_batch(alpha, kept, 2**-4), single)
+                assert memo.values == unasked, (alpha, size)
+
+
+def test_a_route_folds_non_finite_block_maxes_as_grid_max_does():
+    # exp(x1/eps^3) overflows for x1 > 709 eps^3, and the weighted sums
+    # there are inf or nan: the masked branch of the block max, folded over
+    # the route's blocks of rows
+    route = PsiRouteNet(_net("exp(x1/eps^3)"), 1, build_mollifier(1))
+    pts = np.linspace(-2.0, 20.0, 3001)
+    every = [(k,) for k in range(K_MAX_CAP + 1)]
+    memo = LeafMemo(1 << 10)
+    memo.values[fill_key(route)] = every
+    with np.errstate(all="ignore"):
+        route.derivative_batch((0,), Grid.tensor([pts], memo), 0.25)
+        want = {block_max_key(route, a): _grid_max(route, a, [Grid.tensor([pts])], 0.25)
+                for a in every[1:]}
+    assert memo.values == want
+    assert all(0 < bad < pts.size for _, bad in want.values())
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_route_inside_a_difference_forms_only_the_asked_multi_index(d, monkeypatch):
+    # the difference hands the route its own kept blocks, which name no
+    # multi-index for the route: one product per asked multi-index and block
+    if d == 1:
+        u = _net("cutoff(x1)*sin(x1/eps)", hint=1, support=CompactBox.interval(-2, 2))
+    else:
+        u = ExpressionNet(2, parse("cutoff(x1)*sin(x2/eps)*cos(x1)", dimension=2),
+                          oscillation_hint=1, support_box=CompactBox.of([(-2.0, 2.0)] * 2))
+    diff = DifferenceNet(PsiRouteNet(u, 1, build_mollifier(d)), u)
+    asked, formed = [], []
+    batch, terms = PsiRouteNet.derivative_batch, PsiRouteNet._terms
+    monkeypatch.setattr(PsiRouteNet, "derivative_batch",
+                        lambda self, a, *rest: asked.append(a) or batch(self, a, *rest))
+    monkeypatch.setattr(PsiRouteNet, "_terms",
+                        lambda self, a, eps: formed.append(a) or terms(self, a, eps))
+    K = CompactBox.of([(0.0, 1.0)] * d)
+    for k in range(4):
+        seminorm(diff, k, K, 0.5)
+    assert asked == [a for k in range(4) for a in multi_indices(d, k)]
+    assert formed == asked
