@@ -26,7 +26,7 @@ from .nodes import (
 )
 from .parser import ParseError, parse
 from .transform import differentiate, simplify
-from .evaluate import EvaluationError, Grid, LeafMemo, eval_batch, evaluate
+from .evaluate import EvaluationError, Grid, LeafMemo, eval_batch, evaluate, separable_argmax
 
 __all__ = [
     "Add", "Bump", "Const", "Cos", "Cutoff", "Div", "Eps", "EpsPow", "Expr",
@@ -34,4 +34,5 @@ __all__ = [
     "SizeCapError", "Sub", "Exp", "Var", "check_size", "max_var_index",
     "node_count", "to_text", "ParseError", "parse", "differentiate",
     "simplify", "EvaluationError", "Grid", "LeafMemo", "eval_batch", "evaluate",
+    "separable_argmax",
 ]

@@ -27,6 +27,20 @@ together broadcast to a block of points.  On a tensor grid axis i has shape
 the axes it uses: sin(x1/eps) runs once per x1 value, not once per grid
 point.  A (d, N) array of points is a Grid whose axes all have shape (N,).
 
+On a tensor Grid, ``separable_argmax`` finds max |e| and a point where e
+takes it without forming the grid, when e is a product (or a single factor)
+whose factors each use at most one axis, each axis's factors in one run of
+the product's order, spatial constants anywhere.  It folds the factors as
+``product`` does, each on its own axis: n_1 + n_2 values, not n_1 * n_2.
+When the fold reaches a new axis, the running product collapses to its
+signed value at the first argmax of its absolute value.  That is exact:
+rounding to nearest is monotone and symmetric in sign, so |fl(a*b)| never
+decreases as |a| grows, and every later product is largest in magnitude
+where the earlier one was.  The max is bit for bit the one eval_batch would
+give over the grid.  A max that is not finite (an overflow, or a non-finite
+factor value, which argmax picks first) gives None, as does a tree of
+another form; the caller then evaluates every point.
+
 A Grid may carry a ``LeafMemo``: the values of its x-dependent sin, cos,
 exp, bump and cutoff nodes, kept across trees.  The key is the node's
 structural key, the one ``_compile`` interns with (kind, parameter with
@@ -140,7 +154,7 @@ class _Plan:
     params: tuple
     kids: tuple[tuple[int, ...], ...]
     uses: tuple[int, ...]  # references from the other distinct nodes
-    varies: tuple[bool, ...]  # the subtree depends on x
+    varies: tuple[int, ...]  # bit i set: the subtree depends on x_(i+1); 0 for a constant
     max_var: int  # largest variable index, -1 for a spatially constant net
     memo_keys: tuple  # structural key of an x-dependent leaf a LeafMemo keeps, else None
 
@@ -164,7 +178,7 @@ def _compile(root: Expr) -> _Plan:
     params: list = []
     kids: list[tuple[int, ...]] = []
     uses: list[int] = []
-    varies: list[bool] = []
+    varies: list[int] = []
     skeys: list[tuple] = []  # key with the children's skeys in place of their slots
     max_var = -1
     stack = [root]
@@ -194,7 +208,10 @@ def _compile(root: Expr) -> _Plan:
             params.append(float(p) if kind is EpsPow else p)
             kids.append(ks)
             uses.append(0)
-            varies.append(kind is Var or any(varies[c] for c in ks))
+            axes = 1 << p if kind is Var else 0
+            for c in ks:
+                axes |= varies[c]
+            varies.append(axes)
             skeys.append((kind, pkey, tuple(skeys[c] for c in ks)))
             for c in ks:
                 uses[c] += 1
@@ -350,19 +367,106 @@ class _Walk:
             return math.nan if nonfinite else 0.0
         return acc if mask is None else np.where(mask, 0.0, acc)
 
+    def argmax(self, ks: tuple[int, ...]):
+        """``product`` of the factors ks (``_one_axis_runs``) folded axis by
+        axis on a tensor Grid, as the module docstring says: (grid index,
+        max |value|), or None when that max is not finite.  A scalar zero
+        clears the product as it does in ``product``."""
+        root = len(self.plan.kinds) - 1
+        index = [0] * self.coords.shape[0]
+        acc, run = None, 0  # running product, the axis bit it runs along (0: none yet)
+        zero = nonfinite = False
+        for i, c in enumerate(ks):
+            axes = self.plan.varies[c]
+            if zero and axes:
+                self.skip(c)
+                continue
+            v = self.value(c) if c == root else self.take(c)
+            if _is_scalar(v):
+                zero = zero or v == 0.0
+                nonfinite = nonfinite or not math.isfinite(v)
+            if zero:
+                acc = None
+                continue
+            if axes and axes != run:
+                if run:
+                    acc = _collapse(acc, run, index)
+                run = axes
+            acc = v if i == 0 else acc * v
+            del v
+        if zero:
+            return None if nonfinite else (tuple(index), 0.0)
+        if run:
+            acc = _collapse(acc, run, index)
+        best = float(np.max(np.abs(acc)))  # a bump or cutoff of eps alone is a 1-value array
+        return (tuple(index), best) if math.isfinite(best) else None
 
-def _root_value(e: Expr, coords: Grid, eps: float):
-    """The Walk's value of e's root, after the checks both entries share."""
+
+def _collapse(acc: np.ndarray, run: int, index: list[int]):
+    """acc's signed value at the first argmax of |acc| along the axis with
+    bit run, noted in index."""
+    flat = acc.reshape(-1)  # acc varies along that axis alone
+    index[run.bit_length() - 1] = j = int(np.argmax(np.abs(flat)))
+    return flat[j]
+
+
+def _one_axis_runs(plan: _Plan) -> Optional[tuple[int, ...]]:
+    """The root's factors in fold order (the root alone when it is no
+    product) if each uses at most one axis and, spatial constants aside, each
+    axis's factors form one run; otherwise None."""
+    root = len(plan.kinds) - 1
+    ks = plan.kids[root] if plan.kinds[root] is Mul else (root,)
+    ended = current = 0  # axes whose run is over, the axis of the current run
+    for c in ks:
+        axes = plan.varies[c]
+        if axes & (axes - 1) or axes & ended:
+            return None
+        if axes and axes != current:
+            ended |= current
+            current = axes
+    return ks
+
+
+def _walk(e: Expr, coords: Grid, eps: float) -> _Walk:
+    """A walk of e's plan, after the checks every entry shares."""
     plan = _plan_of(e)
     if coords.shape[0] <= plan.max_var:
         raise ExpressionError(f"expression uses {plan.max_var + 1} variables, got {coords.shape[0]}")
     if not (0.0 < eps < 1.0):
         raise ExpressionError(f"eps must lie in (0,1), got {eps}")
+    return _Walk(plan, coords, eps)
+
+
+def _guarded(step, *args):
+    """step(*args) with numpy's error state off; a tree too deep to walk
+    raises ExpressionError."""
     with np.errstate(all="ignore"):
         try:
-            return _Walk(plan, coords, eps).value(len(plan.kinds) - 1)
+            return step(*args)
         except RecursionError:
             raise ExpressionError("expression is nested too deeply to evaluate") from None
+
+
+def _root_value(e: Expr, coords: Grid, eps: float):
+    walk = _walk(e, coords, eps)
+    return _guarded(walk.value, len(walk.plan.kinds) - 1)
+
+
+def separable_argmax(e: Expr, coords: Grid, eps: float) -> Optional[tuple[tuple[int, ...], float]]:
+    """(grid index, max |e|) over a tensor Grid, found axis by axis as the
+    module docstring says: the max ``eval_batch`` would give over the whole
+    grid, bit for bit, and e takes it at that index.  None when e is not a
+    product of one-axis factors in one run per axis, or the max is not
+    finite."""
+    d = coords.shape[0]
+    if len(coords.block) != d or any(
+        np.shape(c) != tuple(n if j == i else 1 for j in range(d))
+        for i, (c, n) in enumerate(zip(coords.coords, coords.block))
+    ):
+        raise ExpressionError("separable_argmax needs a tensor Grid")
+    walk = _walk(e, coords, eps)
+    ks = _one_axis_runs(walk.plan)
+    return None if ks is None else _guarded(walk.argmax, ks)
 
 
 def eval_batch(e: Expr, coords: Grid | np.ndarray, eps: float) -> np.ndarray:

@@ -55,6 +55,7 @@ from .nets import (
     block_max_key,
     enlarge,
     fill_key,
+    map_eps,
     seminorm,
     seminorm_table,
     sharp_seminorm,
@@ -472,18 +473,19 @@ def regular_bound_experiment(
         mollifier = _default_mollifier(u.dimension)
     route = PsiRouteNet(u, n, mollifier)
     L = u.support_box
-    rows = []
-    ok_all = True
-    for j, eps in enumerate(grid.points):
-        if j < REGULAR_BOUND_J0:
-            continue
+
+    def sides(eps):
         lhs = seminorm(route, k, K, eps, sampling).ln_value
         sup0 = seminorm(u, 0, L, eps, sampling).ln_value
-        rhs = (-n * k - 1) * math.log(eps) + sup0
-        ok = lhs <= rhs + REGULAR_BOUND_SLACK
-        ok_all = ok_all and ok
-        rows.append(BoundCheckRow(j, eps, lhs, rhs, ok))
-    return RegularBoundReport(k, n, tuple(rows), "yes" if ok_all else "no")
+        return lhs, (-n * k - 1) * math.log(eps) + sup0
+
+    checked = grid.points[REGULAR_BOUND_J0:]
+    rows = tuple(
+        BoundCheckRow(j, eps, lhs, rhs, lhs <= rhs + REGULAR_BOUND_SLACK)
+        for j, (eps, (lhs, rhs)) in enumerate(zip(checked, map_eps(sides, checked)),
+                                              REGULAR_BOUND_J0)
+    )
+    return RegularBoundReport(k, n, rows, "yes" if all(r.ok for r in rows) else "no")
 
 
 @dataclass(frozen=True)

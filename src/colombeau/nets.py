@@ -23,6 +23,20 @@ square sin(x1/eps)*cos(x2) runs sin on n_1 points and cos on n_2, and only
 the product fills the block.  Nets that do their own per-point arithmetic
 (cutoff products, mollified nets) flatten the block to its (d, N) points.
 
+A region of two or more axes may need no block at all.  A net may name,
+through ``sup_witness``, the grid point where |d^alpha u_eps| is largest and
+that max.  An expression net does so when the derivative is a product whose
+factors each use one axis, each axis's factors in one run
+(``expr.separable_argmax``): the max is found axis by axis, exactly, since
+rounding to nearest is monotone and symmetric in sign.  ``seminorm`` then
+evaluates the net at that one point through ``derivative_batch``, as it
+would a block, and takes the point only when the value there is == the max
+named, so every max is a value the net computed at a sample point.  Else,
+and for a net that names no point (a sum, a factor over two axes, a
+non-finite factor value, a mollified net), it samples every block.  A kept
+block lends its Grid, and with it the LeafMemo, to the search; a larger
+region gets a Grid of its axes alone.  A one-axis region never asks.
+
 The sample points depend on (net, K, eps, sampling) but not on the order k;
 one such tuple is a sweep (``_Sweep``).  A sweep clips and sizes its regions
 once and serves every order from them.  A region that fits one block keeps
@@ -273,6 +287,13 @@ class FunctionNet:
         (see the module docstring); k must be among them."""
         return (k,)
 
+    def sup_witness(self, alpha: tuple[int, ...], grid: ex.Grid, eps: float
+                    ) -> Optional[tuple[tuple[int, ...], float]]:
+        """(grid index, max) of |d^alpha u_eps| over a tensor Grid of two or
+        more axes, found without evaluating every point; None when the net
+        cannot tell (see the module docstring)."""
+        return None
+
     def describe(self) -> dict:
         return {"variant": type(self).__name__, "dimension": self.dimension}
 
@@ -332,6 +353,9 @@ class ExpressionNet(FunctionNet):
 
     def derivative_batch(self, alpha, coords, eps):
         return ex.eval_batch(self.derivative_expr(tuple(alpha)), coords, eps)
+
+    def sup_witness(self, alpha, grid, eps):
+        return ex.separable_argmax(self.derivative_expr(tuple(alpha)), grid, eps)
 
     def sample_intervals(self, box, eps):
         return _clip(box, _support_bounds(self._constraints, eps))
@@ -413,6 +437,9 @@ class BandedNet(FunctionNet):
 
     def derivative_batch(self, alpha, coords, eps):
         return self._part(eps).derivative_batch(alpha, coords, eps)
+
+    def sup_witness(self, alpha, grid, eps):
+        return self._part(eps).sup_witness(alpha, grid, eps)
 
     def sample_intervals(self, box, eps):
         return self._part(eps).sample_intervals(box, eps)
@@ -607,6 +634,19 @@ def _grid_max(net: FunctionNet, alpha, blocks, eps) -> tuple[float, int]:
     return best, bad
 
 
+def _witness_max(net: FunctionNet, alpha, axes, one, eps) -> Optional[tuple[float, int]]:
+    """``_grid_max`` over the tensor grid on axes, from the one point that
+    ``net.sup_witness`` names; None when it names none, or when the net's
+    value there is not == the max it found."""
+    found = net.sup_witness(alpha, one if one is not None else ex.Grid.tensor(axes), eps)
+    if found is None:
+        return None
+    index, folded = found
+    point = ex.Grid.tensor([a[i : i + 1] for a, i in zip(axes, index)])
+    witness = _grid_max(net, alpha, (point,), eps)
+    return witness if witness == (folded, 0) else None
+
+
 class _Sweep:
     """The sampling of one (net, K, eps, sampling), shared by every order.
 
@@ -649,8 +689,11 @@ class _Sweep:
         nonfinite = 0
         for alpha in multi_indices(net.dimension, k):
             for axes, one in self.regions:
-                blocks = (one,) if one is not None else _grid_chunks(axes, _CHUNK)
-                val, bad = _grid_max(net, alpha, blocks, eps)
+                found = _witness_max(net, alpha, axes, one, eps) if len(axes) > 1 else None
+                if found is None:
+                    blocks = (one,) if one is not None else _grid_chunks(axes, _CHUNK)
+                    found = _grid_max(net, alpha, blocks, eps)
+                val, bad = found
                 nonfinite += bad
                 best = max(best, val)
         ln = -math.inf if best <= 0.0 else math.log(best)
@@ -728,11 +771,9 @@ class SeminormTable:
         return out
 
 
-def map_eps(fn, grid: EpsGrid) -> list:
-    """fn at each eps of the grid, in grid order, on up to worker_count()
-    threads; each call sees only its own eps, so the thread count moves
-    no result."""
-    eps_list = grid.points
+def map_eps(fn, eps_list: Sequence[float]) -> list:
+    """fn at each eps, in order, on up to worker_count() threads; each call
+    sees only its own eps, so the thread count moves no result."""
     workers = worker_count()
     if workers > 1 and len(eps_list) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -747,7 +788,7 @@ def seminorm_table(
     grid: EpsGrid,
     sampling: Sampling = DEFAULT_SAMPLING,
 ) -> SeminormTable:
-    return SeminormTable(k, K, tuple(map_eps(lambda e: seminorm(net, k, K, e, sampling), grid)))
+    return SeminormTable(k, K, tuple(map_eps(lambda e: seminorm(net, k, K, e, sampling), grid.points)))
 
 
 @dataclass(frozen=True)

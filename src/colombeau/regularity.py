@@ -84,7 +84,7 @@ def psequence(
     if not 0 <= k_max <= K_MAX_CAP:
         raise RegularityError(f"k_max must lie in 0..{K_MAX_CAP}")
     ks = range(k_max + 1)
-    rows = map_eps(lambda eps: [seminorm(net, k, K, eps, sampling) for k in ks], grid)
+    rows = map_eps(lambda eps: [seminorm(net, k, K, eps, sampling) for k in ks], grid.points)
     return PSequence(tuple(
         SharpSeminorm.fit(SeminormTable(k, K, tuple(row[k] for row in rows))) for k in ks
     ))

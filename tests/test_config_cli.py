@@ -228,6 +228,24 @@ def test_example_configs_load(path):
     assert cfg.experiments
 
 
+def test_the_3d_example_fits_v_of_minus_k(tmp_path):
+    # sin(x1/eps)*cos(x2)*exp(x3) on the unit cube: v(p_k) = -k, within
+    # criterion 3's 0.1; at eps = 2^-8 each grid holds 1025^3 points
+    from colombeau.regularity import psequence
+
+    with open(os.path.join(EXAMPLES, "sin_cos_exp_3d.json"), encoding="utf-8") as fh:
+        document = json.load(fh)
+    document["output_prefix"] = str(tmp_path / "out")
+    cfg = load_config(document)
+    res = run_config(cfg)
+    assert res.exit_code == 0
+    valuation = res.summary["experiments"][1]
+    assert valuation["k"] == 1
+    assert abs(valuation["results"][0]["v_hat"] + 1) <= 0.1
+    seq = psequence(cfg.net, cfg.compacts[0], cfg.grid, cfg.sampling, cfg.k_max)
+    assert [abs(-seq.ln(k) + k) <= 0.1 for k in range(cfg.k_max + 1)] == [True] * 3
+
+
 def test_banded_net_config():
     cfg = load_config(
         base_config(

@@ -36,6 +36,7 @@ from colombeau.expr import (
     evaluate,
     node_count,
     parse,
+    separable_argmax,
     simplify,
     to_text,
 )
@@ -458,6 +459,46 @@ def _same_on_flat_points(e, grid, eps):
 def test_grid_evaluation_equals_flat_points(case):
     e, grid, eps = case
     assert _same_on_flat_points(e, grid, eps), to_text(e)
+
+
+@st.composite
+def _separable_cases(draw):
+    """(product of one-axis factors, one run per axis, a constant anywhere;
+    tensor Grid; eps), d in {2, 3}."""
+    d = draw(st.sampled_from([2, 3]))
+    factors = []
+    for axis in draw(st.permutations(range(d)))[: draw(st.integers(1, d))]:
+        factors += draw(st.lists(_trees((axis,)), min_size=1, max_size=3))
+    factors.insert(draw(st.integers(0, len(factors))), draw(st.sampled_from(_LEAF_CONSTS)))
+    # ties of opposite sign come from symmetric points
+    point = st.one_of(st.sampled_from([0.0, -1.0, 1.0, -2.0, 2.0]),
+                      st.floats(-2.5, 2.5, allow_nan=False))
+    axes = [draw(st.lists(point, min_size=1, max_size=6)) for _ in range(d)]
+    return Mul(tuple(factors)), Grid.tensor(axes), draw(st.sampled_from([0.5, 0.3, 1 / 1024]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_separable_cases())
+def test_separable_argmax_is_the_grid_max_at_its_index(case):
+    e, grid, eps = case
+    found = separable_argmax(e, grid, eps)
+    if found is None:
+        return  # not finite: the caller samples every point instead
+    index, best = found
+    values = np.abs(eval_batch(e, grid, eps))
+    assert np.all(np.isfinite(values)), to_text(e)
+    assert best == values.max() == values[np.ravel_multi_index(index, grid.block)], to_text(e)
+
+
+def test_separable_argmax_needs_one_axis_runs_and_a_tensor_grid():
+    grid = Grid.tensor([np.linspace(-1, 1, 3), np.linspace(0, 2, 4)])
+    x1, x2 = Var(0), Var(1)
+    for e in (Mul((Sin(x1), Cos(x2), Cos(x1))), Cos(Mul((x1, x2))), Add((x1, x2))):
+        assert separable_argmax(e, grid, 0.5) is None, to_text(e)
+    # |sin| ties at x1 = -1 and 1; the first is the witness
+    assert separable_argmax(Mul((Sin(x1), Cos(x2))), grid, 0.5) == ((0, 0), math.sin(1.0))
+    with pytest.raises(ExpressionError):
+        separable_argmax(x1, Grid(np.zeros((2, 5)), (5,)), 0.5)
 
 
 def test_grid_evaluation_of_partial_and_constant_trees():

@@ -350,6 +350,20 @@ def test_regular_bound_rows_do_not_depend_on_the_order_of_k(monkeypatch, threads
                 assert up[k] == down[k] == fresh, (K, n, k)
 
 
+def test_regular_bound_rows_do_not_depend_on_the_thread_count(monkeypatch):
+    # the eps loop runs through nets.map_eps, one eps per task
+    from colombeau.catalog import REFERENCE_COMPACTS, catalog_net
+
+    grid = EpsGrid(count=REGULAR_BOUND_J0 + 6)
+    rows = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("COLOMBEAU_THREADS", threads)
+        rows[threads] = [regular_bound_experiment(catalog_net("compact_osc"), K, k, n, grid).rows
+                         for K in REFERENCE_COMPACTS for k, n in ((0, 1), (2, 2))]
+    assert rows["1"] == rows["2"]
+    assert all(len(r) == 6 for r in rows["1"])
+
+
 def test_regular_bound_samples_the_base_once_for_every_k(monkeypatch):
     from colombeau.catalog import catalog_net
 

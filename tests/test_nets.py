@@ -378,9 +378,14 @@ def test_grid_chunks_cap_points_and_keep_seminorms(monkeypatch, chunk):
         return [
             (ExpressionNet(2, parse("sin(x1/eps)*cos(x2)", dimension=2), 1),
              CompactBox.of([(0.0, 1.0), (0.0, 1.0)]), 0.1, Sampling()),
+            (ExpressionNet(2, parse("sin(x1*x2/eps)", dimension=2), 1),
+             CompactBox.of([(0.0, 1.0), (0.0, 1.0)]), 0.1, Sampling()),
             (ExpressionNet(3, parse("sin(x1/eps)*cos(x2*x3)", dimension=3), 1),
              CompactBox.of([(0.0, 1.0), (-1.0, 0.5), (0.0, 2.0)]), 0.2, Sampling(9)),
         ]
+    # the separable product sin(x1/eps)*cos(x2) is sampled at one witness
+    # point per multi-index; the others at every point of their grids
+    witness = [True, False, False]
 
     def run():
         return [seminorm(net, k, K, eps, sp) for net, K, eps, sp in cases() for k in range(3)]
@@ -395,7 +400,7 @@ def test_grid_chunks_cap_points_and_keep_seminorms(monkeypatch, chunk):
     monkeypatch.setattr(nets, "_CHUNK", chunk)
     assert run() == want
     assert max(sizes) <= chunk
-    per_alpha = [math.prod(v.points_per_axis) for v in want]
+    per_alpha = [1 if witness[i // 3] else math.prod(v.points_per_axis) for i, v in enumerate(want)]
     n_alphas = [len(multi_indices(net.dimension, k)) for net, *_ in cases() for k in range(3)]
     assert sum(sizes) == sum(p * n for p, n in zip(per_alpha, n_alphas))
     # the blocks list every point of each grid once, in C order

@@ -4,8 +4,11 @@
 the sweep's blocks and the leaf values on them, and each net keeps the
 value of every order it was asked for.  These tests pin that the sharing
 moves no bit against k-outer tables on fresh nets, that the sharing happens,
-and that a sweep's leaf values do not outlive the next sweep.
+and that a sweep's leaf values do not outlive the next sweep.  They also
+pin that a region of two or more axes sampled at one witness point gives
+the seminorm its every block gives.
 """
+import math
 import sys
 import weakref
 from collections import Counter
@@ -15,7 +18,7 @@ import pytest
 
 import colombeau.nets as nets
 from colombeau.catalog import CATALOG, REFERENCE_COMPACTS, catalog_net
-from colombeau.expr import parse, special
+from colombeau.expr import Cos, Mul, Sin, Var, parse, special
 from colombeau.mollify import mollify
 from colombeau.nets import (
     BandedNet,
@@ -152,3 +155,86 @@ def test_a_new_sweep_drops_the_leaf_values_of_the_last():
     del block
     seminorm(catalog_net("osc"), 0, K, 0.125)
     assert all(ref() is None for ref in leaves)
+
+
+# ---------------------------------------------------------------------------
+# the witness path: one point where a product of one-axis factors peaks
+# ---------------------------------------------------------------------------
+
+
+def _net(text, d, hint=1):
+    return lambda: ExpressionNet(d, parse(text, dimension=d), hint)
+
+
+_SQUARE = CompactBox.of([(0.0, 1.0), (0.0, 1.0)])
+_CUBE = CompactBox.of([(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)])
+
+# (name, net builder, compact, sampling, eps values, whether every
+# multi-index of orders 0..2 is sampled at its witness point alone)
+WITNESS_CASES = [
+    # at eps = 2^-8 the square holds 1025^2 points, more than one block
+    ("square", _square, _SQUARE, Sampling(), (0.5, 2**-4, 2**-8), True),
+    ("cube-product", _net("sin(x1/eps)*cos(x2)*exp(x3)*eps^2", 3), _CUBE, Sampling(9, 65),
+     (0.5, 2**-3, 2**-6), True),
+    ("cube", _cube, CompactBox.of([(0.0, 1.0), (-1.0, 0.5), (-2.5, 2.0)]), Sampling(9, 65),
+     (0.5, 2**-3, 2**-6), False),
+    # |x1| and |sin(x2)| peak at both ends of [-1, 1], with opposite signs
+    ("tied", _net("x1*cos(x2)", 2, 0), CompactBox.of([(-1.0, 1.0), (-1.0, 1.0)]), Sampling(),
+     (0.5,), True),
+    # non-finite on the line x2 = 0: the witness path gives way to the blocks
+    ("reciprocal", _net("1/x2", 2, 0), _SQUARE, Sampling(), (0.5,), False),
+    ("sin-reciprocal", _net("sin(x1/eps)*(1/x2)", 2), _SQUARE, Sampling(), (0.5, 2**-4), False),
+    ("product-argument", _net("cos(x2*x1)", 2), _SQUARE, Sampling(), (0.5, 2**-4), False),
+    # orders 1 and 2 in x1 are sums; the others split the x1 factors
+    ("cutoff-product", _net("cutoff(x1)*sin(x2/eps)*cos(x1)", 2), _SQUARE, Sampling(),
+     (0.5, 2**-4), False),
+    ("split-x1", lambda: ExpressionNet(2, Mul((Sin(Var(0)), Cos(Var(1)), Cos(Var(0))))), _SQUARE,
+     Sampling(), (0.5,), False),
+]
+
+
+def _block_path(net, k, K, eps, sampling):
+    """(ln max, non-finite count) of order k over every block of every region."""
+    best, bad = -1.0, 0
+    for axes, _ in nets._Sweep(net, K, eps, sampling).regions:
+        for alpha in nets.multi_indices(net.dimension, k):
+            val, n = nets._grid_max(net, alpha, nets._grid_chunks(axes, nets._CHUNK), eps)
+            best, bad = max(best, val), bad + n
+    return (-math.inf if best <= 0.0 else math.log(best)), bad
+
+
+@pytest.mark.parametrize("name, build, K, sampling, eps_list, witness", WITNESS_CASES,
+                         ids=[c[0] for c in WITNESS_CASES])
+def test_the_witness_path_equals_the_block_path(monkeypatch, name, build, K, sampling, eps_list,
+                                                witness):
+    sizes = []  # points of each block seminorm hands the net
+    real = ExpressionNet.derivative_batch
+    for eps in eps_list:
+        for k in range(3):
+            sizes.clear()
+            with monkeypatch.context() as m:
+                m.setattr(ExpressionNet, "derivative_batch",
+                          lambda self, a, c, e: sizes.append(c.shape[1]) or real(self, a, c, e))
+                got = seminorm(build(), k, K, eps, sampling)
+            assert (got.ln_value, got.nonfinite) == _block_path(build(), k, K, eps, sampling), (
+                name, eps, k)
+            assert all(n == 1 for n in sizes) if witness else all(n > 1 for n in sizes)
+
+
+def test_a_factor_non_finite_on_a_line_keeps_its_count():
+    # x2 = 0 on one point of every row; at x1 = 0 the exact zero sin(0) masks
+    # sin(x1/eps)*inf to 0
+    for text, rows_lost in (("1/x2", 0), ("sin(x1/eps)*(1/x2)", 1)):
+        v = seminorm(_net(text, 2)(), 0, _SQUARE, 0.5)
+        assert v.nonfinite == v.points_per_axis[0] - rows_lost, text
+
+
+def test_a_one_axis_region_never_asks_for_a_witness(monkeypatch):
+    def refuse(self, alpha, grid, eps):
+        raise AssertionError("a 1-d region asked for a witness")
+
+    for cls in (nets.FunctionNet, ExpressionNet, BandedNet):
+        monkeypatch.setattr(cls, "sup_witness", refuse)
+    K = CompactBox.interval(-1.0, 2.0)
+    for net in (catalog_net("osc"), catalog_net("compact_osc"), _banded()):
+        psequence(net, K, GRID, k_max=2)
