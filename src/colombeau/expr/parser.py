@@ -39,6 +39,7 @@ from .nodes import (
     Exp,
     Var,
 )
+from .transform import simplify
 
 _TOKEN_RE = re.compile(
     r"""
@@ -235,6 +236,4 @@ class _Parser:
 
 def parse(text: str, dimension: int = 1) -> Expr:
     """Parse ``text`` into simplified normal form for a net in ``dimension`` variables."""
-    from .transform import simplify
-
     return simplify(_Parser(text, dimension).parse())

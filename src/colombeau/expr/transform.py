@@ -4,6 +4,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from . import special
 from .nodes import (
     Add,
@@ -42,12 +44,8 @@ def _fold_unary(node: Expr, arg: Const) -> Expr | None:
         if isinstance(node, Exp):
             return Const(math.exp(v))
         if isinstance(node, Bump):
-            import numpy as np
-
             return Const(float(special.bump_deriv_values(node.order, np.array([v]))[0]))
         if isinstance(node, Cutoff):
-            import numpy as np
-
             return Const(float(special.cutoff_deriv_values(node.order, np.array([v]))[0]))
     except (OverflowError, ValueError):
         return None

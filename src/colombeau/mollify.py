@@ -42,11 +42,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import expr as ex
 from .expr.special import ball_bump_values
 from .nets import (
     CompactBox,
     DEFAULT_SAMPLING,
     DifferenceNet,
+    ExpressionNet,
     FunctionNet,
     NetError,
     Sampling,
@@ -307,33 +309,49 @@ class PsiRouteNet(MollifiedNet):
 # ---------------------------------------------------------------------------
 
 
-def cutoff_net(u: FunctionNet, inner_box: CompactBox, outer_margin: float) -> FunctionNet:
+def cutoff_net(u: FunctionNet, inner_box: CompactBox, outer_margin: float) -> ExpressionNet:
     """u times per-axis plateau cutoffs: identity on inner_box, zero outside
     inner_box inflated by outer_margin.
 
     The plateau:support ratio of the cutoff profile is 1:2, so the margin
     must be at least each half-width of inner_box for both requirements to
     be satisfiable (radius (h+m)/2 then has plateau >= h and support h+m).
-    """
-    from .nets import CutoffProductNet
 
+    u must be an expression net; any other net (banded, finite sum,
+    mollified, difference) raises NetError.  The result is the expression
+    net u * prod_i cutoff((x_i - c_i)/r_i), with u's oscillation hint and,
+    as support box, c +- 2r cut to u's support box (c +- 2r alone when no
+    base box meets it with positive width).  Each cutoff factor adds to the
+    symbolic derivative trees: with u = cutoff(x1)*sin(x1/eps) the order-8
+    tree is 98 024 nodes, under expr.EXPR_SIZE_CAP, and an order-9
+    derivative raises SizeCapError; a base with three x1 factors raises it
+    from order 7 on.
+    """
+    if not isinstance(u, ExpressionNet):
+        raise NetError(f"cutoff_net needs an expression net, not {type(u).__name__}")
     if outer_margin <= 0:
         raise NetError("outer_margin must be positive")
     if len(inner_box.boxes) != 1:
         raise NetError("inner region must be a single box")
     if inner_box.dimension != u.dimension:
         raise NetError("inner box dimension mismatch")
-    centers, radii = [], []
-    for lo, hi in inner_box.boxes[0]:
+    factors, outer = [u.expression], []
+    for i, (lo, hi) in enumerate(inner_box.boxes[0]):
         h = (hi - lo) / 2.0
         if outer_margin < h - 1e-12:
             raise NetError(
                 f"outer_margin {outer_margin} below the inner half-width {h}; "
                 "the plateau cannot cover the inner box"
             )
-        centers.append((lo + hi) / 2.0)
-        radii.append((h + outer_margin) / 2.0)
-    return CutoffProductNet(u, centers, radii)
+        c, r = (lo + hi) / 2.0, (h + outer_margin) / 2.0
+        factors.append(ex.Cutoff(ex.Div(ex.Sub(ex.Var(i), ex.Const(c)), ex.Const(r))))
+        outer.append((c - 2 * r, c + 2 * r))
+    base_boxes = () if u.support_box is None else u.support_box.boxes
+    # a base box that only touches the outer box meets it in a zero-width box
+    cut = [b for b in (_clip(outer, enumerate(bb)) for bb in base_boxes)
+           if b is not None and all(lo < hi for lo, hi in b)]
+    support = CompactBox.of(*cut) if cut else CompactBox.of(outer)
+    return ExpressionNet(u.dimension, ex.Mul(tuple(factors)), u.oscillation_hint, support)
 
 
 # ---------------------------------------------------------------------------

@@ -11,17 +11,16 @@ subject to a hard per-axis cap.  Before sampling, each box is clipped to
 where the net can be non-zero, by one per-axis intersection (``_clip``):
 the support of each multiplicative bump or cutoff factor whose argument is
 affine in one axis (slope and shift may depend on eps; the expression
-calculus reads them), the c +- 2r support of a cutoff product, and a
-mollified net's base region widened by eps^n.  The net vanishes identically
-outside, so concentrated nets stay resolvable after the cap would otherwise
-bind.
+calculus reads them), and a mollified net's base region widened by eps^n.
+The net vanishes identically outside, so concentrated nets stay resolvable
+after the cap would otherwise bind.
 
 A grid reaches a net in blocks of at most ``_CHUNK`` points, each an
 ``expr.Grid`` that holds one slice per axis instead of every point: an
 expression net evaluates each subtree on the axes it uses, so on the unit
 square sin(x1/eps)*cos(x2) runs sin on n_1 points and cos on n_2, and only
-the product fills the block.  Nets that do their own per-point arithmetic
-(cutoff products, mollified nets) flatten the block to its (d, N) points.
+the product fills the block.  A net that does its own per-point arithmetic
+(a mollified net) flattens the block to its (d, N) points.
 
 A region of two or more axes may need no block at all.  A net may name,
 through ``sup_witness``, the grid point where |d^alpha u_eps| is largest and
@@ -46,8 +45,8 @@ reused by the next order's tree, bit for bit.  Each thread keeps only its
 latest sweep, so a new sweep frees the previous one's blocks and leaf
 values.  Each net keeps the small ``SeminormValue`` of every order of every
 sweep it was sampled on, for as long as the net lives, so a repeated
-``seminorm`` call samples nothing.  ``regularity.psequence`` visits eps
-outer and k inner so that all orders at one eps meet the same live sweep.
+``seminorm`` call samples nothing.  ``seminorm_tables`` visits eps outer
+and k inner so that all orders at one eps meet the same live sweep.
 
 A net may name the orders it samples together (``sampled_together``); by
 default only the asked one.  A psi route (``mollify.PsiRouteNet``) reads
@@ -70,7 +69,7 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -456,69 +455,6 @@ class BandedNet(FunctionNet):
         }
 
 
-class CutoffProductNet(FunctionNet):
-    """Base net times per-axis plateau cutoffs C((x_i - c_i)/r_i).
-
-    Derivatives expand by the multivariate Leibniz rule; the cutoff factors
-    separate across axes so their mixed derivatives are 1-d evaluations.
-    """
-
-    def __init__(self, base: FunctionNet, centers: Sequence[float], radii: Sequence[float]):
-        if len(centers) != base.dimension or len(radii) != base.dimension:
-            raise NetError("centers/radii must match the base dimension")
-        if any(r <= 0 for r in radii):
-            raise NetError("cutoff radii must be positive")
-        self.base = base
-        self.centers = tuple(float(c) for c in centers)
-        self.radii = tuple(float(r) for r in radii)
-        self.dimension = base.dimension
-        self.oscillation_hint = base.oscillation_hint
-        self._outer = tuple((c - 2 * r, c + 2 * r) for c, r in zip(self.centers, self.radii))
-        base_boxes = () if base.support_box is None else base.support_box.boxes
-        # a base box that only touches the outer box meets it in a zero-width box
-        cut = [b for b in (_clip(self._outer, enumerate(bb)) for bb in base_boxes)
-               if b is not None and all(lo < hi for lo, hi in b)]
-        self.support_box = CompactBox.of(*cut) if cut else CompactBox.of(self._outer)
-
-    def derivative_batch(self, alpha, coords, eps):
-        _check_alpha(tuple(alpha), self.dimension)
-        d = self.dimension
-        from .expr.special import cutoff_deriv_values
-
-        coords = np.asarray(coords)  # a Grid flattens to its (d, N) points
-        scaled = [
-            (coords[i] - self.centers[i]) / self.radii[i] for i in range(d)
-        ]
-        acc = np.zeros(coords.shape[1])
-        for beta in product(*(range(a + 1) for a in alpha)):
-            coef = 1.0
-            for i in range(d):
-                coef *= math.comb(alpha[i], beta[i])
-            term = self.base.derivative_batch(beta, coords, eps) * coef
-            for i in range(d):
-                order = alpha[i] - beta[i]
-                cvals = cutoff_deriv_values(order, scaled[i])
-                if order > 0:
-                    cvals = cvals / self.radii[i] ** order
-                with np.errstate(all="ignore"):
-                    term = np.where(cvals == 0.0, 0.0, term * cvals)
-            acc = acc + term
-        return acc
-
-    def sample_intervals(self, box, eps):
-        inner = self.base.sample_intervals(box, eps)
-        return None if inner is None else _clip(inner, enumerate(self._outer))
-
-    def describe(self):
-        return {
-            "variant": "cutoff_product",
-            "dimension": self.dimension,
-            "centers": list(self.centers),
-            "radii": list(self.radii),
-            "base": self.base.describe(),
-        }
-
-
 class DifferenceNet(FunctionNet):
     """Internal combinator: pointwise difference a - b of two nets."""
 
@@ -781,6 +717,20 @@ def map_eps(fn, eps_list: Sequence[float]) -> list:
     return [fn(e) for e in eps_list]
 
 
+def seminorm_tables(
+    net: FunctionNet,
+    ks: Sequence[int],
+    K: CompactBox,
+    grid: EpsGrid,
+    sampling: Sampling = DEFAULT_SAMPLING,
+) -> list[SeminormTable]:
+    """The table of each order in ks, sampled eps outer and k inner: all
+    orders at one eps share one sweep (its blocks and leaf values) before
+    the next eps starts one."""
+    rows = map_eps(lambda eps: [seminorm(net, k, K, eps, sampling) for k in ks], grid.points)
+    return [SeminormTable(k, K, tuple(row[i] for row in rows)) for i, k in enumerate(ks)]
+
+
 def seminorm_table(
     net: FunctionNet,
     k: int,
@@ -788,7 +738,7 @@ def seminorm_table(
     grid: EpsGrid,
     sampling: Sampling = DEFAULT_SAMPLING,
 ) -> SeminormTable:
-    return SeminormTable(k, K, tuple(map_eps(lambda e: seminorm(net, k, K, e, sampling), grid.points)))
+    return seminorm_tables(net, (k,), K, grid, sampling)[0]
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,8 @@ from .nets import (
     FunctionNet,
     K_MAX_CAP,
     Sampling,
-    SeminormTable,
     SharpSeminorm,
-    map_eps,
-    seminorm,
+    seminorm_tables,
 )
 from .scale import EpsGrid, jsonable
 
@@ -75,19 +73,12 @@ def psequence(
     sampling: Sampling = DEFAULT_SAMPLING,
     k_max: int = DEFAULT_K_MAX,
 ) -> PSequence:
-    """sharp_seminorm(net, k, K, grid, sampling) for k = 0..k_max.
-
-    The seminorm calls are those of the k_max + 1 sharp seminorms, made eps
-    outer and k inner: all orders at one eps share one sweep (its blocks and
-    leaf values) before the next eps starts one.
-    """
+    """sharp_seminorm(net, k, K, grid, sampling) for k = 0..k_max, from the
+    tables of ``seminorm_tables`` (eps outer, k inner)."""
     if not 0 <= k_max <= K_MAX_CAP:
         raise RegularityError(f"k_max must lie in 0..{K_MAX_CAP}")
-    ks = range(k_max + 1)
-    rows = map_eps(lambda eps: [seminorm(net, k, K, eps, sampling) for k in ks], grid.points)
-    return PSequence(tuple(
-        SharpSeminorm.fit(SeminormTable(k, K, tuple(row[k] for row in rows))) for k in ks
-    ))
+    tables = seminorm_tables(net, range(k_max + 1), K, grid, sampling)
+    return PSequence(tuple(SharpSeminorm.fit(t) for t in tables))
 
 
 def _ln_le(a: float, b: float, tol: float) -> bool:

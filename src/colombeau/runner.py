@@ -43,7 +43,7 @@ from .mollify import (
     regular_bound_experiment,
 )
 from .expr import ExpressionError
-from .nets import NetError, seminorm_table, sharp_seminorm
+from .nets import NetError, seminorm_tables, sharp_seminorm
 from .scale import ScaleError, jsonable
 from .regularity import (
     LandauEntry,
@@ -143,11 +143,12 @@ def _valuation(cfg: ExperimentConfig, params: dict) -> Outcome:
 
 def _seminorms(cfg: ExperimentConfig, params: dict) -> Outcome:
     k_list = params.get("k_list", list(range(cfg.k_max + 1)))
+    tables = [seminorm_tables(cfg.net, k_list, K, cfg.grid, cfg.sampling) for K in cfg.compacts]
     rows = [
         (k, ci, e.eps, e.ln_value, e.undersampled, e.nonfinite)
-        for k in k_list
-        for ci, K in enumerate(cfg.compacts)
-        for e in seminorm_table(cfg.net, k, K, cfg.grid, cfg.sampling).entries
+        for i, k in enumerate(k_list)
+        for ci, per_compact in enumerate(tables)
+        for e in per_compact[i].entries
     ]
     doc = {"k_list": list(k_list)}
     return Outcome(doc, doc, (("k", "compact", "eps", "ln_p", "undersampled", "nonfinite"), rows))

@@ -1,15 +1,17 @@
 import hashlib
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from colombeau.expr import parse
+from colombeau.catalog import catalog_net
+from colombeau.expr import EXPR_SIZE_CAP, Grid, node_count, parse, special
+from colombeau.mollify import cutoff_net, mollify
 from colombeau.nets import (
     BandedNet,
     CompactBox,
-    CutoffProductNet,
     DifferenceNet,
     ExpressionNet,
     FiniteSumNet,
@@ -165,8 +167,9 @@ def test_banded_net_requires_full_cover():
 
 
 def test_cutoff_product_net():
-    base = ExpressionNet(1, parse("1"))
-    cp = CutoffProductNet(base, centers=[0.0], radii=[1.0])
+    # c = 0, r = 1
+    cp = cutoff_net(ExpressionNet(1, parse("1")), CompactBox.interval(-0.5, 0.5), 1.5)
+    assert isinstance(cp, ExpressionNet)
     assert cp.derivative_eval((0,), (0.5,), 0.5) == 1.0
     assert cp.derivative_eval((0,), (2.5,), 0.5) == 0.0
     # plateau: the cutoff factor is constant 1, all derivative weight on base
@@ -175,38 +178,62 @@ def test_cutoff_product_net():
     assert cp.sample_intervals(((-9.0, 9.0),), 0.5) == [(-2.0, 2.0)]
     # the support box is the c +- 2r box cut to the base's support box, or
     # the c +- 2r box alone when they are disjoint
-    from colombeau.catalog import catalog_net
-
     based = catalog_net("compact_osc")  # support_box [-2, 2]
-    assert CutoffProductNet(based, [1.0], [1.0]).support_box.describe() == [[[-1.0, 2.0]]]
-    assert CutoffProductNet(based, [5.0], [1.0]).support_box.describe() == [[[3.0, 7.0]]]
+    near = cutoff_net(based, CompactBox.interval(0.5, 1.5), 1.5)  # c = 1, r = 1
+    far = cutoff_net(based, CompactBox.interval(4.5, 5.5), 1.5)  # c = 5, r = 1
+    assert near.support_box.describe() == [[[-1.0, 2.0]]]
+    assert far.support_box.describe() == [[[3.0, 7.0]]]
 
 
-# sha256 of the values of a 2-d cutoff product's derivative_batch for every
-# alpha with |alpha| <= 3 (multi_indices order) on a 9 x 7 tensor grid at
-# eps = 0.3, recorded before CutoffProductNet enumerated its Leibniz terms
-# with itertools.product.  The grid crosses the zero, transition and plateau
-# parts of both cutoffs, so a change in the order of the beta terms moves bits.
-CUTOFF_2D_DIGEST = "be8f71815b4f4c5e19ed4f6ed0b4d6d48830782b5406ee581ab0c38420e841fc"
+def _leibniz(base, centers, radii, alpha, coords, eps):
+    """d^alpha of base * prod_i cutoff((x_i - c_i)/r_i) by the multivariate
+    Leibniz rule: sum over beta <= alpha of C(alpha, beta) d^beta base times
+    each axis's cutoff derivative of order alpha_i - beta_i."""
+    acc = np.zeros(coords.shape[1])
+    for beta in itertools.product(*(range(a + 1) for a in alpha)):
+        term = base.derivative_batch(beta, coords, eps) * math.prod(map(math.comb, alpha, beta))
+        for x, c, r, a, b in zip(coords, centers, radii, alpha, beta):
+            term = term * (special.cutoff_deriv_values(a - b, (x - c) / r) / r ** (a - b))
+        acc = acc + term
+    return acc
 
 
-def test_cutoff_product_2d_derivatives_match_digest():
-    from colombeau.expr import Grid
-
-    base = ExpressionNet(2, parse("sin(x1/eps)*cos(x2)", 2))
-    cp = CutoffProductNet(base, (0.5, 0.5), (0.75, 0.75))
-    grid = Grid.tensor([np.linspace(-1.2, 2.2, 9), np.linspace(-0.6, 1.6, 7)])
-    h = hashlib.sha256()
+@pytest.mark.parametrize("d, text", [(1, "sin(x1/eps)"), (2, "sin(x1/eps)*cos(x2)")],
+                         ids=["1d", "2d"])
+def test_cutoff_net_matches_the_leibniz_reference(d, text):
+    # c = 0.5, r = 0.75 on each axis; the grid crosses the zero, transition
+    # and plateau parts of every cutoff
+    base = ExpressionNet(d, parse(text, d), oscillation_hint=1)
+    cut = cutoff_net(base, CompactBox.of([(0.0, 1.0)] * d), 1.0)
+    grid = Grid.tensor([np.linspace(-1.2, 2.2, 9), np.linspace(-0.6, 1.6, 7)][:d])
+    coords = np.asarray(grid)
     for k in range(4):
-        for alpha in multi_indices(2, k):
-            h.update(cp.derivative_batch(alpha, grid, 0.3).tobytes())
-    assert h.hexdigest() == CUTOFF_2D_DIGEST
+        for alpha in multi_indices(d, k):
+            want = _leibniz(base, (0.5,) * d, (0.75,) * d, alpha, coords, 0.3)
+            got = cut.derivative_batch(alpha, grid, 0.3)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), alpha
+
+
+@pytest.mark.parametrize("build", [
+    lambda: BandedNet(1, [((0.0, 1.0), parse("sin(x1/eps)"))]),
+    lambda: FiniteSumNet(1, [parse("sin(x1/eps)"), parse("x1")]),
+    lambda: mollify(_osc(), 2),
+], ids=["banded", "finite_sum", "mollified"])
+def test_cutoff_net_refuses_a_base_that_is_not_an_expression_net(build):
+    with pytest.raises(NetError):
+        cutoff_net(build(), K01, 1.0)
+
+
+def test_cutoff_net_derivatives_stay_under_the_size_cap():
+    cut = cutoff_net(catalog_net("compact_osc"), K01, 1.0)
+    for k in range(K_MAX_CAP + 1):
+        assert node_count(cut.derivative_expr((k,))) <= EXPR_SIZE_CAP
 
 
 def test_describe_every_variant():
     """Exact describe() of each net variant, recorded before the two
     quadrature routes shared one describe."""
-    from colombeau.mollify import PsiRouteNet, build_mollifier, mollify
+    from colombeau.mollify import PsiRouteNet, build_mollifier
 
     base = _osc()
     m = build_mollifier(1, 32)
@@ -223,9 +250,6 @@ def test_describe_every_variant():
           "bands": [{"interval": [0.0, 0.5], "expression": "x1"},
                     {"interval": [0.5, 1.0], "expression": "eps*x1"}],
           "oscillation_hint": "0"}),
-        (CutoffProductNet(base, [0.5], [0.75]),
-         {"variant": "cutoff_product", "dimension": 1, "centers": [0.5], "radii": [0.75],
-          "base": base_doc}),
         (DifferenceNet(base, ExpressionNet(1, parse("x1"))),
          {"variant": "difference", "a": base_doc,
           "b": {"variant": "expression", "dimension": 1, "expression": "x1",
@@ -254,6 +278,9 @@ def test_support_restriction():
 # the net vanishes on) of sample_intervals on both boxes of its dimension at
 # every point of _REGION_GRID, recorded with the affine-support reader that
 # predates the expression-calculus one (Python 3.11.7, numpy 2.4.6).
+# cutoff_net's was recorded again when it became an expression net: the
+# calculus puts c - 2r at -1.0000000000000002, one ulp below the -1.0 that
+# c - 2r gives directly (c = 0.5, r = 0.75).
 _REGION_GRID = EpsGrid(0.5, 0.6, 20)
 _REGION_BOXES = {
     1: (((-3.0, 3.0),), ((0.25, 1.0),)),
@@ -269,16 +296,13 @@ SAMPLE_REGION_DIGESTS = {
     "cutoff_2d_second_axis": "9c87470359aa418ef8b9d02339096cacc5668517488cddc6fe1ec69e9951f9f7",
     "bump_nonaffine_square": "5606976c8d627beb382a6c029e51f588aa16dc0756c2f49d6c6594bbf08c445e",
     "cutoff_2d_nonaffine_sum": "8b9824deaae3002587f8d0613584e7ac7e7f256ad2d646142cdefa69a6c78900",
-    "cutoff_net": "11a1c1f2576242441e280e280709b8735f6b503a725263a6c0c4aab04607597b",
+    "cutoff_net": "a58dc3d4206ce5faaa7d769e2070756609e918feb52224b6c35b971c76aed22b",
     "mollified_compact_osc": "daeb27c5eae33fd81bddfbc564c92c0b1551aabd8a636034014b9ef24ab20d1f",
     "difference": "73af971b8f432427f6bfd12778acd31e51382236c88b233ed72c6326fa37e20d",
 }
 
 
 def _region_net(name):
-    from colombeau.catalog import catalog_net
-    from colombeau.mollify import cutoff_net, mollify
-
     def net(text, d=1):
         return ExpressionNet(d, parse(text, dimension=d))
 

@@ -53,6 +53,27 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
 
+def function_imports(path: pathlib.Path) -> list[str]:
+    """Import statements inside a function or method body."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path.name}:{node.lineno} {fn.name}"
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: str(p.relative_to(PACKAGE))
+)
+def test_no_import_inside_a_function(path):
+    """Every module states what it depends on at its top, where a cycle
+    shows up at import time rather than on some later call."""
+    assert function_imports(path) == []
+
+
 ROOT = PACKAGE.parents[1]
 
 

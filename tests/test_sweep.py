@@ -18,6 +18,7 @@ import pytest
 
 import colombeau.nets as nets
 from colombeau.catalog import CATALOG, REFERENCE_COMPACTS, catalog_net
+from colombeau.config import load_config
 from colombeau.expr import Cos, Mul, Sin, Var, parse, special
 from colombeau.mollify import mollify
 from colombeau.nets import (
@@ -31,6 +32,7 @@ from colombeau.nets import (
     seminorm_table,
 )
 from colombeau.regularity import psequence
+from colombeau.runner import run_experiment
 from colombeau.scale import EpsGrid
 
 GRID = EpsGrid(0.5, 0.5, 8)
@@ -111,6 +113,23 @@ def test_each_cutoff_order_runs_once_per_eps(monkeypatch):
     # sampled k-outer, order k would run the cutoff jets of orders 0..k again:
     # 28 calls per eps instead of 7
     assert Counter(orders) == {order: grid.count for order in range(7)}
+
+
+def test_the_seminorms_experiment_runs_each_cutoff_order_once_per_eps(monkeypatch):
+    cfg = load_config({
+        "dimension": 1, "net": {"catalog": "compact_osc"}, "compacts": [[[[0.0, 1.0]]]],
+        "eps_grid": {"eps0": 0.5, "ratio": 0.5, "count": 8}, "k_max": 6,
+        "experiments": [{"kind": "seminorms"}],
+    })
+    calls = []
+    real = special.cutoff_deriv_values
+    monkeypatch.setattr(
+        special, "cutoff_deriv_values", lambda order, t: calls.append(order) or real(order, t)
+    )
+    run_experiment(cfg, cfg.experiments[0])
+    # k outer, each order's tree would run its cutoff jets at every eps
+    # again: 224 calls instead of 7 orders x 8 eps
+    assert len(calls) == 56
 
 
 def test_each_multiscale_term_runs_sin_and_cos_once_per_eps(monkeypatch):
