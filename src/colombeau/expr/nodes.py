@@ -201,7 +201,10 @@ def _fmt_const(v: float) -> str:
 
 
 def to_text(e: Expr) -> str:
-    """Render an expression in the concrete grammar, round-trippable by parse."""
+    """Render an expression in the concrete grammar.
+
+    A tree that parse builds round-trips.  A derivative of a cutoff or bump
+    renders as cutoff_dN or bump_dN, which parse refuses."""
     if isinstance(e, Const):
         return _fmt_const(e.value)
     if isinstance(e, Var):

@@ -48,17 +48,12 @@ sweep it was sampled on, for as long as the net lives, so a repeated
 ``seminorm`` call samples nothing.  ``seminorm_tables`` visits eps outer
 and k inner so that all orders at one eps meet the same live sweep.
 
-A net may name the orders it samples together (``sampled_together``); by
-default only the asked one.  A psi route (``mollify.PsiRouteNet``) reads
-every order from the same base values, so on a miss on a sweep whose
-regions each keep their block, ``seminorm`` leaves in each block's memo,
-under ``fill_key(net)``, the multi-indices of the orders not yet stored.
-The net's first call there forms them all from one pass and leaves each
-one's block max and non-finite count under ``block_max_key``, which
-``_grid_max`` reads before it calls the net.  The request names the net,
-so a net handed another net's block (a difference of nets) forms only the
-asked multi-index.  A region cut into blocks per multi-index keeps no
-memo, so a sweep with such a region samples only the asked order.
+A net may form, on a kept block, multi-indices it was not asked for (a psi
+route, ``mollify.PsiRouteNet``, reads every order from the same base
+values) and leave each one's block max and non-finite count in the memo
+under ``block_max_key``, which ``_grid_max`` reads before it calls the net.
+On a miss, ``seminorm`` also stores every order whose every multi-index
+the net left on every region's kept block.
 """
 from __future__ import annotations
 
@@ -280,11 +275,6 @@ class FunctionNet:
     def sample_intervals(self, box: tuple[Interval, ...], eps: float) -> Optional[list[Interval]]:
         """Box intersected with known support; None when the net vanishes on it."""
         return list(box)
-
-    def sampled_together(self, k: int) -> Sequence[int]:
-        """The orders ``seminorm`` samples and stores on a miss for order k
-        (see the module docstring); k must be among them."""
-        return (k,)
 
     def sup_witness(self, alpha: tuple[int, ...], grid: ex.Grid, eps: float
                     ) -> Optional[tuple[tuple[int, ...], float]]:
@@ -528,12 +518,6 @@ def _block_slices(axes: list[np.ndarray], limit: int):
             yield (h,) + tail
 
 
-def fill_key(net: FunctionNet) -> tuple:
-    """The ``LeafMemo`` key under which ``seminorm`` leaves on a kept block
-    the multi-indices net may form on its first call there."""
-    return ("fill", id(net))
-
-
 def block_max_key(net: FunctionNet, alpha: tuple[int, ...]) -> tuple:
     """The ``LeafMemo`` key under which net leaves a kept block's
     ``_block_max`` for a multi-index it formed unasked."""
@@ -597,7 +581,6 @@ class _Sweep:
         self.net = weakref.ref(net)  # a sweep does not keep its net alive
         self.key = (K, eps, sampling)
         self.regions = []  # (axes, the one block or None) of each box the net can be non-zero on
-        self.kept = True  # every region keeps its one block
         self.undersampled = False
         for box in K.boxes:
             intervals = net.sample_intervals(box, eps)
@@ -609,15 +592,22 @@ class _Sweep:
             one = None
             if math.prod(a.size for a in axes) <= _CHUNK:
                 one = ex.Grid.tensor(axes, ex.LeafMemo(_CHUNK))
-            self.kept = self.kept and one is not None
             self.regions.append((axes, one))
 
-    def ask(self, net: FunctionNet, orders) -> None:
-        """Leave on each kept block the multi-indices of these orders for
-        net's first call there (see ``fill_key``)."""
-        alphas = [a for k in orders for a in multi_indices(net.dimension, k)]
+    def left_orders(self, net: FunctionNet) -> list[int]:
+        """The orders whose every multi-index net left a block max for
+        (``block_max_key``) on every region's kept block."""
+        left = None
         for _, one in self.regions:
-            one.memo.values[fill_key(net)] = alphas
+            if one is None:
+                return []  # blocks cut again per multi-index keep no memo
+            # a leaf value's key (structural key, eps) ends in a float, a block
+            # max key in its multi-index
+            here = {key[-1] for key in one.memo.values
+                    if isinstance(key[-1], tuple) and key == block_max_key(net, key[-1])}
+            left = here if left is None else left & here
+        orders = {sum(alpha) for alpha in left or ()}
+        return sorted(k for k in orders if left.issuperset(multi_indices(net.dimension, k)))
 
     def value(self, net: FunctionNet, k: int) -> SeminormValue:
         eps = self.key[1]
@@ -661,9 +651,10 @@ def seminorm(
     The sample points depend on (net, K, eps, sampling) only, not on k: that
     is a sweep.  The net keeps each order's value per sweep for its whole
     lifetime, so a repeated call returns the stored value without sampling.
-    Otherwise the order is sampled on the sweep's blocks; each thread keeps
-    its one latest sweep, and a call for another sweep drops it with its
-    blocks and leaf values.
+    Otherwise the order is sampled on the sweep's blocks, and every further
+    order whose block maxes the net left there is stored with it; each
+    thread keeps its one latest sweep, and a call for another sweep drops it
+    with its blocks and leaf values.
     """
     if K.dimension != net.dimension:
         raise NetError("compact set dimension mismatch")
@@ -676,14 +667,10 @@ def seminorm(
     value = per_order.get(k)
     if value is None:
         sweep = _sweep(net, K, eps, sampling)
-        orders = [k]
-        if sweep.kept:  # blocks cut again per multi-index keep nothing from one order to the next
-            orders = [o for o in net.sampled_together(k) if o not in per_order]
-        if len(orders) > 1:
-            sweep.ask(net, orders)
-        for order in orders:
-            per_order[order] = sweep.value(net, order)
-        value = per_order[k]
+        per_order[k] = value = sweep.value(net, k)
+        for order in sweep.left_orders(net):
+            if order not in per_order:
+                per_order[order] = sweep.value(net, order)
     return value
 
 
@@ -806,8 +793,6 @@ def is_moderate(net: FunctionNet, K: CompactBox, k: int, grid: EpsGrid) -> Moder
     v = s.estimate.value
     if not s.estimate.stable:
         return ModerationVerdict("inconclusive", v, 0, False)
-    if v == -math.inf:
-        return ModerationVerdict("inconclusive", v, 0, True)
     # ceil with a small guard so fit noise around an integer slope does not
     # inflate the reported exponent
     n_hat = 0 if v >= 0 else int(math.ceil(-v - 1e-9))

@@ -112,6 +112,15 @@ def test_round_trip_catalog_expressions():
         assert to_text(again) == text, s
 
 
+def test_a_derivative_of_a_cutoff_or_bump_renders_beyond_the_grammar():
+    # the grammar has no name for a cutoff or bump derivative; to_text names
+    # it, and parse refuses the name
+    text = to_text(differentiate(parse("cutoff(x1)*bump(x1)"), 0))
+    assert text == "cutoff_d1(x1)*bump(x1) + cutoff(x1)*bump_d1(x1)"
+    with pytest.raises(ParseError, match="unknown identifier 'cutoff_d1'"):
+        parse(text)
+
+
 # ---------------------------------------------------------------------------
 # simplification normal form
 # ---------------------------------------------------------------------------

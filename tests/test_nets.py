@@ -499,6 +499,8 @@ def test_nonfinite_samples_in_the_fit_window_make_the_fit_unstable():
     assert all(e.nonfinite == 1 for e in s.table.entries)
     assert not s.estimate.stable
     assert is_moderate(net, K, 0, default_grid()).verdict == "inconclusive"
+    negligible = is_negligible(net, K, 0, default_grid())
+    assert (negligible.verdict, negligible.stable) == ("inconclusive", False)
     # non-finite only at eps = 1/2, the first grid point, outside the window
     late = sharp_seminorm(ExpressionNet(1, parse("sin(x1)/(eps-0.5)")), 0, K01, default_grid())
     assert [e.eps for e in late.table.entries if e.nonfinite] == [0.5]

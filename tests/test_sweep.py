@@ -188,8 +188,15 @@ def _net(text, d, hint=1):
 _SQUARE = CompactBox.of([(0.0, 1.0), (0.0, 1.0)])
 _CUBE = CompactBox.of([(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)])
 
+
+def _banded_2d():
+    return BandedNet(2, [((0.0, 0.25), parse("sin(x1/eps)*cos(x2)", dimension=2)),
+                         ((0.25, 1.0), parse("sin(x1*x2/eps)", dimension=2))], oscillation_hint=1)
+
+
 # (name, net builder, compact, sampling, eps values, whether every
-# multi-index of orders 0..2 is sampled at its witness point alone)
+# multi-index of orders 0..2 is sampled at its witness point alone, for all
+# eps or for each)
 WITNESS_CASES = [
     # at eps = 2^-8 the square holds 1025^2 points, more than one block
     ("square", _square, _SQUARE, Sampling(), (0.5, 2**-4, 2**-8), True),
@@ -209,6 +216,9 @@ WITNESS_CASES = [
      (0.5, 2**-4), False),
     ("split-x1", lambda: ExpressionNet(2, Mul((Sin(Var(0)), Cos(Var(1)), Cos(Var(0))))), _SQUARE,
      Sampling(), (0.5,), False),
+    # the band of eps = 2^-4 is a product of one-axis factors; the band of
+    # eps = 0.5 has an argument over both axes
+    ("banded-2d", _banded_2d, _SQUARE, Sampling(), (2**-4, 0.5), (True, False)),
 ]
 
 
@@ -228,7 +238,8 @@ def test_the_witness_path_equals_the_block_path(monkeypatch, name, build, K, sam
                                                 witness):
     sizes = []  # points of each block seminorm hands the net
     real = ExpressionNet.derivative_batch
-    for eps in eps_list:
+    for i, eps in enumerate(eps_list):
+        at_witness = witness[i] if isinstance(witness, tuple) else witness
         for k in range(3):
             sizes.clear()
             with monkeypatch.context() as m:
@@ -237,7 +248,7 @@ def test_the_witness_path_equals_the_block_path(monkeypatch, name, build, K, sam
                 got = seminorm(build(), k, K, eps, sampling)
             assert (got.ln_value, got.nonfinite) == _block_path(build(), k, K, eps, sampling), (
                 name, eps, k)
-            assert all(n == 1 for n in sizes) if witness else all(n > 1 for n in sizes)
+            assert all(n == 1 for n in sizes) if at_witness else all(n > 1 for n in sizes)
 
 
 def test_a_factor_non_finite_on_a_line_keeps_its_count():
