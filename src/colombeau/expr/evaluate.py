@@ -121,12 +121,15 @@ class Grid:
 
 
 class LeafMemo:
-    """Leaf values on one Grid by (structural key, eps); at most limit numbers."""
+    """Leaf values on one Grid by (structural key, eps); at most limit numbers.
+    ``maxes``, by (id(net), alpha), holds no leaf: (max |value|, non-finite
+    count) of each multi-index a net formed unasked on the Grid."""
 
     def __init__(self, limit: int):
         self.limit = limit
         self.size = 0
         self.values: dict = {}
+        self.maxes: dict = {}
 
     def keep(self, key, v) -> None:
         n = np.size(v)
@@ -383,6 +386,7 @@ class _Walk:
                 continue
             v = self.value(c) if c == root else self.take(c)
             if _is_scalar(v):
+                axes = 0  # constant on the grid, whatever axis it reads (a product cut short)
                 zero = zero or v == 0.0
                 nonfinite = nonfinite or not math.isfinite(v)
             if zero:

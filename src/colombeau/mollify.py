@@ -54,7 +54,6 @@ from .nets import (
     Sampling,
     _clip,
     _block_max,
-    block_max_key,
     enlarge,
     map_eps,
     multi_indices,
@@ -257,7 +256,7 @@ class PsiRouteNet(MollifiedNet):
     that has no block max there yet, each with its own matrix-vector product
     (one (M, orders) product would sum in another order and move bits).  It
     returns the asked one and leaves each other one's block max and
-    non-finite count in the memo for ``_grid_max``.  Every
+    non-finite count in the memo's ``maxes`` table for ``_grid_max``.  Every
     route over the same base, n and mollifier keeps its seminorm values in
     one store on the base, so a route made for another order finds them; no
     route is kept, since a base holding routes that hold it would be a
@@ -287,7 +286,7 @@ class PsiRouteNet(MollifiedNet):
         others = [] if memo is None else [
             a for k in sorted({sum(alpha), *REGULAR_BOUND_K_LIST})
             for a in multi_indices(self.dimension, k)
-            if a != alpha and block_max_key(self, a) not in memo.values]
+            if a != alpha and (id(self), a) not in memo.maxes]
         weights, scale = self._terms(alpha, eps)
         terms = [self._terms(a, eps) for a in others]
         maxes = [(-1.0, 0)] * len(others)
@@ -299,7 +298,7 @@ class PsiRouteNet(MollifiedNet):
                 best, bad = _block_max((vals @ w) * sc)
                 maxes[i] = (max(maxes[i][0], best), maxes[i][1] + bad)
         for a, block_max in zip(others, maxes):
-            memo.keep(block_max_key(self, a), block_max)
+            memo.maxes[id(self), a] = block_max
         return out
 
 
@@ -316,13 +315,13 @@ def cutoff_net(u: FunctionNet, inner_box: CompactBox, outer_margin: float) -> Ex
     must be at least each half-width of inner_box for both requirements to
     be satisfiable (radius (h+m)/2 then has plateau >= h and support h+m).
 
-    u must be an expression net; any other net (banded, finite sum,
-    mollified, difference) raises NetError.  The result is the expression
-    net u * prod_i cutoff((x_i - c_i)/r_i), with u's oscillation hint and,
-    as support box, c +- 2r cut to u's support box (c +- 2r alone when no
-    base box meets it with positive width).  Each cutoff factor adds to the
-    symbolic derivative trees: with u = cutoff(x1)*sin(x1/eps) the order-8
-    tree is 98 024 nodes, under expr.EXPR_SIZE_CAP, and an order-9
+    u must be an expression net, a finite sum among them; any other net
+    (banded, mollified, difference) raises NetError.  The result is the
+    expression net u * prod_i cutoff((x_i - c_i)/r_i), with u's oscillation
+    hint and, as support box, c +- 2r cut to u's support box (c +- 2r alone
+    when no base box meets it with positive width).  Each cutoff factor adds
+    to the symbolic derivative trees: with u = cutoff(x1)*sin(x1/eps) the
+    order-8 tree is 98 024 nodes, under expr.EXPR_SIZE_CAP, and an order-9
     derivative raises SizeCapError; a base with three x1 factors raises it
     from order 7 on.
     """
@@ -481,7 +480,14 @@ def regular_bound_experiment(
 
     The route's seminorms live on u, so a call for another k in
     REGULAR_BOUND_K_LIST with the same n, K and mollifier reads the orders
-    the first call sampled."""
+    the first call sampled.
+
+    The cost grows with d: a region of more than _CHUNK points keeps no
+    block, so every multi-index evaluates the base again at every point
+    times every kept quadrature node.  A d >= 2 base on the default
+    EpsGrid() needs 9.1e9 shifted points per multi-index at eps = 2^-10
+    (cutoff(x1)*sin(x2/eps)*cos(x1) on [0, 1]^2, 544 kept 2-d nodes) and
+    does not finish; a short grid such as EpsGrid(count=6) does."""
     if u.support_box is None:
         raise NetError("the regular bound needs a net with a declared support_box")
     if grid.count <= REGULAR_BOUND_J0:

@@ -31,7 +31,7 @@ rounding to nearest is monotone and symmetric in sign.  ``seminorm`` then
 evaluates the net at that one point through ``derivative_batch``, as it
 would a block, and takes the point only when the value there is == the max
 named, so every max is a value the net computed at a sample point.  Else,
-and for a net that names no point (a sum, a factor over two axes, a
+and for a net that names no point (a sum or a factor over two axes, a
 non-finite factor value, a mollified net), it samples every block.  A kept
 block lends its Grid, and with it the LeafMemo, to the search; a larger
 region gets a Grid of its axes alone.  A one-axis region never asks.
@@ -50,10 +50,10 @@ and k inner so that all orders at one eps meet the same live sweep.
 
 A net may form, on a kept block, multi-indices it was not asked for (a psi
 route, ``mollify.PsiRouteNet``, reads every order from the same base
-values) and leave each one's block max and non-finite count in the memo
-under ``block_max_key``, which ``_grid_max`` reads before it calls the net.
-On a miss, ``seminorm`` also stores every order whose every multi-index
-the net left on every region's kept block.
+values) and leave each one's block max and non-finite count in the memo's
+own table (``LeafMemo.maxes``), which ``_grid_max`` reads before it calls
+the net.  On a miss, ``seminorm`` also stores every order whose every
+multi-index the net left on every region's kept block.
 """
 from __future__ import annotations
 
@@ -358,8 +358,13 @@ class ExpressionNet(FunctionNet):
         }
 
 
-class FiniteSumNet(FunctionNet):
-    """Sum of expression nets evaluated termwise (no cross-term swell)."""
+class FiniteSumNet(ExpressionNet):
+    """Expression net over the sum of its terms, described term by term; as in
+    any sum, ``simplify`` folds constant terms and flattens sum-valued ones."""
+
+    # its own attribute, not inherited: perfbench/tracer.py patches
+    # FiniteSumNet.__dict__["derivative_batch"] to count the finite-sum layer
+    derivative_batch = ExpressionNet.derivative_batch
 
     def __init__(
         self,
@@ -370,22 +375,14 @@ class FiniteSumNet(FunctionNet):
     ):
         if not terms:
             raise NetError("finite_sum needs at least one term")
-        self.dimension = dimension
-        self.parts = [ExpressionNet(dimension, t) for t in terms]
-        self.oscillation_hint = _hint(oscillation_hint)
-        self.support_box = support_box
-
-    def derivative_batch(self, alpha, coords, eps):
-        acc = self.parts[0].derivative_batch(alpha, coords, eps)
-        for p in self.parts[1:]:
-            acc = acc + p.derivative_batch(alpha, coords, eps)
-        return acc
+        super().__init__(dimension, ex.Add(tuple(terms)), oscillation_hint, support_box)
+        self.terms = [ex.simplify(t) for t in terms]
 
     def describe(self):
         return {
             "variant": "finite_sum",
             "dimension": self.dimension,
-            "terms": [ex.to_text(p.expression) for p in self.parts],
+            "terms": [ex.to_text(t) for t in self.terms],
             "oscillation_hint": str(self.oscillation_hint),
         }
 
@@ -518,12 +515,6 @@ def _block_slices(axes: list[np.ndarray], limit: int):
             yield (h,) + tail
 
 
-def block_max_key(net: FunctionNet, alpha: tuple[int, ...]) -> tuple:
-    """The ``LeafMemo`` key under which net leaves a kept block's
-    ``_block_max`` for a multi-index it formed unasked."""
-    return ("block max", id(net), alpha)
-
-
 def _block_max(vals: np.ndarray) -> tuple[float, int]:
     """(max |value| over the finite values, or -1.0 if none; non-finite count)."""
     hi, lo = float(vals.max()), float(vals.min())
@@ -537,7 +528,7 @@ def _block_max(vals: np.ndarray) -> tuple[float, int]:
 def _grid_max(net: FunctionNet, alpha, blocks, eps) -> tuple[float, int]:
     best = -1.0
     bad = 0
-    key = block_max_key(net, alpha)
+    key = (id(net), alpha)
     for chunk in blocks:
         # A net that formed this multi-index unasked (a psi route) left its
         # block max in the kept block's memo.  Only this lookup sits in front
@@ -545,7 +536,7 @@ def _grid_max(net: FunctionNet, alpha, blocks, eps) -> tuple[float, int]:
         # allocated: with the reduction moved into a net method, each block's
         # values were freed first, and every 2^19-point block of a 2-d grid
         # came on fresh pages.
-        stored = None if chunk.memo is None else chunk.memo.values.get(key)
+        stored = None if chunk.memo is None else chunk.memo.maxes.get(key)
         if stored is None:
             vals = net.derivative_batch(alpha, chunk, eps)
             stored = _block_max(vals)
@@ -595,16 +586,13 @@ class _Sweep:
             self.regions.append((axes, one))
 
     def left_orders(self, net: FunctionNet) -> list[int]:
-        """The orders whose every multi-index net left a block max for
-        (``block_max_key``) on every region's kept block."""
+        """The orders whose every multi-index net left a block max for in
+        every region's kept block's ``LeafMemo.maxes``."""
         left = None
         for _, one in self.regions:
             if one is None:
                 return []  # blocks cut again per multi-index keep no memo
-            # a leaf value's key (structural key, eps) ends in a float, a block
-            # max key in its multi-index
-            here = {key[-1] for key in one.memo.values
-                    if isinstance(key[-1], tuple) and key == block_max_key(net, key[-1])}
+            here = {alpha for owner, alpha in one.memo.maxes if owner == id(net)}
             left = here if left is None else left & here
         orders = {sum(alpha) for alpha in left or ()}
         return sorted(k for k in orders if left.issuperset(multi_indices(net.dimension, k)))

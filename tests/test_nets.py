@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from colombeau.catalog import catalog_net
+from colombeau.catalog import REFERENCE_COMPACTS, catalog_net
 from colombeau.expr import EXPR_SIZE_CAP, Grid, node_count, parse, special
 from colombeau.mollify import cutoff_net, mollify
 from colombeau.nets import (
@@ -15,6 +15,7 @@ from colombeau.nets import (
     DifferenceNet,
     ExpressionNet,
     FiniteSumNet,
+    FunctionNet,
     K_MAX_CAP,
     NetError,
     Sampling,
@@ -27,6 +28,7 @@ from colombeau.nets import (
     multi_indices,
     seminorm,
     seminorm_table,
+    seminorm_tables,
     sharp_seminorm,
 )
 from colombeau.scale import EpsGrid, default_grid
@@ -116,15 +118,40 @@ def test_expression_net_validation():
         osc.derivative_eval((DERIVATIVE_ORDER_CAP + 1,), (0.0,), 0.5)
 
 
+class _TermwiseSum(FunctionNet):
+    """The reference for a finite sum: one expression net per term, their
+    values added left to right."""
+
+    def __init__(self, net: FiniteSumNet):
+        self.dimension = net.dimension
+        self.oscillation_hint = net.oscillation_hint
+        self.support_box = None
+        self.parts = [ExpressionNet(net.dimension, t) for t in net.terms]
+
+    def derivative_batch(self, alpha, coords, eps):
+        acc = self.parts[0].derivative_batch(alpha, coords, eps)
+        for p in self.parts[1:]:
+            acc = acc + p.derivative_batch(alpha, coords, eps)
+        return acc
+
+
 def test_finite_sum_net_is_sum_of_parts():
-    a = parse("sin(x1)")
-    b = parse("eps*x1")
-    s = FiniteSumNet(1, [a, b], oscillation_hint=0)
-    x = (0.7,)
-    want = ExpressionNet(1, a).derivative_eval((1,), x, 0.25) + ExpressionNet(
-        1, b
-    ).derivative_eval((1,), x, 0.25)
-    assert s.derivative_eval((1,), x, 0.25) == pytest.approx(want)
+    x = np.linspace(-2.5, 2.5, 5001)[None, :]
+    two = FiniteSumNet(1, [parse("sin(x1)"), parse("eps*x1")])
+    for net in (catalog_net("multiscale", 8), catalog_net("multiscale", 3), two):
+        ref = _TermwiseSum(net)
+        for k in range(7):
+            for eps in (0.5, 2**-5, 2**-10):
+                got = net.derivative_batch((k,), x, eps)
+                assert np.array_equal(got, ref.derivative_batch((k,), x, eps)), (k, eps)
+    # every sampled seminorm of multiscale, each on a sweep of its own net
+    for J in (8, 3):
+        net, ref = catalog_net("multiscale", J), _TermwiseSum(catalog_net("multiscale", J))
+        for K in REFERENCE_COMPACTS:
+            got = seminorm_tables(net, range(7), K, default_grid())
+            want = seminorm_tables(ref, range(7), K, default_grid())
+            assert [[(e.ln_value, e.nonfinite) for e in t.entries] for t in got] == [
+                [(e.ln_value, e.nonfinite) for e in t.entries] for t in want], (J, K)
 
 
 def test_every_net_variant_rejects_a_negative_oscillation_hint():
@@ -198,12 +225,15 @@ def _leibniz(base, centers, radii, alpha, coords, eps):
     return acc
 
 
-@pytest.mark.parametrize("d, text", [(1, "sin(x1/eps)"), (2, "sin(x1/eps)*cos(x2)")],
-                         ids=["1d", "2d"])
-def test_cutoff_net_matches_the_leibniz_reference(d, text):
+@pytest.mark.parametrize("d, build", [
+    (1, lambda: ExpressionNet(1, parse("sin(x1/eps)"), oscillation_hint=1)),
+    (2, lambda: ExpressionNet(2, parse("sin(x1/eps)*cos(x2)", 2), oscillation_hint=1)),
+    (1, lambda: FiniteSumNet(1, [parse("sin(x1/eps)"), parse("eps^2*cos(x1)")], 1)),
+], ids=["1d", "2d", "finite-sum"])
+def test_cutoff_net_matches_the_leibniz_reference(d, build):
     # c = 0.5, r = 0.75 on each axis; the grid crosses the zero, transition
     # and plateau parts of every cutoff
-    base = ExpressionNet(d, parse(text, d), oscillation_hint=1)
+    base = build()
     cut = cutoff_net(base, CompactBox.of([(0.0, 1.0)] * d), 1.0)
     grid = Grid.tensor([np.linspace(-1.2, 2.2, 9), np.linspace(-0.6, 1.6, 7)][:d])
     coords = np.asarray(grid)
@@ -216,9 +246,8 @@ def test_cutoff_net_matches_the_leibniz_reference(d, text):
 
 @pytest.mark.parametrize("build", [
     lambda: BandedNet(1, [((0.0, 1.0), parse("sin(x1/eps)"))]),
-    lambda: FiniteSumNet(1, [parse("sin(x1/eps)"), parse("x1")]),
     lambda: mollify(_osc(), 2),
-], ids=["banded", "finite_sum", "mollified"])
+], ids=["banded", "mollified"])
 def test_cutoff_net_refuses_a_base_that_is_not_an_expression_net(build):
     with pytest.raises(NetError):
         cutoff_net(build(), K01, 1.0)

@@ -135,7 +135,7 @@ def test_the_seminorms_experiment_runs_each_cutoff_order_once_per_eps(monkeypatc
 def test_each_multiscale_term_runs_sin_and_cos_once_per_eps(monkeypatch):
     grid = GRID
     net = catalog_net("multiscale")
-    assert isinstance(net, FiniteSumNet) and len(net.parts) == 8
+    assert isinstance(net, FiniteSumNet) and len(net.terms) == 8
     calls = Counter()
     for fn in ("sin", "cos"):
         real = getattr(np, fn)
@@ -219,6 +219,12 @@ WITNESS_CASES = [
     # the band of eps = 2^-4 is a product of one-axis factors; the band of
     # eps = 0.5 has an argument over both axes
     ("banded-2d", _banded_2d, _SQUARE, Sampling(), (2**-4, 0.5), (True, False)),
+    # eps^200 underflows to 0 at 2^-6: exp(x1*0) is a scalar that reads x1
+    ("underflow", _net("exp(x1*eps^200)*sin(x2/eps)", 2), _SQUARE, Sampling(), (0.5, 2**-6), True),
+    # a sum of x2 terms is one factor over one axis
+    ("finite-sum", lambda: FiniteSumNet(2, [parse("sin(x2/eps)", dimension=2),
+                                            parse("eps^2*cos(x2)", dimension=2)], 1),
+     _SQUARE, Sampling(), (0.5, 2**-4), True),
 ]
 
 
@@ -243,8 +249,9 @@ def test_the_witness_path_equals_the_block_path(monkeypatch, name, build, K, sam
         for k in range(3):
             sizes.clear()
             with monkeypatch.context() as m:
-                m.setattr(ExpressionNet, "derivative_batch",
-                          lambda self, a, c, e: sizes.append(c.shape[1]) or real(self, a, c, e))
+                for cls in (ExpressionNet, FiniteSumNet):
+                    m.setattr(cls, "derivative_batch",
+                              lambda self, a, c, e: sizes.append(c.shape[1]) or real(self, a, c, e))
                 got = seminorm(build(), k, K, eps, sampling)
             assert (got.ln_value, got.nonfinite) == _block_path(build(), k, K, eps, sampling), (
                 name, eps, k)
