@@ -6,7 +6,6 @@ from .nodes import (
     Cos,
     Cutoff,
     Div,
-    Eps,
     EpsPow,
     Expr,
     ExpressionError,
@@ -29,7 +28,7 @@ from .transform import differentiate, simplify
 from .evaluate import EvaluationError, Grid, LeafMemo, eval_batch, evaluate, separable_argmax
 
 __all__ = [
-    "Add", "Bump", "Const", "Cos", "Cutoff", "Div", "Eps", "EpsPow", "Expr",
+    "Add", "Bump", "Const", "Cos", "Cutoff", "Div", "EpsPow", "Expr",
     "ExpressionError", "EXPR_SIZE_CAP", "IntPow", "Mul", "Point", "Sin",
     "SizeCapError", "Sub", "Exp", "Var", "check_size", "max_var_index",
     "node_count", "to_text", "ParseError", "parse", "differentiate",

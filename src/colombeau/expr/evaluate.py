@@ -2,7 +2,7 @@
 
 Each tree is compiled once into a plan: its structurally distinct subtrees
 in topological order (children before parents), with their child slots,
-their use counts and the largest variable index.  The plan is kept on the
+their use counts and the axes each one reads.  The plan is kept on the
 root node, so it lives exactly as long as the tree and a call neither
 hashes nor walks the tree again.  One call computes each distinct subtree
 at most once, however often the tree repeats it: the product rule gives
@@ -68,7 +68,6 @@ from .nodes import (
     Cos,
     Cutoff,
     Div,
-    Eps,
     EpsPow,
     Expr,
     ExpressionError,
@@ -140,7 +139,7 @@ class LeafMemo:
             self.size += n
 
 
-_KINDS = (Const, Var, Eps, EpsPow, Add, Mul, Sub, Div, IntPow, Sin, Cos, Exp, Bump, Cutoff)
+_KINDS = (Const, Var, EpsPow, Add, Mul, Sub, Div, IntPow, Sin, Cos, Exp, Bump, Cutoff)
 _MEMO_KINDS = (Sin, Cos, Exp, Bump, Cutoff)  # the costly leaves a LeafMemo keeps
 
 
@@ -158,7 +157,6 @@ class _Plan:
     kids: tuple[tuple[int, ...], ...]
     uses: tuple[int, ...]  # references from the other distinct nodes
     varies: tuple[int, ...]  # bit i set: the subtree depends on x_(i+1); 0 for a constant
-    max_var: int  # largest variable index, -1 for a spatially constant net
     memo_keys: tuple  # structural key of an x-dependent leaf a LeafMemo keeps, else None
 
 
@@ -183,7 +181,6 @@ def _compile(root: Expr) -> _Plan:
     uses: list[int] = []
     varies: list[int] = []
     skeys: list[tuple] = []  # key with the children's skeys in place of their slots
-    max_var = -1
     stack = [root]
     while stack:
         node = stack[-1]
@@ -218,13 +215,10 @@ def _compile(root: Expr) -> _Plan:
             skeys.append((kind, pkey, tuple(skeys[c] for c in ks)))
             for c in ks:
                 uses[c] += 1
-            if kind is Var:
-                max_var = max(max_var, p)
         slot_of[id(node)] = slot
     memo_keys = tuple(sk if kind in _MEMO_KINDS and vary else None
                       for kind, vary, sk in zip(kinds, varies, skeys))
-    return _Plan(tuple(kinds), tuple(params), tuple(kids), tuple(uses), tuple(varies), max_var,
-                 memo_keys)
+    return _Plan(tuple(kinds), tuple(params), tuple(kids), tuple(uses), tuple(varies), memo_keys)
 
 
 def _plan_of(e: Expr) -> _Plan:
@@ -248,8 +242,6 @@ def _apply(kind: type, p, arg, coords: Grid, eps: float):
         return p
     if kind is Var:
         return coords[p]
-    if kind is Eps:
-        return float(eps)
     if kind is EpsPow:
         return float(np.float64(eps) ** p)
     if kind is IntPow:
@@ -434,8 +426,9 @@ def _one_axis_runs(plan: _Plan) -> Optional[tuple[int, ...]]:
 def _walk(e: Expr, coords: Grid, eps: float) -> _Walk:
     """A walk of e's plan, after the checks every entry shares."""
     plan = _plan_of(e)
-    if coords.shape[0] <= plan.max_var:
-        raise ExpressionError(f"expression uses {plan.max_var + 1} variables, got {coords.shape[0]}")
+    used = plan.varies[-1].bit_length()  # the root's axes: one more than the largest index
+    if coords.shape[0] < used:
+        raise ExpressionError(f"expression uses {used} variables, got {coords.shape[0]}")
     if not (0.0 < eps < 1.0):
         raise ExpressionError(f"eps must lie in (0,1), got {eps}")
     return _Walk(plan, coords, eps)

@@ -3,7 +3,7 @@
 An expression denotes a net of smooth functions (u_eps): for each value of
 the regularisation parameter eps in (0,1) it is an ordinary smooth function
 of the spatial variables x1..xd.  Epsilon enters only through rational
-powers (``epspow``), which keeps magnitudes exactly representable and lets
+powers (``EpsPow``), which keeps magnitudes exactly representable and lets
 simplification merge powers instead of compounding rounding.
 """
 from __future__ import annotations
@@ -40,12 +40,9 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Eps:
-    """The bare regularisation parameter (normalised to EpsPow(1))."""
-
-
-@dataclass(frozen=True)
 class EpsPow:
+    """eps^exponent; eps itself is EpsPow(1)."""
+
     exponent: Fraction
 
     def __post_init__(self):
@@ -116,7 +113,7 @@ class Cutoff:
     order: int = 0
 
 
-Expr = Union[Const, Var, Eps, EpsPow, Add, Mul, Sub, Div, IntPow, Sin, Cos, Exp, Bump, Cutoff]
+Expr = Union[Const, Var, EpsPow, Add, Mul, Sub, Div, IntPow, Sin, Cos, Exp, Bump, Cutoff]
 
 Point = Sequence[float]
 
@@ -209,8 +206,6 @@ def to_text(e: Expr) -> str:
         return _fmt_const(e.value)
     if isinstance(e, Var):
         return f"x{e.index + 1}"
-    if isinstance(e, Eps):
-        return "eps"
     if isinstance(e, EpsPow):
         q = e.exponent
         if q == 1:

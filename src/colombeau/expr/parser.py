@@ -10,7 +10,8 @@
     FUNC     := "sin" | "cos" | "exp" | "bump" | "cutoff"
 
 Binding strength is ^ > unary minus > * / > + - with left association for
-the binary operators.  Rational exponents are only meaningful on ``eps``;
+the binary operators.  ``eps`` reads as ``EpsPow(1)``, and a power of it
+folds into its exponent; rational exponents are only meaningful there, and
 any other base requires an integer exponent.  The returned tree is in
 simplified normal form.  Brackets, function calls and unary minus signs nest
 at most ``MAX_NESTING`` deep, so that parsing, simplifying and evaluating a
@@ -28,7 +29,6 @@ from .nodes import (
     Cos,
     Cutoff,
     Div,
-    Eps,
     EpsPow,
     Expr,
     ExpressionError,
@@ -159,9 +159,8 @@ class _Parser:
             return base
         caret = self.advance()
         q = self.exponent()
-        if isinstance(base, (Eps, EpsPow)):
-            prev = Fraction(1) if isinstance(base, Eps) else base.exponent
-            return EpsPow(prev * q)
+        if isinstance(base, EpsPow):
+            return EpsPow(base.exponent * q)
         if q.denominator != 1:
             raise ParseError("fractional exponents are only allowed on eps", caret.pos)
         return IntPow(base, int(q))
@@ -215,7 +214,7 @@ class _Parser:
             self.advance()
             name = tok.text
             if name == "eps":
-                return Eps()
+                return EpsPow(Fraction(1))
             m = _VAR_RE.match(name)
             if m:
                 idx = int(m.group(1))

@@ -14,7 +14,6 @@ from .nodes import (
     Cos,
     Cutoff,
     Div,
-    Eps,
     EpsPow,
     Expr,
     ExpressionError,
@@ -43,10 +42,10 @@ def _fold_unary(node: Expr, arg: Const) -> Expr | None:
             return Const(math.cos(v))
         if isinstance(node, Exp):
             return Const(math.exp(v))
-        if isinstance(node, Bump):
-            return Const(float(special.bump_deriv_values(node.order, np.array([v]))[0]))
-        if isinstance(node, Cutoff):
-            return Const(float(special.cutoff_deriv_values(node.order, np.array([v]))[0]))
+        if isinstance(node, (Bump, Cutoff)):
+            values = special.bump_deriv_values if isinstance(node, Bump) else special.cutoff_deriv_values
+            with np.errstate(all="ignore"):  # as evaluation does: bump(1e200) squares to inf
+                return Const(float(values(node.order, np.array([v]))[0]))
     except (OverflowError, ValueError):
         return None
     return None
@@ -165,8 +164,6 @@ def simplify(e: Expr) -> Expr:
         return e
     if isinstance(e, Var):
         return e
-    if isinstance(e, Eps):
-        return EpsPow(Fraction(1))
     if isinstance(e, EpsPow):
         return Const(1.0) if e.exponent == 0 else e
     if isinstance(e, Add):
@@ -233,7 +230,7 @@ def simplify(e: Expr) -> Expr:
 
 
 def _diff(e: Expr, i: int) -> Expr:
-    if isinstance(e, (Const, Eps, EpsPow)):
+    if isinstance(e, (Const, EpsPow)):
         return Const(0.0)
     if isinstance(e, Var):
         return Const(1.0 if e.index == i else 0.0)

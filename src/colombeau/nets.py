@@ -133,7 +133,8 @@ class CompactBox:
     def of(*boxes: Sequence[Interval], min_side: float | None = None) -> "CompactBox":
         bx = tuple(tuple((float(lo), float(hi)) for lo, hi in b) for b in boxes)
         if min_side is None:
-            min_side = min(hi - lo for b in bx for lo, hi in b)
+            # no side at all: __post_init__ refuses the set
+            min_side = min((hi - lo for b in bx for lo, hi in b), default=math.nan)
         return CompactBox(bx, float(min_side))
 
     @staticmethod
@@ -295,6 +296,13 @@ def _hint(value: Fraction | int | str) -> Fraction:
     return hint
 
 
+def _support(box: Optional[CompactBox], dimension: int) -> Optional[CompactBox]:
+    """A support box; every net variant rejects one of another dimension."""
+    if box is not None and box.dimension != dimension:
+        raise NetError(f"support box dimension {box.dimension} != net dimension {dimension}")
+    return box
+
+
 def _check_alpha(alpha: tuple[int, ...], d: int) -> None:
     if len(alpha) != d:
         raise NetError(f"multi-index length {len(alpha)} != dimension {d}")
@@ -322,7 +330,7 @@ class ExpressionNet(FunctionNet):
         if used >= dimension:
             raise NetError(f"expression uses x{used + 1} beyond dimension {dimension}")
         self.oscillation_hint = _hint(oscillation_hint)
-        self.support_box = support_box
+        self.support_box = _support(support_box, dimension)
         self._deriv_cache: dict[tuple[int, ...], ex.Expr] = {tuple([0] * dimension): self.expression}
         self._constraints = support_constraints(self.expression)
 
@@ -413,7 +421,7 @@ class BandedNet(FunctionNet):
         self.dimension = dimension
         self.bands = [((lo, hi), ExpressionNet(dimension, e)) for (lo, hi), e in ordered]
         self.oscillation_hint = _hint(oscillation_hint)
-        self.support_box = support_box
+        self.support_box = _support(support_box, dimension)
 
     def _part(self, eps: float) -> ExpressionNet:
         for (lo, hi), part in self.bands:

@@ -17,22 +17,8 @@ import pytest
 from colombeau.catalog import catalog_oracle
 from colombeau.config import load_config
 from colombeau.expr import (
-    Add,
-    Bump,
-    Const,
-    Cos,
-    Cutoff,
-    Div,
-    Eps,
-    EpsPow,
     EvaluationError,
-    Exp,
-    IntPow,
-    Mul,
-    Sin,
     SizeCapError,
-    Sub,
-    Var,
     differentiate,
     evaluate,
     parse,
@@ -63,6 +49,8 @@ from colombeau.scale import (
     scale_mul,
     valuation_exact,
 )
+
+from raw_trees import central_diff, random_expr
 
 C1_ORACLE = 2.2522836210435675  # normalisation constant, d=1, Q=128
 
@@ -254,42 +242,6 @@ def test_criterion_12_mollifier_normalisation():
     assert _verdict(12, ok), (reintegrated, c1)
 
 
-def _random_expr(rng, depth):
-    if depth <= 0:
-        pick = rng.randrange(4)
-        if pick == 0:
-            return Const(round(rng.uniform(-2, 2), 3) or 1.0)
-        if pick == 1:
-            return Var(0)
-        if pick == 2:
-            return Eps()
-        return EpsPow(Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2])))
-    pick = rng.randrange(9)
-    sub = lambda: _random_expr(rng, depth - 1)
-    if pick == 0:
-        return Add((sub(), sub()))
-    if pick == 1:
-        return Mul((sub(), sub()))
-    if pick == 2:
-        return Sub(sub(), sub())
-    if pick == 3:
-        return Sin(sub())
-    if pick == 4:
-        return Cos(sub())
-    if pick == 5:
-        return Exp(Mul((Const(0.3), sub())))
-    if pick == 6:
-        return Bump(sub())
-    if pick == 7:
-        return Cutoff(sub())
-    return Div(sub(), Add((Const(2.0), IntPow(Var(0), 2))))
-
-
-def _central_diff(e, x, eps, h):
-    v = [evaluate(e, (x + k * h,), eps) for k in (-2, -1, 1, 2)]
-    return (v[0] - 8 * v[1] + 8 * v[2] - v[3]) / (12 * h)
-
-
 def test_criterion_13_parser_round_trip_and_derivatives(catalog_nets):
     ok = True
     # round-trip stability of every expression the catalog prints
@@ -304,12 +256,12 @@ def test_criterion_13_parser_round_trip_and_derivatives(catalog_nets):
     rng = random.Random(4242)
     checked = 0
     while checked < 200:
-        e = simplify(_random_expr(rng, rng.randint(1, 4)))
+        e = simplify(random_expr(rng, rng.randint(1, 4)))
         x = rng.uniform(-1.5, 1.5)
         eps = rng.choice([0.35, 0.5, 0.65])
         try:
             sym = evaluate(differentiate(e, 0), (x,), eps)
-            est = _central_diff(e, x, eps, 1e-4 * max(1.0, abs(x)))
+            est = central_diff(e, x, eps, 1e-4 * max(1.0, abs(x)))
         except (EvaluationError, SizeCapError):
             continue
         if not (math.isfinite(sym) and math.isfinite(est)):

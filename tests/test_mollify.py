@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from colombeau import cli
+from colombeau.catalog import catalog_net
 from colombeau.expr import Grid, LeafMemo, parse
 from colombeau.expr.special import bump_deriv_values
 from colombeau.mollify import (
@@ -60,8 +61,6 @@ def m64():
 
 @pytest.fixture(scope="module")
 def compact_osc():
-    from colombeau.catalog import catalog_net
-
     return catalog_net("compact_osc")
 
 
@@ -220,6 +219,37 @@ def test_derivative_routes_commute(compact_osc, m64):
             b = p_route.derivative_batch((k,), pts, eps)
             rel = np.max(np.abs(a - b) / (np.abs(a) + np.abs(b) + 1.0))
             assert rel < 1e-6, (k, eps)
+
+
+def test_both_routes_on_osc_match_the_closed_form_of_their_rule():
+    # For u = sin(x1/eps) each route is a fixed sum over the rule's nodes s_q,
+    # so it is u's own samples times a transform of the rule at xi = eps^(n-1):
+    # sum_q c_q sin((x - eps^n s_q)/eps) = Im(e^(ix/eps) T(xi)) with
+    # T(xi) = sum_q c_q e^(-i xi s_q).  The mollified route takes
+    # c_q = core_weights_q, and T is real.  The psi route's order k takes
+    # c_q = w_q psi^(k)(s_q) and the factor eps^(-nk); T_k is real for even k
+    # and imaginary for odd k, where sin(x/eps) becomes cos(x/eps) =
+    # eps * d/dx sin(x/eps).  Odd k at n >= 2 is left out: there
+    # |T_k(eps^(n-1))| falls to about 1e-12 (n = 3, eps = 2^-18, k = 3) and the
+    # route's own sum reaches its round-off floor, off by up to 4.4 in ln.
+    osc = catalog_net("osc")
+    for n in (1, 2, 3):
+        moll = mollify(osc, n)
+        rule = moll.mollifier
+        psi = PsiRouteNet(osc, n, rule)
+        s = rule.nodes[0]
+        for eps in (2.0**-1, 2.0**-4, 2.0**-10, 2.0**-19):
+            phase = np.exp(-1j * eps ** (n - 1) * s)
+            t = np.sum(rule.core_weights * phase)
+            for k in range(4):
+                want = seminorm(osc, k, K01, eps).ln_value + math.log(abs(t))
+                assert abs(seminorm(moll, k, K01, eps).ln_value - want) <= 1e-9, (n, eps, k)
+                if k % 2 and n >= 2:
+                    continue
+                t_k = np.sum(rule.weights * rule.psi_deriv((k,), rule.nodes) * phase)
+                want = (-n * k * math.log(eps) + math.log(abs(t_k))
+                        + seminorm(osc, k % 2, K01, eps).ln_value + k % 2 * math.log(eps))
+                assert abs(seminorm(psi, k, K01, eps).ln_value - want) <= 1e-9, (n, eps, k)
 
 
 def test_quadrature_order_already_adequate(compact_osc, m32, m64):

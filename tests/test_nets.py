@@ -67,6 +67,8 @@ def test_compact_box_validation():
         CompactBox.of([(0.0, math.inf)])
     with pytest.raises(NetError):
         CompactBox((((0.0, 0.5),),), 1.0)  # side below min_side
+    with pytest.raises(NetError, match="at least one box"):
+        CompactBox.of()
 
 
 def test_enlarge():
@@ -161,6 +163,16 @@ def test_every_net_variant_rejects_a_negative_oscillation_hint():
         FiniteSumNet(1, [parse("x1")], oscillation_hint=-2)
     with pytest.raises(NetError):
         BandedNet(1, [((0.0, 1.0), parse("sin(x1/eps^3)"))], oscillation_hint="-1")
+
+
+def test_every_net_variant_rejects_a_support_box_of_another_dimension():
+    square = CompactBox.of([(-2.0, 2.0), (-2.0, 2.0)])
+    with pytest.raises(NetError, match="support box dimension 2"):
+        ExpressionNet(1, parse("sin(x1/eps)"), 1, support_box=square)
+    with pytest.raises(NetError, match="support box dimension 2"):
+        FiniteSumNet(1, [parse("x1"), parse("eps")], support_box=square)
+    with pytest.raises(NetError, match="support box dimension 1"):
+        BandedNet(3, [((0.0, 1.0), parse("x3", 3))], support_box=CompactBox.interval(0.0, 1.0))
 
 
 def test_difference_net():
