@@ -231,6 +231,12 @@ def _plan_of(e: Expr) -> _Plan:
     return plan
 
 
+def axis_mask(e: Expr) -> int:
+    """The axes e uses, from its compiled plan: bit i set when e depends on
+    x_(i+1), 0 for a tree constant in x."""
+    return _plan_of(e).varies[-1]
+
+
 def _is_scalar(v) -> bool:
     # values are Python or numpy floats, or arrays that broadcast to the block
     return not isinstance(v, np.ndarray) or v.ndim == 0

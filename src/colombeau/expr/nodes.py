@@ -152,18 +152,6 @@ def check_size(e: Expr) -> Expr:
     return e
 
 
-def max_var_index(e: Expr) -> int:
-    """Largest variable index used, or -1 for a spatially constant net."""
-    best = -1
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, Var):
-            best = max(best, n.index)
-        stack.extend(children_of(n))
-    return best
-
-
 # ---------------------------------------------------------------------------
 # printing
 # ---------------------------------------------------------------------------

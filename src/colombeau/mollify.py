@@ -184,12 +184,11 @@ class MollifiedNet(FunctionNet):
                 "base oscillation hint exceeds the mollification order; "
                 "a fixed quadrature order cannot resolve the integrand"
             )
+        support = None if base.support_box is None else enlarge(base.support_box, 1.0)
+        super().__init__(base.dimension, base.oscillation_hint, support)
         self.base = base
         self.n = n
         self.mollifier = mollifier
-        self.dimension = base.dimension
-        self.oscillation_hint = base.oscillation_hint
-        self.support_box = None if base.support_box is None else enlarge(base.support_box, 1.0)
         self._keep = mollifier.core_weights != 0.0
         self._nodes = mollifier.nodes[:, self._keep]
         self._weights = mollifier.core_weights[self._keep]
@@ -538,7 +537,7 @@ def class_A_membership(
 ) -> ClassAReport:
     """Evidence for p_{k,K}(u_eps) <= eps^(-Nk-N): fitted valuations must
     stay above -Nk - N - CLASS_A_SLACK for all k <= k_max and all compacts."""
-    if not isinstance(N, int) or N < 1:
+    if not isinstance(N, int) or isinstance(N, bool) or N < 1:
         raise NetError("N must be a positive integer")
     if not Ks:
         raise NetError("class A needs at least one compact")

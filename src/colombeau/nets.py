@@ -100,42 +100,38 @@ Interval = tuple[float, float]
 
 @dataclass(frozen=True)
 class CompactBox:
-    """Finite union of closed axis-aligned boxes with minimum side r > 0.
+    """Finite union of closed axis-aligned boxes of one dimension d >= 1,
+    every side of positive length.
 
-    Every point of such a union has, in each axis direction, a full segment
-    of length >= r inside the union, which is the geometric hypothesis the
-    log-convexity check below relies on.
+    With r > 0 the shortest side, every point of such a union has, in each
+    axis direction, a full segment of length >= r inside the union, which is
+    the geometric hypothesis the log-convexity check relies on.
     """
 
     boxes: tuple[tuple[Interval, ...], ...]
-    min_side: float
 
     def __post_init__(self):
         if not self.boxes:
             raise NetError("compact set needs at least one box")
-        if not (self.min_side > 0.0):
-            raise NetError("min_side must be positive")
         d = len(self.boxes[0])
+        if d == 0:
+            raise NetError("a box needs at least one axis")
         for b in self.boxes:
             if len(b) != d:
                 raise NetError("all boxes must share the dimension")
             for lo, hi in b:
                 if not (math.isfinite(lo) and math.isfinite(hi)):
                     raise NetError("box bounds must be finite")
-                if hi - lo + 1e-12 < self.min_side:
-                    raise NetError(f"box side {hi - lo} below min_side {self.min_side}")
+                if hi - lo <= 0.0:
+                    raise NetError(f"box side {hi - lo} must be positive")
 
     @property
     def dimension(self) -> int:
         return len(self.boxes[0])
 
     @staticmethod
-    def of(*boxes: Sequence[Interval], min_side: float | None = None) -> "CompactBox":
-        bx = tuple(tuple((float(lo), float(hi)) for lo, hi in b) for b in boxes)
-        if min_side is None:
-            # no side at all: __post_init__ refuses the set
-            min_side = min((hi - lo for b in bx for lo, hi in b), default=math.nan)
-        return CompactBox(bx, float(min_side))
+    def of(*boxes: Sequence[Interval]) -> "CompactBox":
+        return CompactBox(tuple(tuple((float(lo), float(hi)) for lo, hi in b) for b in boxes))
 
     @staticmethod
     def interval(lo: float, hi: float) -> "CompactBox":
@@ -149,8 +145,7 @@ def enlarge(K: CompactBox, r: float) -> CompactBox:
     """Inflate every box by r in each axis direction."""
     if r < 0:
         raise NetError("enlargement must be non-negative")
-    boxes = tuple(tuple((lo - r, hi + r) for lo, hi in b) for b in K.boxes)
-    return CompactBox(boxes, K.min_side + 2 * r)
+    return CompactBox(tuple(tuple((lo - r, hi + r) for lo, hi in b) for b in K.boxes))
 
 
 def multi_indices(d: int, k: int) -> list[tuple[int, ...]]:
@@ -218,17 +213,18 @@ def _clip(
 
 def support_constraints(e: ex.Expr) -> tuple[tuple[int, ex.Expr, ex.Expr, float], ...]:
     """(axis, slope, argument, bound) of each multiplicative bump or cutoff
-    factor whose argument a is affine in one axis i: d a/d x_j is 0 for every
-    j != i and d a/d x_i is free of x.  The factor vanishes where |a| > bound."""
+    factor whose argument a is affine in one axis i: a uses x_i alone and
+    d a/d x_i is free of x.  The factor vanishes where |a| > bound."""
     out = []
     for f in e.children if isinstance(e, ex.Mul) else (e,):
         if not isinstance(f, (ex.Bump, ex.Cutoff)):
             continue
-        axis = ex.max_var_index(f.arg)
-        if axis < 0 or any(ex.differentiate(f.arg, j) != ex.Const(0.0) for j in range(axis)):
+        axes = ex.axis_mask(f.arg)
+        if axes == 0 or axes & (axes - 1):
             continue
+        axis = axes.bit_length() - 1
         slope = ex.differentiate(f.arg, axis)
-        if ex.max_var_index(slope) < 0:
+        if ex.axis_mask(slope) == 0:
             out.append((axis, slope, f.arg, 1.0 if isinstance(f, ex.Bump) else 2.0))
     return tuple(out)
 
@@ -255,9 +251,25 @@ def _support_bounds(constraints, eps: float):
 class FunctionNet:
     """Base class: an eps-parametrised smooth function of d variables."""
 
-    dimension: int
-    oscillation_hint: Fraction
-    support_box: Optional[CompactBox]
+    def __init__(
+        self,
+        dimension: int,
+        oscillation_hint: Fraction | int | str = 0,
+        support_box: Optional[CompactBox] = None,
+    ):
+        """Check and keep what every net variant has: its dimension d in
+        1..3, its oscillation hint as a Fraction >= 0, and the box outside
+        of which it vanishes, of dimension d, if known."""
+        if not 1 <= dimension <= 3:
+            raise NetError("dimension must be in 1..3")
+        hint = Fraction(oscillation_hint)
+        if hint < 0:
+            raise NetError("oscillation hint must be >= 0")
+        if support_box is not None and support_box.dimension != dimension:
+            raise NetError(f"support box dimension {support_box.dimension} != net dimension {dimension}")
+        self.dimension = dimension
+        self.oscillation_hint = hint
+        self.support_box = support_box
 
     def derivative_batch(self, alpha: tuple[int, ...], coords: np.ndarray, eps: float) -> np.ndarray:
         raise NotImplementedError
@@ -288,21 +300,6 @@ class FunctionNet:
         return {"variant": type(self).__name__, "dimension": self.dimension}
 
 
-def _hint(value: Fraction | int | str) -> Fraction:
-    """An oscillation hint as a Fraction; every net variant rejects a negative one."""
-    hint = Fraction(value)
-    if hint < 0:
-        raise NetError("oscillation hint must be >= 0")
-    return hint
-
-
-def _support(box: Optional[CompactBox], dimension: int) -> Optional[CompactBox]:
-    """A support box; every net variant rejects one of another dimension."""
-    if box is not None and box.dimension != dimension:
-        raise NetError(f"support box dimension {box.dimension} != net dimension {dimension}")
-    return box
-
-
 def _check_alpha(alpha: tuple[int, ...], d: int) -> None:
     if len(alpha) != d:
         raise NetError(f"multi-index length {len(alpha)} != dimension {d}")
@@ -322,15 +319,11 @@ class ExpressionNet(FunctionNet):
         oscillation_hint: Fraction | int | str = 0,
         support_box: Optional[CompactBox] = None,
     ):
-        if not 1 <= dimension <= 3:
-            raise NetError("dimension must be in 1..3")
-        self.dimension = dimension
+        super().__init__(dimension, oscillation_hint, support_box)
         self.expression = ex.simplify(expression)
-        used = ex.max_var_index(self.expression)
-        if used >= dimension:
-            raise NetError(f"expression uses x{used + 1} beyond dimension {dimension}")
-        self.oscillation_hint = _hint(oscillation_hint)
-        self.support_box = _support(support_box, dimension)
+        used = ex.axis_mask(self.expression).bit_length()
+        if used > dimension:
+            raise NetError(f"expression uses x{used} beyond dimension {dimension}")
         self._deriv_cache: dict[tuple[int, ...], ex.Expr] = {tuple([0] * dimension): self.expression}
         self._constraints = support_constraints(self.expression)
 
@@ -405,6 +398,7 @@ class BandedNet(FunctionNet):
         oscillation_hint: Fraction | int | str = 0,
         support_box: Optional[CompactBox] = None,
     ):
+        super().__init__(dimension, oscillation_hint, support_box)
         if not bands:
             raise NetError("banded net needs at least one band")
         ordered = sorted(bands, key=lambda b: b[0][0])
@@ -418,10 +412,7 @@ class BandedNet(FunctionNet):
                 raise NetError("bands must tile (0,1) without gaps or overlap")
         if ordered[-1][0][1] < 1.0:
             raise NetError("topmost band must reach 1")
-        self.dimension = dimension
         self.bands = [((lo, hi), ExpressionNet(dimension, e)) for (lo, hi), e in ordered]
-        self.oscillation_hint = _hint(oscillation_hint)
-        self.support_box = _support(support_box, dimension)
 
     def _part(self, eps: float) -> ExpressionNet:
         for (lo, hi), part in self.bands:
@@ -456,11 +447,9 @@ class DifferenceNet(FunctionNet):
     def __init__(self, a: FunctionNet, b: FunctionNet):
         if a.dimension != b.dimension:
             raise NetError("difference requires equal dimensions")
+        super().__init__(a.dimension, max(a.oscillation_hint, b.oscillation_hint))
         self.a = a
         self.b = b
-        self.dimension = a.dimension
-        self.oscillation_hint = max(a.oscillation_hint, b.oscillation_hint)
-        self.support_box = None
 
     def derivative_batch(self, alpha, coords, eps):
         return self.a.derivative_batch(alpha, coords, eps) - self.b.derivative_batch(alpha, coords, eps)
@@ -755,8 +744,12 @@ class SharpSeminorm:
 
     @property
     def value(self) -> float:
-        """P_{k,K} = exp(ln_value); 0 for a negligible order."""
-        return math.exp(self.ln_value)
+        """P_{k,K} = exp(ln_value); 0 for a negligible order, and inf when
+        ln_value is above ln of the largest float (about 709.78)."""
+        try:
+            return math.exp(self.ln_value)
+        except OverflowError:
+            return math.inf
 
 
 def sharp_seminorm(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from colombeau import cli
-from colombeau.catalog import catalog_net
+from colombeau.catalog import REFERENCE_COMPACTS, catalog_net
 from colombeau.expr import Grid, LeafMemo, parse
 from colombeau.expr.special import bump_deriv_values
 from colombeau.mollify import (
@@ -324,6 +324,21 @@ def test_convergence_on_oscillation():
     assert rows[0][3] == pytest.approx(v1 - 1 - rec.reference)
 
 
+@pytest.mark.parametrize("K", REFERENCE_COMPACTS, ids=["[0,1]", "[-1,2]"])
+@pytest.mark.parametrize("k", [0, 1])
+def test_convergence_rate_on_compact_osc_from_both_sides(compact_osc, K, k):
+    # The symmetric bump has no first moment, so mollifying e^(ix/eps) at
+    # scale eps^n multiplies it by 1 - O(eps^(2(n-1))), and the k-th
+    # derivative of the difference has valuation 2(n-1) - k.  The fits are
+    # within 0.006 of it (K = [-1, 2], k = 1 is the worst).  At n = 4 they
+    # bend to 5.81 (k = 0) and 4.82-4.84 (k = 1): the two smallest-eps
+    # samples sit at the float64 cancellation floor, about 1e-14 of |u|, so
+    # n = 4 is left out here.
+    rec = convergence_experiment(compact_osc, K, k, (1, 2, 3))
+    for e in rec.entries:
+        assert e.v_hat == pytest.approx(2 * (e.n - 1) - k, abs=0.1), e
+
+
 def test_convergence_on_a_linear_net_is_numerically_null(monkeypatch, compact_osc):
     # u star psi = u for a linear u, so every sample of the difference sits
     # at round-off (about e^-36.7 against p_0(u) = 1): the fits to that noise
@@ -480,9 +495,8 @@ def test_class_a_multiscale_no():
 class _RefusesSampling(FunctionNet):
     """A 1-d net that fails the test if anything samples it."""
 
-    dimension = 1
-    oscillation_hint = 0
-    support_box = None
+    def __init__(self):
+        super().__init__(1)
 
     def derivative_batch(self, alpha, coords, eps):
         raise AssertionError("sampled")
@@ -493,6 +507,8 @@ def test_class_a_validation():
         class_A_membership(_net("1"), 0, [K01], 2)
     with pytest.raises(NetError):
         class_A_membership(_net("1"), 1.5, [K01], 2)
+    with pytest.raises(NetError):
+        class_A_membership(_net("1"), True, [K01], 2)
     # no compact, no evidence
     with pytest.raises(NetError):
         class_A_membership(_net("1"), 1, [], 3)

@@ -52,7 +52,6 @@ def _delta():
 def test_compact_box_basics():
     K = CompactBox.of([(0.0, 1.0)], [(2.0, 3.5)])
     assert K.dimension == 1
-    assert K.min_side == 1.0
     assert K.describe() == [[[0.0, 1.0]], [[2.0, 3.5]]]
     K2 = CompactBox.of([(0.0, 1.0), (-1.0, 1.0)])
     assert K2.dimension == 2
@@ -60,21 +59,24 @@ def test_compact_box_basics():
 
 def test_compact_box_validation():
     with pytest.raises(NetError):
-        CompactBox((), 1.0)
+        CompactBox(())
     with pytest.raises(NetError):
         CompactBox.of([(0.0, 1.0)], [(0.0, 1.0), (0.0, 1.0)])  # mixed dimension
     with pytest.raises(NetError):
         CompactBox.of([(0.0, math.inf)])
-    with pytest.raises(NetError):
-        CompactBox((((0.0, 0.5),),), 1.0)  # side below min_side
     with pytest.raises(NetError, match="at least one box"):
         CompactBox.of()
+    with pytest.raises(NetError, match="at least one axis"):
+        CompactBox(((),))
+    with pytest.raises(NetError, match="at least one axis"):
+        CompactBox.of([])
+    with pytest.raises(NetError, match="must be positive"):
+        CompactBox.of([(0.0, 1.0)], [(0.5, 0.5)])  # a zero-length side
 
 
 def test_enlarge():
     K = enlarge(CompactBox.interval(0.0, 1.0), 0.5)
     assert K.describe() == [[[-0.5, 1.5]]]
-    assert K.min_side == 2.0
     with pytest.raises(NetError):
         enlarge(K, -0.1)
 
@@ -125,9 +127,7 @@ class _TermwiseSum(FunctionNet):
     values added left to right."""
 
     def __init__(self, net: FiniteSumNet):
-        self.dimension = net.dimension
-        self.oscillation_hint = net.oscillation_hint
-        self.support_box = None
+        super().__init__(net.dimension, net.oscillation_hint)
         self.parts = [ExpressionNet(net.dimension, t) for t in net.terms]
 
     def derivative_batch(self, alpha, coords, eps):
@@ -497,6 +497,10 @@ def test_sharp_seminorm_recovers_valuation():
     assert s.value == pytest.approx(math.e, rel=1e-9)
     z = sharp_seminorm(DifferenceNet(_osc(), _osc()), 0, K01, default_grid())
     assert z.ln_value == -math.inf and z.value == 0.0
+    # a valuation steeper than ln(max float) ~ 709.78: value overflows to inf
+    steep = ExpressionNet(1, parse("eps^(-800)"))
+    big = sharp_seminorm(steep, 0, K01, EpsGrid(0.5, 0.9999, 10))
+    assert big.ln_value == pytest.approx(800.0, abs=1e-9) and big.value == math.inf
 
 
 def test_sharp_seminorm_leibniz_bound():

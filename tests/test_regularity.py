@@ -1,9 +1,13 @@
 import json
 import math
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from colombeau.expr import parse
+from colombeau.catalog import CATALOG
+from colombeau.expr import EpsPow, Mul, parse
+from colombeau.mollify import class_A_membership
 from colombeau.nets import CompactBox, ExpressionNet, SeminormTable, SharpSeminorm
 from colombeau.regularity import (
     PSequence,
@@ -358,3 +362,38 @@ def test_build_report_shape(catalog_nets, compacts, grid):
 def test_build_report_requires_compacts(catalog_nets, grid):
     with pytest.raises(RegularityError):
         build_report(catalog_nets["one"], [], grid)
+
+
+# ---------------------------------------------------------------------------
+# properties of the fits and verdicts
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", tuple(CATALOG))
+def test_scaling_by_eps_power_shifts_every_valuation(name, catalog_nets, catalog_sequences, grid):
+    # v(eps^N u) = N + v(u) for every order; +inf (a negligible order) stays +inf
+    u = catalog_nets[name]
+    base = catalog_sequences[name][0]
+    assert base.entries[0].table.K == K01
+    for N in (1, 3):
+        scaled = ExpressionNet(1, Mul((EpsPow(Fraction(N)), u.expression)),
+                               u.oscillation_hint, u.support_box)
+        seq = psequence(scaled, K01, grid, k_max=6)
+        for s, b in zip(seq.entries, base.entries, strict=True):
+            est, ref = s.estimate, b.estimate
+            # approx(inf) matches inf alone
+            assert est.value == pytest.approx(ref.value + N, abs=1e-9), (name, N, s.k)
+            assert (est.window, est.method, est.stable) == (ref.window, ref.method, ref.stable)
+
+
+@pytest.mark.parametrize("name", tuple(CATALOG))
+def test_verdicts_do_not_depend_on_the_order_of_the_compacts(name, catalog_nets, compacts, grid):
+    u = catalog_nets[name]
+    backwards = tuple(reversed(compacts))
+    sub, sub_back = classify_sublinear(u, compacts, grid), classify_sublinear(u, backwards, grid)
+    assert sub_back.verdict == sub.verdict
+    assert sub_back.per_compact == tuple(reversed(sub.per_compact))
+    a = class_A_membership(u, 1, compacts, 3, grid)
+    a_back = class_A_membership(u, 1, backwards, 3, grid)
+    assert a_back.verdict == a.verdict
+    assert Counter(a_back.rows) == Counter(a.rows)
