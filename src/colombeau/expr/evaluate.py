@@ -149,7 +149,10 @@ class _Plan:
 
     The last slot is the root.  ``params`` holds what a node carries besides
     its children: a Const value, a Var index, a float eps exponent, an
-    integer power or a derivative order.
+    integer power or a derivative order.  ``jet_tops`` and ``jet_leaves``
+    hold, per slot, the top order of the Cutoff leaves of order >= 1 over
+    it and how many such leaves there are (0 and 0 for a slot that is no
+    cutoff's argument): one jet build to that order serves them all.
     """
 
     kinds: tuple[type, ...]
@@ -158,6 +161,8 @@ class _Plan:
     uses: tuple[int, ...]  # references from the other distinct nodes
     varies: tuple[int, ...]  # bit i set: the subtree depends on x_(i+1); 0 for a constant
     memo_keys: tuple  # structural key of an x-dependent leaf a LeafMemo keeps, else None
+    jet_tops: tuple[int, ...]
+    jet_leaves: tuple[int, ...]
 
 
 def _param(e: Expr):
@@ -218,7 +223,13 @@ def _compile(root: Expr) -> _Plan:
         slot_of[id(node)] = slot
     memo_keys = tuple(sk if kind in _MEMO_KINDS and vary else None
                       for kind, vary, sk in zip(kinds, varies, skeys))
-    return _Plan(tuple(kinds), tuple(params), tuple(kids), tuple(uses), tuple(varies), memo_keys)
+    tops, leaves = [0] * len(kinds), [0] * len(kinds)
+    for kind, p, ks in zip(kinds, params, kids):
+        if kind is Cutoff and p:
+            tops[ks[0]] = max(tops[ks[0]], p)
+            leaves[ks[0]] += 1
+    return _Plan(tuple(kinds), tuple(params), tuple(kids), tuple(uses), tuple(varies), memo_keys,
+                 tuple(tops), tuple(leaves))
 
 
 def _plan_of(e: Expr) -> _Plan:
@@ -281,7 +292,10 @@ class _Walk:
     ``take(slot)`` hands a slot's value to one reader: ``value`` computes it
     on the first read, and the last reader takes the only reference, so numpy
     can reuse a temporary's buffer.  A memo hit counts the node's argument as
-    read.  Values may be non-finite; numpy error state must be suppressed.
+    read.  The cutoff leaves of order >= 1 over one argument share one
+    ``special.cutoff_jets`` build, to their top order; a leaf computed, taken
+    from the memo or skipped is served, and the jets go with the last one.
+    Values may be non-finite; numpy error state must be suppressed.
     Bound methods of one object, unlike closures that call each other, form
     no reference cycle that would keep the Grid alive after the call.
     """
@@ -291,6 +305,8 @@ class _Walk:
         self.keys = plan.memo_keys if coords.memo is not None else None
         self.vals: list = [_PENDING] * len(plan.kinds)
         self.left = list(plan.uses)
+        self.jets: dict = {}  # argument slot -> its cutoff_jets, while a leaf waits
+        self.jet_left = list(plan.jet_leaves)
 
     def take(self, slot: int):
         v = self.vals[slot]
@@ -306,9 +322,38 @@ class _Walk:
         self.left[slot] -= 1
         if self.left[slot] == 0:
             if self.vals[slot] is _PENDING:
-                for c in self.plan.kids[slot]:
-                    self.skip(c)
+                self.forgo(slot)
             self.vals[slot] = None
+
+    def forgo(self, slot: int) -> None:
+        # slot is served without computing it: its children lose a reader,
+        # and a cutoff leaf no longer waits for its argument's jets
+        ks = self.plan.kids[slot]
+        if self.plan.kinds[slot] is Cutoff and self.plan.params[slot]:
+            self.served(ks[0])
+        for c in ks:
+            self.skip(c)
+
+    def served(self, arg: int) -> None:
+        # one more cutoff leaf over slot arg is served; the last drops the jets
+        self.jet_left[arg] -= 1
+        if self.jet_left[arg] == 0:
+            self.jets.pop(arg, None)
+
+    def cutoff_row(self, slot: int) -> np.ndarray:
+        """The derivative of order >= 1 at a cutoff slot: its row of the jets
+        its argument shares, 0 off the band."""
+        arg = self.plan.kids[slot][0]
+        t = self.take(arg)
+        jets = self.jets.get(arg)
+        if jets is None:
+            jets = self.jets[arg] = special.cutoff_jets(
+                self.plan.jet_tops[arg], np.atleast_1d(np.asarray(t, dtype=float)))
+        self.served(arg)
+        band, rows = jets
+        out = np.zeros(band.shape)
+        out[band] = rows[self.plan.params[slot]]
+        return out
 
     def value(self, slot: int):
         """A float scalar or an array shaped by the axes the slot uses."""
@@ -318,8 +363,7 @@ class _Walk:
         if key is not None:
             hit = self.coords.memo.values.get((key, eps))
             if hit is not None:
-                for c in ks:
-                    self.skip(c)
+                self.forgo(slot)
                 return hit
         if kind is Add:
             acc = self.take(ks[0])
@@ -335,7 +379,10 @@ class _Walk:
             # two Python floats would raise ZeroDivisionError
             num, den = self.take(ks[0]), self.take(ks[1])
             return num / (np.float64(den) if _is_scalar(den) else den)
-        v = _apply(kind, plan.params[slot], self.take(ks[0]) if ks else None, self.coords, eps)
+        if kind is Cutoff and plan.params[slot]:
+            v = self.cutoff_row(slot)
+        else:
+            v = _apply(kind, plan.params[slot], self.take(ks[0]) if ks else None, self.coords, eps)
         if key is not None:
             self.coords.memo.keep((key, eps), v)
         return v

@@ -16,6 +16,12 @@ Cutoff derivatives are obtained by truncated-Taylor (jet) propagation through
 the closed form B(2-|t|)/(B(2-|t|)+B(|t|-1)) on the transition band
 1 < |t| < 2; the function is identically 1 / 0 (all derivatives zero) on the
 plateau / outside the support, including at the seam points |t| = 1, 2.
+``cutoff_jets(top, t)`` gives every order 1..top from one build, and row k
+has the bits of a build to order k, since a jet's row k reads only the rows
+below it.  So a walk of a compiled plan (``evaluate``) builds the jets once
+per argument, to the top order its cutoff leaves ask, and each leaf takes its
+row.  A build keeps three (top+1, n) series buffers: an input series goes as
+soon as its reciprocal exists, and its buffer takes the next result.
 The cutoff itself (order 0) skips the jets: hi * (1/(hi + lo)) with
 hi = exp(-(1/(2-s))) and lo = exp(-(1/(s-1))) is the order-0 jet's own
 sequence of operations, so it gives the same bits, and a block that lies
@@ -32,6 +38,7 @@ __all__ = [
     "ball_bump_values",
     "bump_deriv_values",
     "cutoff_deriv_values",
+    "cutoff_jets",
     "bump_poly",
 ]
 
@@ -121,19 +128,21 @@ def bump_deriv_values(order: int, t: np.ndarray) -> np.ndarray:
 # cutoff via jets
 # ---------------------------------------------------------------------------
 
-# Each helper allocates its result and one work row per call.  Row k of
-# the result is coefficient k's accumulator: it starts at +0.0 and adds the
+# Each helper writes its result into ``out``, an array the caller owns (a
+# fresh one when none is given), with one work row per call.  Row k of the
+# result is coefficient k's accumulator: it is set to +0.0 and adds the
 # terms in the order j = 1, 2, ..., so values and zero signs are those of a
-# fresh accumulator per coefficient.
+# fresh accumulator per coefficient, whatever ``out`` held before.
 
-def _jet_recip(a: np.ndarray) -> np.ndarray:
+def _jet_recip(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # reciprocal of a truncated power series; a has shape (K+1, n)
     K = a.shape[0] - 1
-    r = np.zeros_like(a)
-    r[0] = 1.0 / a[0]
+    r = np.empty_like(a) if out is None else out
+    np.divide(1.0, a[0], out=r[0])
     tmp = np.empty_like(a[0])
     for k in range(1, K + 1):
         acc = r[k]
+        acc.fill(0.0)
         for j in range(1, k + 1):
             acc += np.multiply(a[j], r[k - j], out=tmp)
         np.negative(acc, out=acc)
@@ -141,13 +150,14 @@ def _jet_recip(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _jet_exp(a: np.ndarray) -> np.ndarray:
+def _jet_exp(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     K = a.shape[0] - 1
-    e = np.zeros_like(a)
-    e[0] = np.exp(a[0])
+    e = np.empty_like(a) if out is None else out
+    np.exp(a[0], out=e[0])
     tmp = np.empty_like(a[0])
     for k in range(1, K + 1):
         acc = e[k]
+        acc.fill(0.0)
         for j in range(1, k + 1):
             np.multiply(a[j], j, out=tmp)
             acc += np.multiply(tmp, e[k - j], out=tmp)
@@ -155,32 +165,44 @@ def _jet_exp(a: np.ndarray) -> np.ndarray:
     return e
 
 
-def _jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _jet_mul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     K = a.shape[0] - 1
-    c = np.zeros_like(a)
+    c = np.empty_like(a) if out is None else out
     tmp = np.empty_like(a[0])
     for k in range(K + 1):
         acc = c[k]
+        acc.fill(0.0)
         for j in range(k + 1):
             acc += np.multiply(a[j], b[k - j], out=tmp)
     return c
 
 
 def _cutoff_band_jets(s: np.ndarray, order: int) -> np.ndarray:
-    """All derivatives 0..order of the cutoff at points s in (1, 2)."""
+    """All derivatives 0..order of the cutoff at points s in (1, 2).
+
+    Three (order+1, n) buffers hold every series: each input series is
+    dropped once its reciprocal exists and its buffer takes the next
+    result, the reciprocals are negated in place, and B(2-s) + B(s-1) is
+    summed into the buffer of B(s-1).
+    """
     K = order
-    shape = (K + 1, s.size)
-    j_u = np.zeros(shape)  # series of 2 - s
-    j_u[0] = 2.0 - s
+    hi = np.zeros((K + 1, s.size))  # the series of 2 - s, then B(2-s)
+    hi[0] = 2.0 - s
     if K >= 1:
-        j_u[1] = -1.0
-    j_v = np.zeros(shape)  # series of s - 1
-    j_v[0] = s - 1.0
+        hi[1] = -1.0
+    lo = _jet_recip(hi)  # 1/(2-s), then the series of s - 1, then B(s-1)
+    np.negative(lo, out=lo)
+    _jet_exp(lo, out=hi)
+    lo[0] = s - 1.0
     if K >= 1:
-        j_v[1] = 1.0
-    b_hi = _jet_exp(-_jet_recip(j_u))  # B(2-s)
-    b_lo = _jet_exp(-_jet_recip(j_v))  # B(s-1)
-    jets = _jet_mul(b_hi, _jet_recip(b_hi + b_lo))
+        lo[1] = 1.0
+        lo[2:] = 0.0
+    work = _jet_recip(lo)  # 1/(s-1), then 1/(B(2-s) + B(s-1))
+    np.negative(work, out=work)
+    _jet_exp(work, out=lo)
+    lo += hi
+    _jet_recip(lo, out=work)
+    jets = _jet_mul(hi, work, out=lo)
     # derivative = k! * series coefficient
     fact = 1.0
     for k in range(1, K + 1):
@@ -195,7 +217,7 @@ def _cutoff_values(s: np.ndarray) -> np.ndarray:
         return np.ones_like(s)
     if s.size and s.min() >= 2.0:
         return np.zeros_like(s)
-    out = (s <= 1.0).astype(float)
+    out = np.where(s <= 1.0, 1.0, 0.0)  # an array even for a 0-d s
     band = (s > 1.0) & (s < 2.0)
     if np.any(band):
         sb = s[band]
@@ -205,18 +227,29 @@ def _cutoff_values(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def cutoff_deriv_values(order: int, t: np.ndarray) -> np.ndarray:
-    """Vectorised d^order/dt^order of the plateau cutoff."""
+def cutoff_jets(top: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(band, jets): the mask 1 < |t| < 2 and, for k = 1..top, row k of
+    jets the d^k/dt^k of the plateau cutoff at t[band] (row 0 is the cutoff
+    itself there).  Every row comes from one jet build to order top, and
+    row k has the bits a build to order k gives; off the band every
+    derivative of order >= 1 is 0."""
     t = np.asarray(t, dtype=float)
     s = np.abs(t)
-    if order == 0:
-        return _cutoff_values(s)
-    out = np.zeros_like(t)
     band = (s > 1.0) & (s < 2.0)
-    if np.any(band):
-        jets = _cutoff_band_jets(s[band], order)
-        vals = jets[order]
-        if order % 2 == 1:
-            vals = vals * np.sign(t[band])  # chain rule through |t|
-        out[band] = vals
+    if not np.any(band):
+        return band, np.empty((top + 1, 0))
+    jets = _cutoff_band_jets(s[band], top)
+    sign = np.sign(t[band])  # chain rule through |t|
+    for k in range(1, top + 1, 2):
+        jets[k] *= sign
+    return band, jets
+
+
+def cutoff_deriv_values(order: int, t: np.ndarray) -> np.ndarray:
+    """Vectorised d^order/dt^order of the plateau cutoff."""
+    if order == 0:
+        return _cutoff_values(np.abs(np.asarray(t, dtype=float)))
+    band, jets = cutoff_jets(order, t)
+    out = np.zeros(band.shape)
+    out[band] = jets[order]
     return out

@@ -70,7 +70,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import expr as ex
-from .scale import EpsGrid, ValuationEstimate, estimate_valuation
+from .scale import EpsGrid, ValuationEstimate, estimate_valuation, is_index
 
 K_MAX_CAP = 8
 M_MAX_NEGLIGIBLE = 40.0
@@ -170,6 +170,8 @@ class Sampling:
     cap_points: int = 20_001
 
     def __post_init__(self):
+        if not (is_index(self.base_points) and is_index(self.cap_points)):
+            raise NetError("base_points and cap_points must be integers")
         if self.base_points < 2 or self.cap_points < self.base_points:
             raise NetError("need cap_points >= base_points >= 2")
 
@@ -645,8 +647,8 @@ def seminorm(
         raise NetError("compact set dimension mismatch")
     if not (0.0 < eps < 1.0):
         raise NetError("eps must lie in (0,1)")
-    if k < 0 or k > K_MAX_CAP:
-        raise NetError(f"order k={k} outside 0..{K_MAX_CAP}")
+    if not is_index(k) or k < 0 or k > K_MAX_CAP:
+        raise NetError(f"order k={k!r} is no integer in 0..{K_MAX_CAP}")
     # the net's own record: SeminormValue per order per sweep, as long as it lives
     per_order = vars(net).setdefault("_seminorm_values", {}).setdefault((K, eps, sampling), {})
     value = per_order.get(k)

@@ -20,7 +20,7 @@ from .nets import (
     SharpSeminorm,
     seminorm_tables,
 )
-from .scale import EpsGrid, jsonable
+from .scale import EpsGrid, is_index, jsonable
 
 DEFAULT_K_MAX = 6
 DEFAULT_TOL = 0.1
@@ -75,8 +75,8 @@ def psequence(
 ) -> PSequence:
     """sharp_seminorm(net, k, K, grid, sampling) for k = 0..k_max, from the
     tables of ``seminorm_tables`` (eps outer, k inner)."""
-    if not 0 <= k_max <= K_MAX_CAP:
-        raise RegularityError(f"k_max must lie in 0..{K_MAX_CAP}")
+    if not is_index(k_max) or not 0 <= k_max <= K_MAX_CAP:
+        raise RegularityError(f"k_max must be an integer in 0..{K_MAX_CAP}")
     tables = seminorm_tables(net, range(k_max + 1), K, grid, sampling)
     return PSequence(tuple(SharpSeminorm.fit(t) for t in tables))
 

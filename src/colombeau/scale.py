@@ -9,6 +9,7 @@ oracle for the log-log regression estimator used on sampled data.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -23,6 +24,18 @@ STABLE_RESIDUAL = 0.25
 
 class ScaleError(ValueError):
     pass
+
+
+def is_index(v) -> bool:
+    """v is an integer that is no bool: a value ``operator.index`` takes.
+    A float such as 2.0 or 2.5 is not one, nor is True."""
+    if isinstance(v, bool):
+        return False
+    try:
+        operator.index(v)
+    except TypeError:
+        return False
+    return True
 
 
 def jsonable(x):
@@ -124,8 +137,8 @@ class EpsGrid:
             raise ScaleError("eps0 must lie in (0,1)")
         if not (0.0 < self.ratio < 1.0):
             raise ScaleError("ratio must lie in (0,1)")
-        if self.count < 1:
-            raise ScaleError("count must be positive")
+        if not is_index(self.count) or self.count < 1:
+            raise ScaleError("count must be a positive integer")
 
     @property
     def points(self) -> tuple[float, ...]:

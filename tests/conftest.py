@@ -2,6 +2,7 @@ import pytest
 
 from colombeau import default_grid
 from colombeau.catalog import CATALOG, REFERENCE_COMPACTS, catalog_net
+from colombeau.expr import special
 from colombeau.regularity import psequence
 
 CATALOG_NAMES = tuple(CATALOG)
@@ -20,6 +21,18 @@ def compacts():
 @pytest.fixture(scope="session")
 def catalog_nets():
     return {name: catalog_net(name) for name in CATALOG_NAMES}
+
+
+@pytest.fixture
+def cutoff_calls(monkeypatch):
+    """Spies on the cutoff entries: (the order of each cutoff_deriv_values
+    call, the top order of each cutoff_jets build)."""
+    orders, tops = [], []
+    values, jets = special.cutoff_deriv_values, special.cutoff_jets
+    monkeypatch.setattr(special, "cutoff_deriv_values",
+                        lambda order, t: orders.append(order) or values(order, t))
+    monkeypatch.setattr(special, "cutoff_jets", lambda top, t: tops.append(top) or jets(top, t))
+    return orders, tops
 
 
 @pytest.fixture(scope="session")

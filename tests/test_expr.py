@@ -574,24 +574,24 @@ def test_leaf_memo_keys_keep_signed_zeros_and_int_constants_apart():
         arrays[0][0] = 1.0
 
 
-def test_leaf_memo_serves_later_trees_and_skips_their_arguments(monkeypatch):
+def test_leaf_memo_serves_later_trees_and_skips_their_arguments(cutoff_calls):
+    orders, tops = cutoff_calls
     axis = np.linspace(-2.5, 2.5, 11)
     shared = Grid.tensor([axis], LeafMemo(1 << 10))
     first = parse("cutoff(x1)*sin(x1/eps)")
     eval_batch(first, shared, 0.5)
-    orders = []
-    real = special.cutoff_deriv_values
-    monkeypatch.setattr(
-        special, "cutoff_deriv_values", lambda order, t: orders.append(order) or real(order, t)
-    )
+    assert orders == [0] and tops == []
+    orders.clear()
     d1 = differentiate(first, 0)
     got = eval_batch(d1, shared, 0.5)
-    assert orders == [1]  # cutoff(x1) and sin(x1/eps) come from the memo
+    # cutoff(x1) and sin(x1/eps) come from the memo: one build, for cutoff_d1
+    assert orders == [] and tops == [1]
     assert np.array_equal(got, eval_batch(d1, Grid.tensor([axis]), 0.5))
     # another eps is another key
     orders.clear()
+    tops.clear()
     eval_batch(first, shared, 0.25)
-    assert orders == [0]
+    assert orders == [0] and tops == []
 
 
 def test_an_evaluation_leaves_no_cycle_that_keeps_its_grid_alive():
@@ -663,22 +663,48 @@ def test_leaf_memo_stops_storing_at_its_limit():
     assert memo.size == 16 and len(memo.values) == 2
 
 
-def test_each_distinct_subtree_is_evaluated_once(monkeypatch):
+def test_each_distinct_subtree_is_evaluated_once(cutoff_calls):
     from colombeau.catalog import catalog_net
 
+    orders, tops = cutoff_calls
     e = catalog_net("compact_osc").derivative_expr((6,))
     assert node_count(e) == 548  # 2^6 product-rule terms over 8 distinct factors
-    orders = []
-    real = special.cutoff_deriv_values
-    monkeypatch.setattr(
-        special, "cutoff_deriv_values", lambda order, t: orders.append(order) or real(order, t)
-    )
     x = np.linspace(-2.5, 2.5, 101)[None, :]
     eval_batch(e, x, 0.1)
-    assert sorted(orders) == list(range(7))
+    # the closed form for cutoff(x1), one jet build for its orders 1..6
+    assert orders == [0] and tops == [6]
     orders.clear()
+    tops.clear()
     eval_batch(e, x, 0.1)  # the compiled plan is reused, the values are not
-    assert sorted(orders) == list(range(7))
+    assert orders == [0] and tops == [6]
+
+
+def test_shared_cutoff_jets_keep_every_bit_of_per_leaf_builds(monkeypatch):
+    from colombeau.catalog import catalog_net
+    from colombeau.mollify import mollify
+
+    tree = catalog_net("compact_osc").derivative_expr((6,))
+    # two arguments, each read first by a leaf below its top order
+    x1, twice = Var(0), Mul((Const(2.0), Var(0)))
+    mixed = Add((Cutoff(x1, 1), Mul((Cutoff(twice, 2), Cutoff(x1, 3), Cutoff(twice, 5)))))
+    net = mollify(catalog_net("compact_osc"), 2)  # flattened blocks, no LeafMemo
+    x = np.linspace(-2.5, 2.5, 201)[None, :]
+
+    def values():
+        got = [eval_batch(e, x, eps) for e in (tree, mixed) for eps in (0.5, 0.1)]
+        got += [net.derivative_batch((k,), x, eps) for k in range(5) for eps in (0.5, 0.25)]
+        return [v.tobytes() for v in got]
+
+    real = special.cutoff_jets
+
+    def per_leaf(top, t):
+        # each row from its own build to its order, as every cutoff leaf
+        # built its jets before one build served a walk
+        return real(top, t)[0], [real(k, t)[1][k] for k in range(top + 1)]
+
+    shared = values()
+    monkeypatch.setattr(special, "cutoff_jets", per_leaf)
+    assert values() == shared
 
 
 def test_factor_after_scalar_zero_is_never_evaluated(monkeypatch):

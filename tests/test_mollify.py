@@ -512,8 +512,9 @@ def test_class_a_validation():
     # no compact, no evidence
     with pytest.raises(NetError):
         class_A_membership(_net("1"), 1, [], 3)
-    # an order outside 0..K_MAX_CAP is refused before anything is sampled
-    for k_max in (-1, K_MAX_CAP + 1):
+    # an order outside 0..K_MAX_CAP, or no integer, is refused before
+    # anything is sampled
+    for k_max in (-1, K_MAX_CAP + 1, True, 2.0):
         with pytest.raises(RegularityError):
             class_A_membership(_RefusesSampling(), 1, [K01], k_max)
 

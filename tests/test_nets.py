@@ -98,6 +98,9 @@ def test_sampling_axis_count():
     assert n == 20_001 and capped
     with pytest.raises(NetError):
         Sampling(1, 10)
+    for base, cap in ((33.5, 20_001), (True, 10), (33, 20_001.0)):
+        with pytest.raises(NetError):
+            Sampling(base, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +415,9 @@ def test_seminorm_validation():
         seminorm(osc, 0, K01, 0.0)
     with pytest.raises(NetError):
         seminorm(osc, 0, CompactBox.of([(0.0, 1.0), (0.0, 1.0)]), 0.5)
+    for k in (True, 1.0):  # either would sample order 1
+        with pytest.raises(NetError):
+            seminorm(osc, k, K01, 0.5)
 
 
 def test_seminorm_monotone_in_compact():

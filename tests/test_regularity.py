@@ -52,6 +52,9 @@ def test_psequence_validation():
         PSequence((good.entries[1],))  # starts at k=1
     with pytest.raises(RegularityError):
         psequence(None, K01, None, k_max=9)
+    for k_max in (True, 2.0):  # True would run as 1, 2.0 fail in range
+        with pytest.raises(RegularityError):
+            psequence(None, K01, None, k_max=k_max)
 
 
 def test_fake_seq_roundtrip():

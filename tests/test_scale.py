@@ -112,6 +112,9 @@ def test_grid_validation():
         EpsGrid(ratio=0.0)
     with pytest.raises(ScaleError):
         EpsGrid(count=0)
+    for count in (2.5, 2.0, True):  # True would build a 1-point grid
+        with pytest.raises(ScaleError):
+            EpsGrid(count=count)
 
 
 def test_default_grid():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,13 @@ def test_cutoff_plateau_and_support():
     # by symmetry of the partition the midpoint value is exactly 1/2
     assert cutoff_deriv_values(0, np.array([1.5]))[0] == pytest.approx(0.5)
     assert cutoff_deriv_values(0, np.array([-1.5]))[0] == pytest.approx(0.5)
+    # a scalar gives a 0-d array, on the plateau, in the band and outside
+    for t, want in ((0.5, 1.0), (1.5, 0.5), (3.0, 0.0)):
+        v = cutoff_deriv_values(0, t)
+        assert v.shape == () and v == pytest.approx(want)
+    for k in range(1, 5):
+        v = cutoff_deriv_values(k, 1.5)
+        assert v.shape == () and v == cutoff_deriv_values(k, np.array([1.5]))[0]
 
 
 def test_cutoff_derivatives_vanish_off_band():
@@ -223,13 +231,46 @@ def test_jet_helpers_match_fresh_accumulators_bit_for_bit():
         assert _same_bits(special._jet_recip(x), _recip_fresh(x)), K
         assert _same_bits(special._jet_exp(x), _exp_fresh(x)), K
         assert _same_bits(special._jet_mul(x, y), _mul_fresh(x, y)), K
+        # a reused buffer's old contents (here -0.0 and nan) leave no trace
+        for helper, fresh, args in ((special._jet_recip, _recip_fresh, (x,)),
+                                    (special._jet_exp, _exp_fresh, (x,)),
+                                    (special._jet_mul, _mul_fresh, (x, y))):
+            out = np.where(rng.random(x.shape) < 0.5, -0.0, np.nan)
+            assert helper(*args, out=out) is out
+            assert _same_bits(out, fresh(*args)), (helper.__name__, K)
+
+
+def _into_out(fresh):
+    # a fresh-accumulator helper that writes into the caller's buffer, as
+    # the in-place helpers do when the build hands them one
+    def helper(*args, out=None):
+        r = fresh(*args)
+        if out is None:
+            return r
+        out[...] = r
+        return out
+
+    return helper
 
 
 def test_cutoff_derivatives_match_fresh_accumulators_bit_for_bit(monkeypatch):
     t = _cutoff_points()
     got = {order: cutoff_deriv_values(order, t) for order in range(1, 10)}
-    monkeypatch.setattr(special, "_jet_recip", _recip_fresh)
-    monkeypatch.setattr(special, "_jet_exp", _exp_fresh)
-    monkeypatch.setattr(special, "_jet_mul", _mul_fresh)
+    monkeypatch.setattr(special, "_jet_recip", _into_out(_recip_fresh))
+    monkeypatch.setattr(special, "_jet_exp", _into_out(_exp_fresh))
+    monkeypatch.setattr(special, "_jet_mul", _into_out(_mul_fresh))
     for order in range(1, 10):
         assert _same_bits(got[order], cutoff_deriv_values(order, t)), order
+
+
+def test_a_jet_build_holds_at_most_five_series():
+    # order 6 on 20 000 band points: a series is 7 rows of them.  The build
+    # keeps three series-sized buffers; the input, the band's points and the
+    # result add about half a series more
+    t = np.linspace(1.01, 1.99, 20_000)
+    cutoff_deriv_values(6, t)
+    tracemalloc.start()
+    cutoff_deriv_values(6, t)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 5 * 7 * 20_000 * 8, peak / (7 * 20_000 * 8)

@@ -19,7 +19,7 @@ import pytest
 import colombeau.nets as nets
 from colombeau.catalog import CATALOG, REFERENCE_COMPACTS, catalog_net
 from colombeau.config import load_config
-from colombeau.expr import Cos, Mul, Sin, Var, parse, special
+from colombeau.expr import Cos, Mul, Sin, Var, parse
 from colombeau.mollify import mollify
 from colombeau.nets import (
     BandedNet,
@@ -102,34 +102,29 @@ def test_many_threads_switching_often_share_a_net(monkeypatch):
         assert seminorm_table(net, k, K, GRID) == want  # the values the net kept
 
 
-def test_each_cutoff_order_runs_once_per_eps(monkeypatch):
+def test_each_cutoff_order_runs_once_per_eps(cutoff_calls):
     grid = GRID
-    orders = []
-    real = special.cutoff_deriv_values
-    monkeypatch.setattr(
-        special, "cutoff_deriv_values", lambda order, t: orders.append(order) or real(order, t)
-    )
+    orders, tops = cutoff_calls
     psequence(catalog_net("compact_osc"), CompactBox.interval(0.0, 1.0), grid, k_max=6)
     # sampled k-outer, order k would run the cutoff jets of orders 0..k again:
-    # 28 calls per eps instead of 7
-    assert Counter(orders) == {order: grid.count for order in range(7)}
+    # 28 evaluations per eps instead of 7.  Orders below k come from the
+    # block's memo, so order k's tree builds its jets to k alone
+    assert Counter(orders) == {0: grid.count}
+    assert Counter(tops) == {order: grid.count for order in range(1, 7)}
 
 
-def test_the_seminorms_experiment_runs_each_cutoff_order_once_per_eps(monkeypatch):
+def test_the_seminorms_experiment_runs_each_cutoff_order_once_per_eps(cutoff_calls):
     cfg = load_config({
         "dimension": 1, "net": {"catalog": "compact_osc"}, "compacts": [[[[0.0, 1.0]]]],
         "eps_grid": {"eps0": 0.5, "ratio": 0.5, "count": 8}, "k_max": 6,
         "experiments": [{"kind": "seminorms"}],
     })
-    calls = []
-    real = special.cutoff_deriv_values
-    monkeypatch.setattr(
-        special, "cutoff_deriv_values", lambda order, t: calls.append(order) or real(order, t)
-    )
+    orders, tops = cutoff_calls
     run_experiment(cfg, cfg.experiments[0])
     # k outer, each order's tree would run its cutoff jets at every eps
-    # again: 224 calls instead of 7 orders x 8 eps
-    assert len(calls) == 56
+    # again: 224 evaluations instead of 7 orders x 8 eps
+    assert Counter(orders) == {0: 8}
+    assert Counter(tops) == {order: 8 for order in range(1, 7)}
 
 
 def test_each_multiscale_term_runs_sin_and_cos_once_per_eps(monkeypatch):
