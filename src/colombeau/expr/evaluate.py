@@ -143,26 +143,29 @@ _KINDS = (Const, Var, EpsPow, Add, Mul, Sub, Div, IntPow, Sin, Cos, Exp, Bump, C
 _MEMO_KINDS = (Sin, Cos, Exp, Bump, Cutoff)  # the costly leaves a LeafMemo keeps
 
 
+class _Jets:
+    """The plan-only kind of a Cutoff argument's jets: ``special.cutoff_jets``
+    of its one child to its parameter, the top order of the Cutoff leaves of
+    order >= 1 that read it."""
+
+
 @dataclass(frozen=True)
 class _Plan:
     """The distinct subtrees of one tree; slot i's children have slots < i.
 
     The last slot is the root.  ``params`` holds what a node carries besides
     its children: a Const value, a Var index, a float eps exponent, an
-    integer power or a derivative order.  ``jet_tops`` and ``jet_leaves``
-    hold, per slot, the top order of the Cutoff leaves of order >= 1 over
-    it and how many such leaves there are (0 and 0 for a slot that is no
-    cutoff's argument): one jet build to that order serves them all.
+    integer power, a derivative order or a ``_Jets`` top order.  A Cutoff
+    leaf of order >= 1 reads the ``_Jets`` slot of its argument, which reads
+    the argument: one jet build serves every such leaf over that argument.
     """
 
     kinds: tuple[type, ...]
     params: tuple
     kids: tuple[tuple[int, ...], ...]
-    uses: tuple[int, ...]  # references from the other distinct nodes
+    uses: tuple[int, ...]  # readers: the other distinct nodes, and the caller of the root
     varies: tuple[int, ...]  # bit i set: the subtree depends on x_(i+1); 0 for a constant
     memo_keys: tuple  # structural key of an x-dependent leaf a LeafMemo keeps, else None
-    jet_tops: tuple[int, ...]
-    jet_leaves: tuple[int, ...]
 
 
 def _param(e: Expr):
@@ -180,12 +183,27 @@ def _param(e: Expr):
 def _compile(root: Expr) -> _Plan:
     slot_of: dict[int, int] = {}  # id(node) -> slot; the tree keeps every node alive
     interned: dict[tuple, int] = {}
+    jets_of: dict[int, int] = {}  # argument slot -> its _Jets slot
     kinds: list[type] = []
     params: list = []
     kids: list[tuple[int, ...]] = []
     uses: list[int] = []
     varies: list[int] = []
-    skeys: list[tuple] = []  # key with the children's skeys in place of their slots
+    skeys: list = []  # key with the children's skeys in place of their slots; None for _Jets
+
+    def add(kind: type, p, ks: tuple[int, ...], skey) -> int:
+        axes = 1 << p if kind is Var else 0
+        for c in ks:
+            axes |= varies[c]
+            uses[c] += 1
+        kinds.append(kind)
+        params.append(p)
+        kids.append(ks)
+        uses.append(0)
+        varies.append(axes)
+        skeys.append(skey)
+        return len(kinds) - 1
+
     stack = [root]
     while stack:
         node = stack[-1]
@@ -208,28 +226,19 @@ def _compile(root: Expr) -> _Plan:
         key = (kind, pkey, ks)
         slot = interned.get(key)
         if slot is None:
-            slot = interned[key] = len(kinds)
-            kinds.append(kind)
-            params.append(float(p) if kind is EpsPow else p)
-            kids.append(ks)
-            uses.append(0)
-            axes = 1 << p if kind is Var else 0
-            for c in ks:
-                axes |= varies[c]
-            varies.append(axes)
-            skeys.append((kind, pkey, tuple(skeys[c] for c in ks)))
-            for c in ks:
-                uses[c] += 1
+            skey = (kind, pkey, tuple(skeys[c] for c in ks))
+            if kind is Cutoff and p:
+                jets = jets_of.get(ks[0])
+                if jets is None:
+                    jets = jets_of[ks[0]] = add(_Jets, p, ks, None)
+                params[jets] = max(params[jets], p)
+                ks = (jets,)
+            slot = interned[key] = add(kind, float(p) if kind is EpsPow else p, ks, skey)
         slot_of[id(node)] = slot
+    uses[-1] += 1  # the caller reads the root
     memo_keys = tuple(sk if kind in _MEMO_KINDS and vary else None
                       for kind, vary, sk in zip(kinds, varies, skeys))
-    tops, leaves = [0] * len(kinds), [0] * len(kinds)
-    for kind, p, ks in zip(kinds, params, kids):
-        if kind is Cutoff and p:
-            tops[ks[0]] = max(tops[ks[0]], p)
-            leaves[ks[0]] += 1
-    return _Plan(tuple(kinds), tuple(params), tuple(kids), tuple(uses), tuple(varies), memo_keys,
-                 tuple(tops), tuple(leaves))
+    return _Plan(tuple(kinds), tuple(params), tuple(kids), tuple(uses), tuple(varies), memo_keys)
 
 
 def _plan_of(e: Expr) -> _Plan:
@@ -279,6 +288,13 @@ def _apply(kind: type, p, arg, coords: Grid, eps: float):
             except OverflowError:
                 return math.inf
         return np.exp(arg)
+    if kind is _Jets:
+        return special.cutoff_jets(p, np.atleast_1d(np.asarray(arg, dtype=float)))
+    if kind is Cutoff and p:
+        band, rows = arg  # the jets of the cutoff's argument
+        out = np.zeros(band.shape)
+        out[band] = rows[p]
+        return out
     deriv_values = special.bump_deriv_values if kind is Bump else special.cutoff_deriv_values
     return deriv_values(p, np.atleast_1d(np.asarray(arg, dtype=float)))
 
@@ -291,10 +307,11 @@ class _Walk:
 
     ``take(slot)`` hands a slot's value to one reader: ``value`` computes it
     on the first read, and the last reader takes the only reference, so numpy
-    can reuse a temporary's buffer.  A memo hit counts the node's argument as
-    read.  The cutoff leaves of order >= 1 over one argument share one
-    ``special.cutoff_jets`` build, to their top order; a leaf computed, taken
-    from the memo or skipped is served, and the jets go with the last one.
+    can reuse a temporary's buffer; the caller is the root's one reader.  A
+    memo hit or a skipped slot counts its children as read.  A cutoff leaf of
+    order >= 1 reads its argument's ``_Jets`` slot, so the jets are built on
+    the first read and go with their last reader, whether that leaf was
+    computed, taken from the memo or skipped, as any value does.
     Values may be non-finite; numpy error state must be suppressed.
     Bound methods of one object, unlike closures that call each other, form
     no reference cycle that would keep the Grid alive after the call.
@@ -305,8 +322,6 @@ class _Walk:
         self.keys = plan.memo_keys if coords.memo is not None else None
         self.vals: list = [_PENDING] * len(plan.kinds)
         self.left = list(plan.uses)
-        self.jets: dict = {}  # argument slot -> its cutoff_jets, while a leaf waits
-        self.jet_left = list(plan.jet_leaves)
 
     def take(self, slot: int):
         v = self.vals[slot]
@@ -322,38 +337,9 @@ class _Walk:
         self.left[slot] -= 1
         if self.left[slot] == 0:
             if self.vals[slot] is _PENDING:
-                self.forgo(slot)
+                for c in self.plan.kids[slot]:
+                    self.skip(c)
             self.vals[slot] = None
-
-    def forgo(self, slot: int) -> None:
-        # slot is served without computing it: its children lose a reader,
-        # and a cutoff leaf no longer waits for its argument's jets
-        ks = self.plan.kids[slot]
-        if self.plan.kinds[slot] is Cutoff and self.plan.params[slot]:
-            self.served(ks[0])
-        for c in ks:
-            self.skip(c)
-
-    def served(self, arg: int) -> None:
-        # one more cutoff leaf over slot arg is served; the last drops the jets
-        self.jet_left[arg] -= 1
-        if self.jet_left[arg] == 0:
-            self.jets.pop(arg, None)
-
-    def cutoff_row(self, slot: int) -> np.ndarray:
-        """The derivative of order >= 1 at a cutoff slot: its row of the jets
-        its argument shares, 0 off the band."""
-        arg = self.plan.kids[slot][0]
-        t = self.take(arg)
-        jets = self.jets.get(arg)
-        if jets is None:
-            jets = self.jets[arg] = special.cutoff_jets(
-                self.plan.jet_tops[arg], np.atleast_1d(np.asarray(t, dtype=float)))
-        self.served(arg)
-        band, rows = jets
-        out = np.zeros(band.shape)
-        out[band] = rows[self.plan.params[slot]]
-        return out
 
     def value(self, slot: int):
         """A float scalar or an array shaped by the axes the slot uses."""
@@ -363,7 +349,8 @@ class _Walk:
         if key is not None:
             hit = self.coords.memo.values.get((key, eps))
             if hit is not None:
-                self.forgo(slot)
+                for c in ks:
+                    self.skip(c)
                 return hit
         if kind is Add:
             acc = self.take(ks[0])
@@ -379,10 +366,7 @@ class _Walk:
             # two Python floats would raise ZeroDivisionError
             num, den = self.take(ks[0]), self.take(ks[1])
             return num / (np.float64(den) if _is_scalar(den) else den)
-        if kind is Cutoff and plan.params[slot]:
-            v = self.cutoff_row(slot)
-        else:
-            v = _apply(kind, plan.params[slot], self.take(ks[0]) if ks else None, self.coords, eps)
+        v = _apply(kind, plan.params[slot], self.take(ks[0]) if ks else None, self.coords, eps)
         if key is not None:
             self.coords.memo.keep((key, eps), v)
         return v
@@ -420,7 +404,6 @@ class _Walk:
         axis on a tensor Grid, as the module docstring says: (grid index,
         max |value|), or None when that max is not finite.  A scalar zero
         clears the product as it does in ``product``."""
-        root = len(self.plan.kinds) - 1
         index = [0] * self.coords.shape[0]
         acc, run = None, 0  # running product, the axis bit it runs along (0: none yet)
         zero = nonfinite = False
@@ -429,7 +412,7 @@ class _Walk:
             if zero and axes:
                 self.skip(c)
                 continue
-            v = self.value(c) if c == root else self.take(c)
+            v = self.take(c)
             if _is_scalar(v):
                 axes = 0  # constant on the grid, whatever axis it reads (a product cut short)
                 zero = zero or v == 0.0
@@ -499,7 +482,7 @@ def _guarded(step, *args):
 
 def _root_value(e: Expr, coords: Grid, eps: float):
     walk = _walk(e, coords, eps)
-    return _guarded(walk.value, len(walk.plan.kinds) - 1)
+    return _guarded(walk.take, len(walk.plan.kinds) - 1)
 
 
 def separable_argmax(e: Expr, coords: Grid, eps: float) -> Optional[tuple[tuple[int, ...], float]]:

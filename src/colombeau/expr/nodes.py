@@ -8,6 +8,7 @@ simplification merge powers instead of compounding rounding.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -25,6 +26,20 @@ class SizeCapError(ExpressionError):
     """Raised when an expression exceeds the node-count cap."""
 
 
+def _keep_index(node, field: str, what: str, least: int | None) -> None:
+    """Store node.field as the int ``operator.index`` gives; ExpressionError
+    for a bool, a value ``operator.index`` refuses, or one below least."""
+    v = getattr(node, field)
+    try:
+        n = None if isinstance(v, bool) else operator.index(v)
+    except TypeError:
+        n = None
+    if n is None or (least is not None and n < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ExpressionError(f"{what} must be an integer{bound}, got {v!r}")
+    object.__setattr__(node, field, n)
+
+
 @dataclass(frozen=True)
 class Const:
     value: float
@@ -35,8 +50,7 @@ class Var:
     index: int  # 0-based spatial axis
 
     def __post_init__(self):
-        if self.index < 0:
-            raise ExpressionError(f"variable index must be >= 0, got {self.index}")
+        _keep_index(self, "index", "variable index", 0)
 
 
 @dataclass(frozen=True)
@@ -76,6 +90,9 @@ class IntPow:
     base: "Expr"
     exponent: int
 
+    def __post_init__(self):
+        _keep_index(self, "exponent", "power exponent", None)
+
 
 @dataclass(frozen=True)
 class Sin:
@@ -104,6 +121,9 @@ class Bump:
     arg: "Expr"
     order: int = 0
 
+    def __post_init__(self):
+        _keep_index(self, "order", "derivative order", 0)
+
 
 @dataclass(frozen=True)
 class Cutoff:
@@ -111,6 +131,9 @@ class Cutoff:
 
     arg: "Expr"
     order: int = 0
+
+    def __post_init__(self):
+        _keep_index(self, "order", "derivative order", 0)
 
 
 Expr = Union[Const, Var, EpsPow, Add, Mul, Sub, Div, IntPow, Sin, Cos, Exp, Bump, Cutoff]

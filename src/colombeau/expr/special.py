@@ -18,10 +18,12 @@ the closed form B(2-|t|)/(B(2-|t|)+B(|t|-1)) on the transition band
 plateau / outside the support, including at the seam points |t| = 1, 2.
 ``cutoff_jets(top, t)`` gives every order 1..top from one build, and row k
 has the bits of a build to order k, since a jet's row k reads only the rows
-below it.  So a walk of a compiled plan (``evaluate``) builds the jets once
-per argument, to the top order its cutoff leaves ask, and each leaf takes its
-row.  A build keeps three (top+1, n) series buffers: an input series goes as
-soon as its reciprocal exists, and its buffer takes the next result.
+below it.  So a compiled plan (``evaluate``) reads the jets of each argument
+of cutoff leaves of order >= 1 from one slot, built to the top order those
+leaves ask: a walk builds it at the first leaf, each leaf takes its row, and
+the jets go with their last reader.  A build keeps three (top+1, n) series
+buffers: an input series goes as soon as its reciprocal exists, and its
+buffer takes the next result.
 The cutoff itself (order 0) skips the jets: hi * (1/(hi + lo)) with
 hi = exp(-(1/(2-s))) and lo = exp(-(1/(s-1))) is the order-0 jet's own
 sequence of operations, so it gives the same bits, and a block that lies

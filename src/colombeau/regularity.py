@@ -400,12 +400,12 @@ def build_report(
     return RegularityReport(
         net=net.describe(),
         K=[K.describe() for K in Ks],
-        k_max=k_max,
+        k_max=seq.k_max,
         ln_p=seq.ln_values(),
-        stable=[seq.stable(k) for k in range(k_max + 1)],
+        stable=[seq.stable(k) for k in range(seq.k_max + 1)],
         ginfty=classify_ginfty(seq, tol),
         gla=tuple(classify_gla(seq, a, tol) for a in a_values),
-        sublinear=classify_sublinear(net, Ks, grid, sampling, k_max, tol),
+        sublinear=classify_sublinear(net, Ks, grid, sampling, seq.k_max, tol),
         landau=landau_check(seq),
         growth_char=tuple(growth_char_check(seq, b, tol) for b in bases),
     )

@@ -125,6 +125,24 @@ def test_a_derivative_of_a_cutoff_or_bump_renders_beyond_the_grammar():
         parse(text)
 
 
+def test_raw_nodes_refuse_parameters_the_grammar_cannot_produce():
+    # an index, an order or a power the grammar cannot write would evaluate
+    # to a wrong value or fail with a foreign error
+    x1 = Var(0)
+    for make in (Var, lambda v: Bump(x1, v), lambda v: Cutoff(x1, v)):
+        for bad in (-1, True, 0.5, 1.5, "1"):
+            with pytest.raises(ExpressionError, match="must be an integer"):
+                make(bad)
+    for bad in (True, 1.5, Fraction(2), "2"):
+        with pytest.raises(ExpressionError, match="must be an integer"):
+            IntPow(x1, bad)
+    # a numpy integer is kept as the int it stands for
+    assert type(Cutoff(x1, np.int64(2)).order) is int
+    assert type(Var(np.int64(1)).index) is int
+    assert IntPow(x1, np.int64(-2)) == IntPow(x1, -2)
+    assert to_text(IntPow(x1, np.int64(3))) == "x1^3"
+
+
 # ---------------------------------------------------------------------------
 # simplification normal form
 # ---------------------------------------------------------------------------
@@ -687,11 +705,15 @@ def test_shared_cutoff_jets_keep_every_bit_of_per_leaf_builds(monkeypatch):
     # two arguments, each read first by a leaf below its top order
     x1, twice = Var(0), Mul((Const(2.0), Var(0)))
     mixed = Add((Cutoff(x1, 1), Mul((Cutoff(twice, 2), Cutoff(x1, 3), Cutoff(twice, 5)))))
+    leaf = Cutoff(x1, 3)  # a root that reads the jets
     net = mollify(catalog_net("compact_osc"), 2)  # flattened blocks, no LeafMemo
     x = np.linspace(-2.5, 2.5, 201)[None, :]
 
     def values():
-        got = [eval_batch(e, x, eps) for e in (tree, mixed) for eps in (0.5, 0.1)]
+        # on a kept Grid, mixed takes its leaves over x1 from the LeafMemo
+        kept = Grid.tensor([x[0]], LeafMemo(1 << 16))
+        got = [eval_batch(e, grid, eps) for grid in (x, kept)
+               for e in (tree, mixed, leaf) for eps in (0.5, 0.1)]
         got += [net.derivative_batch((k,), x, eps) for k in range(5) for eps in (0.5, 0.25)]
         return [v.tobytes() for v in got]
 
@@ -705,6 +727,36 @@ def test_shared_cutoff_jets_keep_every_bit_of_per_leaf_builds(monkeypatch):
     shared = values()
     monkeypatch.setattr(special, "cutoff_jets", per_leaf)
     assert values() == shared
+
+
+@pytest.mark.parametrize("case", ["computed", "skipped", "from_memo"])
+def test_cutoff_jets_go_with_their_last_reader(monkeypatch, case):
+    # the jets over x1 are read by cutoff_d1(x1) and then by cutoff_d2(x1),
+    # which is computed, skipped after a scalar zero, or taken from the
+    # LeafMemo; the order-0 cutoff after them must find the jets freed
+    x1 = Var(0)
+    reader = (Sin(Const(0.0)), Cutoff(x1, 2)) if case == "skipped" else (Cutoff(x1, 2),)
+    e = Add((Mul((Cutoff(x1, 1),) + reader), Cutoff(Mul((Const(2.0), x1)), 0)))
+    grid = Grid.tensor([np.linspace(-2.5, 2.5, 11)],
+                       LeafMemo(1 << 10) if case == "from_memo" else None)
+    if case == "from_memo":
+        eval_batch(Cutoff(x1, 2), grid, 0.5)
+    rows, freed = [], []
+    jets, values = special.cutoff_jets, special.cutoff_deriv_values
+
+    def spy_jets(top, t):
+        band, got = jets(top, t)
+        rows.append(weakref.ref(got))
+        return band, got
+
+    def observer(order, t):
+        freed.append([r() is None for r in rows])
+        return values(order, t)
+
+    monkeypatch.setattr(special, "cutoff_jets", spy_jets)
+    monkeypatch.setattr(special, "cutoff_deriv_values", observer)
+    eval_batch(e, grid, 0.5)
+    assert freed == [[True]]
 
 
 def test_factor_after_scalar_zero_is_never_evaluated(monkeypatch):

@@ -3,6 +3,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from colombeau.catalog import CATALOG
@@ -337,8 +338,10 @@ def test_growth_char_on_catalog_nets(catalog_sequences):
 # ---------------------------------------------------------------------------
 
 
-def test_build_report_shape(catalog_nets, compacts, grid):
-    rep = build_report(catalog_nets["one"], compacts, grid, k_max=4)
+@pytest.mark.parametrize("k_max", [4, np.int64(4)], ids=["int", "numpy_int"])
+def test_build_report_shape(catalog_nets, compacts, grid, k_max):
+    rep = build_report(catalog_nets["one"], compacts, grid, k_max=k_max)
+    assert type(rep.k_max) is int
     doc = rep.to_json_dict()
     assert set(doc) == {
         "net",
