@@ -15,6 +15,7 @@ from typing import Callable, Optional
 
 from .expr import parse
 from .nets import CompactBox, ExpressionNet, FiniteSumNet, FunctionNet, NetError
+from .scale import as_index
 
 DEFAULT_CONST_EXPONENT = 4
 DEFAULT_MULTISCALE_TERMS = 8
@@ -131,18 +132,15 @@ def _resolve(name: str, parameter: Optional[int]) -> tuple[CatalogEntry, tuple[i
     oracle take: () or (the checked parameter,)."""
     base, inline = parse_catalog_spec(name)
     entry = CATALOG[base]
-    if inline is not None:
-        if parameter is not None and parameter != inline:
-            raise NetError("parameter given twice with different values")
-        parameter = inline
     if entry.parameter is None:
-        if parameter is not None:
+        if parameter is not None or inline is not None:
             raise NetError(f"{base} takes no parameter")
         return entry, ()
     if parameter is None:
-        parameter = entry.default
-    if parameter < 1:
-        raise NetError(f"{base} needs {entry.parameter} >= 1")
+        parameter = entry.default if inline is None else inline
+    parameter = as_index(parameter, f"{base}'s {entry.parameter}", 1, error=NetError)
+    if inline is not None and parameter != inline:
+        raise NetError("parameter given twice with different values")
     return entry, (parameter,)
 
 
@@ -153,8 +151,7 @@ def catalog_net(name: str, parameter: Optional[int] = None) -> FunctionNet:
 
 def catalog_oracle(name: str, k: int, parameter: Optional[int] = None) -> Fraction | float:
     """Predicted valuation of p_{k,K} on the reference compacts."""
-    if k < 0:
-        raise NetError("order k must be >= 0")
+    k = as_index(k, "order k", 0, error=NetError)
     entry, args = _resolve(name, parameter)
     return entry.oracle(k, *args)
 

@@ -8,10 +8,12 @@ simplification merge powers instead of compounding rounding.
 """
 from __future__ import annotations
 
-import operator
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
+
+from ..scale import as_index
 
 # Hard cap on node count after simplification; differentiation of deeply
 # nested products can otherwise swell without bound.
@@ -26,18 +28,10 @@ class SizeCapError(ExpressionError):
     """Raised when an expression exceeds the node-count cap."""
 
 
-def _keep_index(node, field: str, what: str, least: int | None) -> None:
-    """Store node.field as the int ``operator.index`` gives; ExpressionError
-    for a bool, a value ``operator.index`` refuses, or one below least."""
-    v = getattr(node, field)
-    try:
-        n = None if isinstance(v, bool) else operator.index(v)
-    except TypeError:
-        n = None
-    if n is None or (least is not None and n < least):
-        bound = "" if least is None else f" >= {least}"
-        raise ExpressionError(f"{what} must be an integer{bound}, got {v!r}")
-    object.__setattr__(node, field, n)
+def _keep_index(node, field: str, what: str, least: float) -> None:
+    """Store node.field as ``as_index`` keeps it; ExpressionError when it
+    refuses the value."""
+    object.__setattr__(node, field, as_index(getattr(node, field), what, least, error=ExpressionError))
 
 
 @dataclass(frozen=True)
@@ -91,7 +85,7 @@ class IntPow:
     exponent: int
 
     def __post_init__(self):
-        _keep_index(self, "exponent", "power exponent", None)
+        _keep_index(self, "exponent", "power exponent", -math.inf)
 
 
 @dataclass(frozen=True)

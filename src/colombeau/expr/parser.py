@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from ..scale import as_index
 from .nodes import (
     Add,
     Bump,
@@ -89,11 +90,9 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, text: str, dimension: int):
-        if not 1 <= dimension <= 3:
-            raise ExpressionError(f"dimension must be in 1..3, got {dimension}")
+        self.dimension = as_index(dimension, "dimension", 1, 3, ExpressionError)
         self.tokens = _tokenize(text)
         self.i = 0
-        self.dimension = dimension
         self.depth = 0  # nesting at the current token
 
     # -- token helpers ------------------------------------------------------

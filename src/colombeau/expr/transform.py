@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ..scale import as_index
 from . import special
 from .nodes import (
     Add,
@@ -272,8 +273,7 @@ def differentiate(e: Expr, var_index: int) -> Expr:
     The result is simplified; more than EXPR_SIZE_CAP nodes raise SizeCapError,
     and a tree too deep to recurse through raises ExpressionError.
     """
-    if not 0 <= var_index <= 2:
-        raise ExpressionError(f"variable index {var_index} out of range 0..2")
+    var_index = as_index(var_index, "variable index", 0, 2, ExpressionError)
     try:
         return check_size(simplify(_diff(e, var_index)))
     except RecursionError:

@@ -52,6 +52,7 @@ from .nets import (
     FunctionNet,
     NetError,
     Sampling,
+    _check_alpha,
     _clip,
     _block_max,
     enlarge,
@@ -62,7 +63,7 @@ from .nets import (
     sharp_seminorm,
 )
 from .regularity import psequence
-from .scale import EpsGrid, jsonable
+from .scale import EpsGrid, as_index, jsonable
 
 DEFAULT_QUAD_ORDER = 32
 DEFAULT_N_LIST = (1, 2, 3, 4)
@@ -108,9 +109,7 @@ class Mollifier:
         return self.psi_deriv((0,) * self.dimension, points)
 
     def psi_deriv(self, alpha: Sequence[int], points: np.ndarray) -> np.ndarray:
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != self.dimension or any(a < 0 for a in alpha):
-            raise NetError("bad multi-index")
+        alpha = _check_alpha(alpha, self.dimension)
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[0] != self.dimension:
             raise NetError("points must have shape (d, N)")
@@ -118,10 +117,8 @@ class Mollifier:
 
 
 def build_mollifier(d: int = 1, Q: int = DEFAULT_QUAD_ORDER) -> Mollifier:
-    if not 1 <= d <= 3:
-        raise NetError("mollifier dimension must be 1, 2 or 3")
-    if Q < 16:
-        raise NetError("quadrature order must be at least 16")
+    d = as_index(d, "mollifier dimension", 1, 3, NetError)
+    Q = as_index(Q, "quadrature order", 16, error=NetError)
     x, w = np.polynomial.legendre.leggauss(Q)
     if not (np.isfinite(x).all() and np.isfinite(w).all()):
         raise NetError("quadrature rule returned non-finite nodes")
@@ -174,8 +171,7 @@ class MollifiedNet(FunctionNet):
     def __init__(self, base: FunctionNet, n: int, mollifier: Mollifier):
         if base.dimension != mollifier.dimension:
             raise NetError("mollifier dimension must match the net")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise NetError("mollification order n must be a positive integer")
+        n = as_index(n, "mollification order n", 1, error=NetError)
         if base.oscillation_hint > n:
             # The substitution t = eps^n s maps base features of size eps^m to
             # s-features of size eps^(m-n); for m > n no fixed-order rule can
@@ -280,7 +276,7 @@ class PsiRouteNet(MollifiedNet):
         return weights, float(np.float64(eps) ** (-self.n * sum(alpha)))
 
     def derivative_batch(self, alpha, coords, eps):
-        alpha = tuple(int(a) for a in alpha)
+        alpha = _check_alpha(alpha, self.dimension)
         memo = getattr(coords, "memo", None)
         others = [] if memo is None else [
             a for k in sorted({sum(alpha), *REGULAR_BOUND_K_LIST})
@@ -408,16 +404,14 @@ def convergence_experiment(
         raise NetError("n_list must be strictly increasing and non-empty")
     ref = sharp_seminorm(u, k + 1, enlarge(K, r), grid, sampling)
     v_ref = ref.estimate.value
-    base_lns = []  # ln p_0(u) per eps, sampled only once an entry needs it
 
     def numerically_null(table) -> bool:
         # float arithmetic can confirm a negligible difference only down to
-        # round-off relative to u itself
-        if not base_lns:
-            base_lns.extend(v for _, v in seminorm_table(u, 0, K, grid, sampling).samples())
+        # round-off relative to u itself; u keeps its p_0 values once sampled
+        base = seminorm_table(u, 0, K, grid, sampling).samples()
         return all(
             ln_d == -math.inf or (math.isfinite(ln_d) and ln_d <= ln_u + LN_NUMERICALLY_NULL)
-            for (_, ln_d), ln_u in zip(table.samples(), base_lns)
+            for (_, ln_d), (_, ln_u) in zip(table.samples(), base)
         )
 
     entries = []
@@ -537,8 +531,7 @@ def class_A_membership(
 ) -> ClassAReport:
     """Evidence for p_{k,K}(u_eps) <= eps^(-Nk-N): fitted valuations must
     stay above -Nk - N - CLASS_A_SLACK for all k <= k_max and all compacts."""
-    if not isinstance(N, int) or isinstance(N, bool) or N < 1:
-        raise NetError("N must be a positive integer")
+    N = as_index(N, "N", 1, error=NetError)
     if not Ks:
         raise NetError("class A needs at least one compact")
     rows = []

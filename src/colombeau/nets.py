@@ -70,7 +70,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import expr as ex
-from .scale import EpsGrid, ValuationEstimate, estimate_valuation, is_index
+from .scale import EpsGrid, ValuationEstimate, as_index, estimate_valuation
 
 K_MAX_CAP = 8
 M_MAX_NEGLIGIBLE = 40.0
@@ -170,10 +170,9 @@ class Sampling:
     cap_points: int = 20_001
 
     def __post_init__(self):
-        if not (is_index(self.base_points) and is_index(self.cap_points)):
-            raise NetError("base_points and cap_points must be integers")
-        if self.base_points < 2 or self.cap_points < self.base_points:
-            raise NetError("need cap_points >= base_points >= 2")
+        base = as_index(self.base_points, "base_points", 2, error=NetError)
+        object.__setattr__(self, "base_points", base)
+        object.__setattr__(self, "cap_points", as_index(self.cap_points, "cap_points", base, error=NetError))
 
     def axis_count(self, side: float, eps: float, hint: Fraction) -> tuple[int, bool]:
         """Points for one axis: max(base, 4*side/eps^hint), capped.
@@ -262,8 +261,7 @@ class FunctionNet:
         """Check and keep what every net variant has: its dimension d in
         1..3, its oscillation hint as a Fraction >= 0, and the box outside
         of which it vanishes, of dimension d, if known."""
-        if not 1 <= dimension <= 3:
-            raise NetError("dimension must be in 1..3")
+        dimension = as_index(dimension, "dimension", 1, 3, NetError)
         hint = Fraction(oscillation_hint)
         if hint < 0:
             raise NetError("oscillation hint must be >= 0")
@@ -278,7 +276,7 @@ class FunctionNet:
 
     def derivative_eval(self, alpha: tuple[int, ...], x: Sequence[float], eps: float) -> float:
         """Partial derivative d^alpha u_eps evaluated at the point x."""
-        _check_alpha(alpha, self.dimension)
+        alpha = _check_alpha(alpha, self.dimension)
         coords = np.asarray(x, dtype=float).reshape(-1, 1)
         if coords.shape[0] != self.dimension:
             raise NetError(f"point dimension {coords.shape[0]} != net dimension {self.dimension}")
@@ -302,13 +300,15 @@ class FunctionNet:
         return {"variant": type(self).__name__, "dimension": self.dimension}
 
 
-def _check_alpha(alpha: tuple[int, ...], d: int) -> None:
+def _check_alpha(alpha: Sequence[int], d: int) -> tuple[int, ...]:
+    """alpha as a tuple of d Python ints, each checked by ``as_index`` (>= 0),
+    whose sum is at most DERIVATIVE_ORDER_CAP; NetError otherwise."""
+    alpha = tuple([as_index(a, "multi-index entry", 0, error=NetError) for a in alpha])
     if len(alpha) != d:
         raise NetError(f"multi-index length {len(alpha)} != dimension {d}")
-    if any(a < 0 for a in alpha):
-        raise NetError("multi-index entries must be non-negative")
     if sum(alpha) > DERIVATIVE_ORDER_CAP:
         raise NetError(f"derivative order {sum(alpha)} exceeds cap {DERIVATIVE_ORDER_CAP}")
+    return alpha
 
 
 class ExpressionNet(FunctionNet):
@@ -330,8 +330,7 @@ class ExpressionNet(FunctionNet):
         self._constraints = support_constraints(self.expression)
 
     def derivative_expr(self, alpha: tuple[int, ...]) -> ex.Expr:
-        _check_alpha(alpha, self.dimension)
-        alpha = tuple(alpha)
+        alpha = _check_alpha(alpha, self.dimension)
         cached = self._deriv_cache.get(alpha)
         if cached is not None:
             return cached
@@ -344,10 +343,10 @@ class ExpressionNet(FunctionNet):
         return d
 
     def derivative_batch(self, alpha, coords, eps):
-        return ex.eval_batch(self.derivative_expr(tuple(alpha)), coords, eps)
+        return ex.eval_batch(self.derivative_expr(alpha), coords, eps)
 
     def sup_witness(self, alpha, grid, eps):
-        return ex.separable_argmax(self.derivative_expr(tuple(alpha)), grid, eps)
+        return ex.separable_argmax(self.derivative_expr(alpha), grid, eps)
 
     def sample_intervals(self, box, eps):
         return _clip(box, _support_bounds(self._constraints, eps))
@@ -647,8 +646,7 @@ def seminorm(
         raise NetError("compact set dimension mismatch")
     if not (0.0 < eps < 1.0):
         raise NetError("eps must lie in (0,1)")
-    if not is_index(k) or k < 0 or k > K_MAX_CAP:
-        raise NetError(f"order k={k!r} is no integer in 0..{K_MAX_CAP}")
+    k = as_index(k, "order k", 0, K_MAX_CAP, NetError)
     # the net's own record: SeminormValue per order per sweep, as long as it lives
     per_order = vars(net).setdefault("_seminorm_values", {}).setdefault((K, eps, sampling), {})
     value = per_order.get(k)

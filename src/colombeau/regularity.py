@@ -20,7 +20,7 @@ from .nets import (
     SharpSeminorm,
     seminorm_tables,
 )
-from .scale import EpsGrid, is_index, jsonable
+from .scale import EpsGrid, as_index, jsonable
 
 DEFAULT_K_MAX = 6
 DEFAULT_TOL = 0.1
@@ -75,8 +75,7 @@ def psequence(
 ) -> PSequence:
     """sharp_seminorm(net, k, K, grid, sampling) for k = 0..k_max, from the
     tables of ``seminorm_tables`` (eps outer, k inner)."""
-    if not is_index(k_max) or not 0 <= k_max <= K_MAX_CAP:
-        raise RegularityError(f"k_max must be an integer in 0..{K_MAX_CAP}")
+    k_max = as_index(k_max, "k_max", 0, K_MAX_CAP, RegularityError)
     tables = seminorm_tables(net, range(k_max + 1), K, grid, sampling)
     return PSequence(tuple(SharpSeminorm.fit(t) for t in tables))
 
@@ -179,21 +178,17 @@ class GInftyReport:
 
 
 def classify_ginfty(seq: PSequence, tol: float = DEFAULT_TOL) -> GInftyReport:
-    """Evidence for sup_k P_k <= P_0, cross-checked with the decreasing test.
+    """Evidence for sup_k P_k <= P_0: ``growth_char_check`` at base 1.
 
-    The two characterisations coincide for genuine nets (log-convexity makes
-    any rise permanent), so disagreement signals a broken estimate.
+    Its bound test is this bound (ln P_k <= ln P_0 + tol), and its ratio
+    test the decreasing test (ln P_{k+1} <= ln P_k + tol).  The two
+    characterisations coincide for genuine nets (log-convexity makes any
+    rise permanent), so when they disagree the verdict is inconclusive, as
+    it is for an unstable sequence; otherwise it is the bound verdict.
     """
-    if not all(seq.stable(k) for k in range(seq.k_max + 1)):
-        return GInftyReport("inconclusive", "inconclusive", "inconclusive", True)
-    bound_ok = all(_ln_le(seq.ln(k), seq.ln(0), tol) for k in range(1, seq.k_max + 1))
-    decr_ok = all(
-        _ln_le(seq.ln(k + 1), seq.ln(k), tol) for k in range(seq.k_max)
-    )
-    bv = "yes-evidence" if bound_ok else "no"
-    dv = "yes-evidence" if decr_ok else "no"
-    agree = bv == dv
-    return GInftyReport(bv if agree else "inconclusive", bv, dv, agree)
+    g = growth_char_check(seq, 1.0, tol)
+    return GInftyReport(g.bound_verdict if g.agree else "inconclusive",
+                        g.bound_verdict, g.ratio_verdict, g.agree)
 
 
 # ---------------------------------------------------------------------------
@@ -326,22 +321,21 @@ class GrowthCharReport:
 def growth_char_check(seq: PSequence, base: float, tol: float = DEFAULT_TOL) -> GrowthCharReport:
     """Two readings of 'P_k grows at most like base^k'; they must agree.
 
-    Bound test: the k = 0 intercept already dominates ln P_k - k ln(base)
-    for every k (within tol).  Ratio test: every single step satisfies
-    ln P_{k+1} <= ln P_k + ln(base) + tol.  Equivalent for log-convex data.
+    Bound test: the k = 0 intercept ln P_0 dominates ln P_k - k ln(base)
+    for every k: ln P_k - k ln(base) <= ln P_0 + tol.  Ratio test: every
+    single step satisfies ln P_{k+1} <= ln P_k + ln(base) + tol.  Both read
+    -inf (P = 0) as ``_ln_le`` does: a negligible left side passes and a
+    negligible right side fails any other.  Equivalent for log-convex data.
+    An unstable fit at any order makes both verdicts inconclusive.
     """
     if base < 1.0:
         raise RegularityError("base must be >= 1")
     if not all(seq.stable(k) for k in range(seq.k_max + 1)):
         return GrowthCharReport(base, "inconclusive", "inconclusive", True)
     ln_base = math.log(base)
-    d = [seq.ln(k) - k * ln_base for k in range(seq.k_max + 1)]
-    finite = [v for v in d if v != -math.inf]
-    if not finite:
-        bound_ok = True
-    else:
-        anchor = next(v for v in d if v != -math.inf)
-        bound_ok = max(finite) <= anchor + tol
+    bound_ok = all(
+        _ln_le(seq.ln(k) - k * ln_base, seq.ln(0), tol) for k in range(1, seq.k_max + 1)
+    )
     ratio_ok = all(
         _ln_le(seq.ln(k + 1), seq.ln(k) + ln_base, tol) for k in range(seq.k_max)
     )

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, astuple, dataclass, fields
 from typing import Iterable, Optional, Sequence
 
@@ -75,21 +76,33 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+@contextmanager
+def _replacing(path: str):
+    """A text file written as path + ".tmp" that replaces path when the with
+    block ends; on any exception the temp file is deleted, path keeps its
+    bytes, and the exception propagates."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with _replacing(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-    os.replace(tmp, path)
 
 
 def write_json(path: str, document: dict) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(path) as fh:
         json.dump(jsonable(document), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 @dataclass(frozen=True)

@@ -26,16 +26,22 @@ class ScaleError(ValueError):
     pass
 
 
-def is_index(v) -> bool:
-    """v is an integer that is no bool: a value ``operator.index`` takes.
-    A float such as 2.0 or 2.5 is not one, nor is True."""
-    if isinstance(v, bool):
-        return False
+def as_index(v, what: str, least: float, most: float = math.inf,
+             error: type[Exception] = ScaleError) -> int:
+    """The count, order, dimension or multi-index entry v as the Python int
+    ``operator.index`` gives, so a numpy integer is kept as an int.
+
+    Raises ``error`` (the caller's own class) when v is a bool, when
+    ``operator.index`` refuses v (a float such as 2.0 or 2.5), or when v lies
+    outside least..most; least may be -inf for no lower bound."""
     try:
-        operator.index(v)
+        n = None if isinstance(v, bool) else operator.index(v)
     except TypeError:
-        return False
-    return True
+        n = None
+    if n is None or not least <= n <= most:
+        span = f" in {least}..{most}" if most < math.inf else f" >= {least}" if least > -math.inf else ""
+        raise error(f"{what} must be an integer{span}, got {v!r}")
+    return n
 
 
 def jsonable(x):
@@ -137,8 +143,7 @@ class EpsGrid:
             raise ScaleError("eps0 must lie in (0,1)")
         if not (0.0 < self.ratio < 1.0):
             raise ScaleError("ratio must lie in (0,1)")
-        if not is_index(self.count) or self.count < 1:
-            raise ScaleError("count must be a positive integer")
+        object.__setattr__(self, "count", as_index(self.count, "count", 1))
 
     @property
     def points(self) -> tuple[float, ...]:
@@ -207,8 +212,7 @@ def estimate_valuation(
     (or non-finite ones) are unusable; if every sample in the tail window is
     negligible the net is reported as negligible with value +inf.
     """
-    if window < 3:
-        raise ScaleError("window must be at least 3")
+    window = as_index(window, "window", 3)
     n = len(samples)
     if n < window:
         raise ScaleError(f"need at least {window} samples, got {n}")

@@ -5,6 +5,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from colombeau.catalog import catalog_net
@@ -12,7 +13,7 @@ from colombeau.config import EXPERIMENT_KINDS, ConfigError, load_config, load_co
 from colombeau.expr.parser import MAX_NESTING
 from colombeau.mollify import regular_bound_experiment
 from colombeau.nets import CompactBox
-from colombeau.runner import EXPERIMENTS, run_config
+from colombeau.runner import EXPERIMENTS, run_config, write_csv, write_json
 
 from colombeau import cli
 
@@ -220,6 +221,29 @@ def test_rejected_config_writes_no_file(tmp_path, capsys):
     assert cli.main(["run", str(path)]) == 1
     assert "oscillation hint" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _rows_that_fail_midway():
+    yield (1, 0.5)
+    raise RuntimeError("row source failed")
+
+
+@pytest.mark.parametrize("write, bad, raised", [
+    (write_json, lambda: {"a": np.int64(1)}, TypeError),
+    (lambda p, rows: write_csv(p, ["k", "v"], rows), _rows_that_fail_midway, RuntimeError),
+], ids=["json_unserialisable", "csv_rows_fail_midway"])
+def test_failed_write_leaves_no_temp_file_and_keeps_the_target(tmp_path, write, bad, raised):
+    path = str(tmp_path / "doc")
+    with open(path, "w") as fh:
+        fh.write("kept\n")
+    with pytest.raises(raised):
+        write(path, bad())
+    assert os.listdir(tmp_path) == ["doc"]
+    with open(path) as fh:
+        assert fh.read() == "kept\n"
+    with pytest.raises(raised):  # no target before the failed write: none after it
+        write(str(tmp_path / "new"), bad())
+    assert os.listdir(tmp_path) == ["doc"]
 
 
 @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(EXAMPLES, "*.json"))))

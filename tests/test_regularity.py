@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from colombeau.catalog import CATALOG
 from colombeau.expr import EpsPow, Mul, parse
@@ -322,6 +324,57 @@ def test_growth_char_with_negligible_tail():
 def test_growth_char_unstable():
     rep = growth_char_check(fake_seq([0.0, 1.0], stable=[False, True]), 1.0)
     assert rep.bound_verdict == "inconclusive"
+
+
+def _ln_le_ref(a, b, tol):
+    # a <= b + tol; P = 0 (ln -inf) passes on the left and fails any other
+    # value on the right
+    return a == -math.inf or (b != -math.inf and a <= b + tol)
+
+
+_LN = st.one_of(st.just(-math.inf), st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 8).flatmap(lambda k_max: st.tuples(
+        st.lists(_LN, min_size=k_max + 1, max_size=k_max + 1),
+        st.lists(st.booleans(), min_size=k_max + 1, max_size=k_max + 1),
+    )),
+    st.sampled_from([1.0, math.e, math.e**2]),
+)
+@example(([-math.inf, -5.0, -6.0, -7.0, -8.0], [True] * 5), 1.0)
+def test_growth_char_follows_its_docstring(lns_stable, base):
+    lns, stable = lns_stable
+    seq = fake_seq(lns, stable)
+    tol = 0.1
+    rep = growth_char_check(seq, base, tol)
+    g = classify_ginfty(seq, tol) if base == 1.0 else None
+    if not all(stable):
+        assert (rep.bound_verdict, rep.ratio_verdict, rep.agree) == ("inconclusive", "inconclusive", True)
+        if g is not None:
+            assert (g.verdict, g.bound_verdict, g.decreasing_verdict) == ("inconclusive",) * 3
+        return
+    ln_base = math.log(base)
+    bound = all(_ln_le_ref(lns[k] - k * ln_base, lns[0], tol) for k in range(len(lns)))
+    ratio = all(_ln_le_ref(lns[k + 1], lns[k] + ln_base, tol) for k in range(len(lns) - 1))
+    read = {True: "yes-evidence", False: "no"}
+    assert (rep.bound_verdict, rep.ratio_verdict, rep.agree) == (read[bound], read[ratio], bound == ratio)
+    if g is not None:
+        # the G^inf verdict is the growth check at base 1
+        assert (g.bound_verdict, g.decreasing_verdict, g.agree) == (read[bound], read[ratio], bound == ratio)
+        assert g.verdict == (read[bound] if bound == ratio else "inconclusive")
+
+
+def test_ginfty_and_growth_at_base_one_read_one_rule():
+    # P_0 = 0 with later orders non-zero: sup_k P_k <= P_0 fails, and the
+    # growth check at base 1 reads the same bound (anchored at P_0, not at
+    # the first non-zero order)
+    seq = fake_seq([-math.inf, -5.0, -6.0, -7.0, -8.0])
+    g = classify_ginfty(seq)
+    assert (g.verdict, g.bound_verdict, g.decreasing_verdict, g.agree) == ("no", "no", "no", True)
+    rep = growth_char_check(seq, 1.0)
+    assert (rep.bound_verdict, rep.ratio_verdict, rep.agree) == ("no", "no", True)
 
 
 def test_growth_char_on_catalog_nets(catalog_sequences):

@@ -1,16 +1,25 @@
+import json
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colombeau.catalog import catalog_net, catalog_oracle
+from colombeau.expr import Bump, Cutoff, ExpressionError, IntPow, Var, differentiate, parse, to_text
+from colombeau.mollify import PsiRouteNet, build_mollifier, class_A_membership, mollify
+from colombeau.nets import CompactBox, ExpressionNet, NetError, Sampling, seminorm
+from colombeau.regularity import RegularityError, psequence
 from colombeau.scale import (
     DEFAULT_WINDOW,
     EpsGrid,
     PowerScale,
     ScaleError,
     ValuationEstimate,
+    as_index,
     default_grid,
     estimate_valuation,
     sample,
@@ -214,3 +223,108 @@ def test_window_uses_smallest_eps_tail():
     est = estimate_valuation(sample(z, default_grid()), window=DEFAULT_WINDOW)
     assert est.window[1] == 20
     assert est.value == pytest.approx(1.0, abs=0.05)
+
+
+# ---------------------------------------------------------------------------
+# integer arguments
+# ---------------------------------------------------------------------------
+
+_K01 = CompactBox.interval(0.0, 1.0)
+_SMALL = Sampling(5, 5)
+
+
+def _sin():
+    return ExpressionNet(1, parse("sin(x1)"))
+
+
+def _seminorm_orders(k):
+    net = _sin()
+    seminorm(net, k, _K01, 0.5, _SMALL)
+    (orders,) = vars(net)["_seminorm_values"].values()
+    return list(orders)
+
+
+_LINE = [(e, e**2) for e in default_grid().points]
+_PTS = np.linspace(-0.9, 0.9, 7)[None, :]
+
+# (entry point, a JSON document of what it keeps for v, its error, an integer
+# it takes); each document holds the int the entry point stored
+INTEGER_ENTRY_POINTS = [
+    ("EpsGrid.count", lambda v: asdict(EpsGrid(count=v)), ScaleError, 12),
+    ("Sampling.base_points", lambda v: asdict(Sampling(base_points=v)), NetError, 5),
+    ("Sampling.cap_points", lambda v: asdict(Sampling(cap_points=v)), NetError, 40),
+    ("FunctionNet.dimension", lambda v: ExpressionNet(v, parse("x1")).describe(), NetError, 2),
+    ("seminorm.k", _seminorm_orders, NetError, 2),
+    ("psequence.k_max",
+     lambda v: psequence(_sin(), _K01, EpsGrid(count=8), _SMALL, v).k_max, RegularityError, 2),
+    ("estimate_valuation.window", lambda v: asdict(estimate_valuation(_LINE, v)), ScaleError, 5),
+    ("build_mollifier.d", lambda v: build_mollifier(v, 16).dimension, NetError, 2),
+    ("build_mollifier.Q",
+     lambda v: mollify(_sin(), 1, build_mollifier(1, v)).describe(), NetError, 20),
+    ("MollifiedNet.n", lambda v: mollify(_sin(), v).describe(), NetError, 2),
+    ("class_A_membership.N",
+     lambda v: class_A_membership(_sin(), v, [_K01], 0, EpsGrid(count=8), _SMALL).N, NetError, 3),
+    ("catalog._resolve", lambda v: catalog_net("multiscale", v).describe(), NetError, 3),
+    ("catalog_oracle.k", lambda v: str(catalog_oracle("osc", v)), NetError, 2),
+    ("parse.dimension", lambda v: to_text(parse("x1", v)), ExpressionError, 1),
+    ("differentiate.var_index",
+     lambda v: to_text(differentiate(parse("x1*x2^2", 2), v)), ExpressionError, 1),
+    ("Var.index", lambda v: to_text(Var(v)), ExpressionError, 1),
+    ("IntPow.exponent", lambda v: to_text(IntPow(Var(0), v)), ExpressionError, 3),
+    ("Bump.order", lambda v: to_text(Bump(Var(0), v)), ExpressionError, 2),
+    ("Cutoff.order", lambda v: to_text(Cutoff(Var(0), v)), ExpressionError, 2),
+    ("derivative_eval.alpha",
+     lambda v: _sin().derivative_eval((v,), [0.3], 0.5), NetError, 1),
+    ("derivative_expr.alpha", lambda v: to_text(_sin().derivative_expr((v,))), NetError, 1),
+    ("psi_deriv.alpha", lambda v: build_mollifier(1, 16).psi_deriv((v,), _PTS).tolist(), NetError, 2),
+    ("PsiRouteNet.derivative_batch.alpha",
+     lambda v: PsiRouteNet(_sin(), 1, build_mollifier(1, 16)).derivative_batch((v,), _PTS, 0.5).tolist(),
+     NetError, 1),
+    ("MollifiedNet.derivative_eval.alpha",
+     lambda v: mollify(_sin(), 1).derivative_eval((v,), [0.3], 0.5), NetError, 1),
+]
+
+
+@pytest.mark.parametrize("keep, error, good", [c[1:] for c in INTEGER_ENTRY_POINTS],
+                         ids=[c[0] for c in INTEGER_ENTRY_POINTS])
+def test_integer_entry_points_keep_ints_and_refuse_the_rest(keep, error, good):
+    want = json.dumps(keep(good), sort_keys=True)
+    # a numpy integer is kept as the int it stands for, so the document dumps
+    assert json.dumps(keep(np.int64(good)), sort_keys=True) == want
+    # a bool, an integral float and a fraction are refused with the entry
+    # point's own error: no TypeError, and no truncation to a nearby integer
+    for bad in (True, float(good), good + 0.5):
+        with pytest.raises(error, match="must be an integer"):
+            keep(bad)
+
+
+def test_integer_probes_the_parent_let_through():
+    # each of these ran with a truncated or a bool argument, or refused a
+    # numpy integer, before every integer argument went through as_index
+    u = _sin()
+    with pytest.raises(NetError):
+        PsiRouteNet(u, 1, build_mollifier(1, 16)).derivative_batch((1.5,), _PTS, 0.5)
+    with pytest.raises(NetError):
+        build_mollifier(1, 16).psi_deriv((2.7,), _PTS)
+    with pytest.raises(ExpressionError):
+        differentiate(parse("x1*x2", 2), True)
+    with pytest.raises(NetError):
+        mollify(u, 1).derivative_eval((True,), [0.3], 0.5)
+    assert type(mollify(u, np.int64(2)).n) is int
+    assert json.dumps(mollify(u, 1, build_mollifier(1, np.int64(20))).describe())
+    assert json.dumps(ExpressionNet(np.int64(1), parse("x1")).describe()) == json.dumps(
+        ExpressionNet(1, parse("x1")).describe())
+    with pytest.raises(NetError):
+        ExpressionNet(True, parse("x1"))
+
+
+def test_as_index():
+    assert as_index(np.int64(4), "n", 0) == 4 and type(as_index(np.uint8(4), "n", 0)) is int
+    assert as_index(-7, "n", -math.inf) == -7
+    for bad, least, most in ((False, 0, 3), (np.float64(2.0), 0, 3), ("2", 0, 3), (4, 0, 3), (-1, 0, 3)):
+        with pytest.raises(NetError, match=r"n must be an integer"):
+            as_index(bad, "n", least, most, NetError)
+    with pytest.raises(ScaleError, match=r"n must be an integer in 1\.\.3, got 0"):
+        as_index(0, "n", 1, 3)
+    with pytest.raises(ScaleError, match=r"n must be an integer >= 1, got 2\.5"):
+        as_index(2.5, "n", 1)
