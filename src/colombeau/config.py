@@ -51,7 +51,7 @@ def _require_keys(obj: dict, where: str, required: Sequence[str], optional: Sequ
 def _interval(iv: Any, where: str) -> tuple[float, float]:
     """[lo, hi] of two finite numbers, as floats."""
     if not (isinstance(iv, list) and len(iv) == 2
-            and all(_num(v, -math.inf) and math.isfinite(v) for v in iv)):
+            and all(_num(v, -math.inf) for v in iv)):
         raise ConfigError(f"intervals in {where} must be [lo, hi] of finite numbers")
     return float(iv[0]), float(iv[1])
 
@@ -159,9 +159,11 @@ def _int(v, lo: int, hi: float = math.inf) -> bool:
 
 
 def _num(v, lo: float, strict: bool = False) -> bool:
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
+    """A finite int or float >= lo (> lo if strict); json.loads reads
+    Infinity and NaN, which no check can be read against."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
         return False
-    return v > lo if strict else v >= lo  # nan fails both
+    return v > lo if strict else v >= lo
 
 
 def _int_list(v, lo: int, hi: float = math.inf, increasing: bool = False) -> bool:
@@ -177,7 +179,7 @@ def _num_list(v, lo: float, strict: bool = False) -> bool:
     return isinstance(v, list) and all(_num(x, lo, strict) for x in v)
 
 
-_NUMBER = (lambda v: _num(v, -math.inf), "a number")
+_NUMBER = (lambda v: _num(v, -math.inf), "a finite number")
 _INTEGER = (lambda v: _int(v, -math.inf), "an integer")
 _K = (lambda v: _int(v, 0, K_MAX_CAP), f"an integer in 0..{K_MAX_CAP}")
 _K_LIST = (
@@ -196,16 +198,16 @@ _EXPERIMENT_PARAMS = {
     "valuation": ([], {"k": _K}),
     "seminorms": ([], {"k_list": _K_LIST}),
     "classify": ([], {
-        "a_values": (lambda v: _num_list(v, 0, strict=True), "a list of numbers > 0"),
-        "bases": (lambda v: _num_list(v, 1), "a list of numbers >= 1"),
-        "tol": (lambda v: _num(v, 0), "a number >= 0"),
+        "a_values": (lambda v: _num_list(v, 0, strict=True), "a list of finite numbers > 0"),
+        "bases": (lambda v: _num_list(v, 1), "a list of finite numbers >= 1"),
+        "tol": (lambda v: _num(v, 0), "a finite number >= 0"),
     }),
     "landau": ([], {}),
     "mollify-converge": ([], {
         # the reference reads p_{k+1}
         "k": (lambda v: _int(v, 0, K_MAX_CAP - 1), f"an integer in 0..{K_MAX_CAP - 1}"),
         "n_list": _N_LIST,
-        "r": (lambda v: _num(v, 0) and math.isfinite(v), "a finite number >= 0"),
+        "r": (lambda v: _num(v, 0), "a finite number >= 0"),
         "quadrature_order": _QUADRATURE_ORDER,
     }),
     "class-a": (["N"], {"N": (lambda v: _int(v, 1), "an integer >= 1")}),

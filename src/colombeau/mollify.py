@@ -3,8 +3,9 @@
 The mollifier is psi(x) = c_d * exp(1/(|x|^2 - 1)) inside the open unit ball
 and 0 outside.  All integrals use a tensor Gauss-Legendre rule of fixed order
 Q per axis on [-1,1]^d; c_d is the reciprocal of that same rule applied to
-the unnormalized bump, so the discrete rule integrates psi to 1 exactly (up
-to round-off) and constant nets are reproduced exactly.
+the unnormalized bump over all Q^d nodes, so the discrete rule integrates psi
+to 1 exactly (up to round-off) and constant nets are reproduced exactly.  The
+Mollifier keeps the rule's live nodes, where w_q psi(s_q) != 0.
 
 Convolution is computed after the substitution t = eps^n s, which keeps the
 node count independent of eps:
@@ -17,12 +18,13 @@ derivative on u (the exact symbolic path) with weights w_q psi(s_q); for the
 growth-bound check PsiRouteNet puts it on psi instead -- u star
 d^alpha(psi_{eps^n}) -- with weights w_q psi^(alpha)(s_q) eps^(-n|alpha|),
 and the agreement of the two routes is itself a test.  psi and its
-derivatives come from the bump recurrence in expr.special.  On the psi
-route every order reads the same base values, so one pass over a sweep's
-block serves the orders REGULAR_BOUND_K_LIST and the asked one, each formed
-by its own product; the values live in one store on the base net per
-(n, mollifier), which is how regular_bound_experiment's k loop samples the
-base once.
+derivatives come from the bump recurrence in expr.special; the mollifier
+builds the weights w_q psi^(alpha)(s_q) once per multi-index and every route
+shares them.  On the psi route every order reads the same base values, so one
+pass over a sweep's kept block serves the asked order and the orders the route
+declares (``formed_together``, REGULAR_BOUND_K_LIST), each formed by its own
+product; the values live in one store on the base net per (n, mollifier),
+which is how regular_bound_experiment's k loop samples the base once.
 
 The loop hands the base net blocks of about _EVAL_CHUNK shifted points, so
 every temporary the evaluator makes stays near 128 KB.  Each output point is
@@ -36,8 +38,9 @@ OpenBLAS splits a product across threads, which moves those group bounds.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,6 +53,7 @@ from .nets import (
     DifferenceNet,
     ExpressionNet,
     FunctionNet,
+    K_MAX_CAP,
     NetError,
     Sampling,
     _check_alpha,
@@ -92,14 +96,16 @@ CONVERGENCE_GRID = EpsGrid(ratio=0.8)
 
 @dataclass(frozen=True, eq=False)
 class Mollifier:
-    """Normalized bump with its tensor Gauss-Legendre rule (order Q/axis)."""
+    """Normalized bump with its tensor Gauss-Legendre rule (order Q/axis) at
+    the live nodes, where w_q psi(s_q) != 0."""
 
     dimension: int
     order: int
     c: float
-    nodes: np.ndarray  # (d, M) tensor nodes in fixed lexicographic order
+    nodes: np.ndarray  # (d, M) live tensor nodes in fixed lexicographic order
     weights: np.ndarray  # (M,) tensor weight products (rule only, no psi)
-    core_weights: np.ndarray  # (M,) weights * psi(nodes); sums to 1
+    core_weights: np.ndarray  # (M,) weights * psi(nodes), none 0; sums to 1
+    _psi_weights: dict = field(default_factory=dict, init=False, repr=False)  # see psi_weights
 
     def integral(self) -> float:
         """Re-integrate psi with the mollifier's own rule."""
@@ -115,36 +121,39 @@ class Mollifier:
             raise NetError("points must have shape (d, N)")
         return self.c * ball_bump_values(alpha, points)
 
+    def psi_weights(self, alpha: Sequence[int]) -> np.ndarray:
+        """w_q psi^(alpha)(s_q) at the live nodes, built once per multi-index;
+        every caller, on any thread, gets the one array kept."""
+        alpha = _check_alpha(alpha, self.dimension)
+        if alpha not in self._psi_weights:
+            self._psi_weights.setdefault(alpha, self.weights * self.psi_deriv(alpha, self.nodes))
+        return self._psi_weights[alpha]
+
 
 def build_mollifier(d: int = 1, Q: int = DEFAULT_QUAD_ORDER) -> Mollifier:
+    """c from all Q^d nodes, of which the live ones are kept."""
     d = as_index(d, "mollifier dimension", 1, 3, NetError)
     Q = as_index(Q, "quadrature order", 16, error=NetError)
     x, w = np.polynomial.legendre.leggauss(Q)
     if not (np.isfinite(x).all() and np.isfinite(w).all()):
         raise NetError("quadrature rule returned non-finite nodes")
-    grids = np.meshgrid(*([x] * d), indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids])
-    wgrids = np.meshgrid(*([w] * d), indexing="ij")
+    nodes = np.stack([g.ravel() for g in np.meshgrid(*([x] * d), indexing="ij")])
     weights = np.ones(nodes.shape[1])
-    for g in wgrids:
+    for g in np.meshgrid(*([w] * d), indexing="ij"):
         weights = weights * g.ravel()
     raw = weights * ball_bump_values((0,) * d, nodes)
     total = float(np.sum(raw))
     if not (total > 0.0 and math.isfinite(total)):
         raise NetError("bump quadrature failed")
     c = 1.0 / total
-    return Mollifier(d, Q, c, nodes, weights, c * raw)
+    core = c * raw
+    live = core != 0.0
+    return Mollifier(d, Q, c, nodes[:, live], weights[live], core[live])
 
 
-_DEFAULT_MOLLIFIERS: dict[int, Mollifier] = {}
-
-
+@functools.cache
 def _default_mollifier(d: int) -> Mollifier:
-    m = _DEFAULT_MOLLIFIERS.get(d)
-    if m is None:
-        m = build_mollifier(d)
-        _DEFAULT_MOLLIFIERS[d] = m
-    return m
+    return build_mollifier(d)
 
 
 # ---------------------------------------------------------------------------
@@ -185,23 +194,21 @@ class MollifiedNet(FunctionNet):
         self.base = base
         self.n = n
         self.mollifier = mollifier
-        self._keep = mollifier.core_weights != 0.0
-        self._nodes = mollifier.nodes[:, self._keep]
-        self._weights = mollifier.core_weights[self._keep]
 
     def _shifted_values(self, alpha, coords, eps):
         """(rows, d^alpha u_eps(x - eps^n s_q)) per block of output points:
         one row of M node values per point, so a block's weighted sum is one
         matrix-vector product."""
         shift = eps**self.n
+        nodes = self.mollifier.nodes
         d, total = coords.shape
-        m = self._nodes.shape[1]
+        m = nodes.shape[1]
         step = max(1, _EVAL_CHUNK // m // _ROW_GROUP) * _ROW_GROUP
         start = 0
         while start < total:
             stop = total if total - start <= step + 1 else start + step
             block = coords[:, start:stop]
-            shifted = block[:, :, None] - shift * self._nodes[:, None, :]
+            shifted = block[:, :, None] - shift * nodes[:, None, :]
             vals = self.base.derivative_batch(alpha, shifted.reshape(d, -1), eps)
             yield slice(start, stop), vals.reshape(-1, m)
             start = stop
@@ -210,7 +217,7 @@ class MollifiedNet(FunctionNet):
         coords = np.asarray(coords)  # a Grid flattens to its (d, N) points
         out = np.empty(coords.shape[1])
         for rows, vals in self._shifted_values(alpha, coords, eps):
-            out[rows] = vals @ self._weights
+            out[rows] = vals @ self.mollifier.core_weights
         return out
 
     def sample_intervals(self, box, eps):
@@ -231,9 +238,7 @@ class MollifiedNet(FunctionNet):
 
 
 def mollify(u: FunctionNet, n: int, mollifier: Optional[Mollifier] = None) -> MollifiedNet:
-    if mollifier is None:
-        mollifier = _default_mollifier(u.dimension)
-    return MollifiedNet(u, n, mollifier)
+    return MollifiedNet(u, n, mollifier or _default_mollifier(u.dimension))
 
 
 class PsiRouteNet(MollifiedNet):
@@ -244,46 +249,37 @@ class PsiRouteNet(MollifiedNet):
     which equals the mollified net's alpha-derivative up to quadrature error.
 
     Every order reads the same base values u_eps(x - eps^n s_q) and differs
-    only in its weights.  So on a block with a memo (a sweep's kept block),
-    derivative_batch forms, from one pass over the base per block of rows,
-    the asked multi-index and every multi-index of its order and of the
-    orders the regular-bound check asks by default (REGULAR_BOUND_K_LIST)
-    that has no block max there yet, each with its own matrix-vector product
-    (one (M, orders) product would sum in another order and move bits).  It
-    returns the asked one and leaves each other one's block max and
-    non-finite count in the memo's ``maxes`` table for ``_grid_max``.  Every
-    route over the same base, n and mollifier keeps its seminorm values in
-    one store on the base, so a route made for another order finds them; no
-    route is kept, since a base holding routes that hold it would be a
-    reference cycle.
+    only in its weights (``Mollifier.psi_weights``).  So on a block with a
+    memo (a sweep's kept block), derivative_batch forms, from one pass over
+    the base per block of rows, every multi-index of the asked order and of
+    the orders in ``formed_together`` (REGULAR_BOUND_K_LIST) that has no
+    block max there yet, each by its own matrix-vector product (one
+    (M, orders) product would move bits).  It returns the asked one and
+    leaves each other one's block max and non-finite count in the memo's
+    ``maxes`` for ``_grid_max``.  Every route over one base, n and mollifier
+    keeps its seminorm values in one store on the base; no route is kept,
+    since a base holding routes that hold it would be a reference cycle.
     """
 
     variant = "psi-route"
+    formed_together = REGULAR_BOUND_K_LIST
 
     def __init__(self, base: FunctionNet, n: int, mollifier: Mollifier):
         super().__init__(base, n, mollifier)
-        self._weight_cache: dict[tuple[int, ...], np.ndarray] = {}
         routes = vars(base).setdefault("_psi_route_values", {})
         self._seminorm_values = routes.setdefault((n, mollifier), {})
-
-    def _terms(self, alpha: tuple[int, ...], eps: float) -> tuple[np.ndarray, float]:
-        """(w_q psi^(alpha)(s_q), eps^(-n|alpha|)) for one multi-index."""
-        weights = self._weight_cache.get(alpha)
-        if weights is None:
-            rule = self.mollifier.weights[self._keep]
-            weights = rule * self.mollifier.psi_deriv(alpha, self._nodes)
-            self._weight_cache[alpha] = weights
-        return weights, float(np.float64(eps) ** (-self.n * sum(alpha)))
 
     def derivative_batch(self, alpha, coords, eps):
         alpha = _check_alpha(alpha, self.dimension)
         memo = getattr(coords, "memo", None)
         others = [] if memo is None else [
-            a for k in sorted({sum(alpha), *REGULAR_BOUND_K_LIST})
+            a for k in sorted({sum(alpha), *self.formed_together})
             for a in multi_indices(self.dimension, k)
             if a != alpha and (id(self), a) not in memo.maxes]
-        weights, scale = self._terms(alpha, eps)
-        terms = [self._terms(a, eps) for a in others]
+        # (w_q psi^(a)(s_q), eps^(-n|a|)) of the asked multi-index and the others
+        (weights, scale), *terms = [
+            (self.mollifier.psi_weights(a), float(np.float64(eps) ** (-self.n * sum(a))))
+            for a in (alpha, *others)]
         maxes = [(-1.0, 0)] * len(others)
         coords = np.asarray(coords)
         out = np.empty(coords.shape[1])
@@ -399,7 +395,8 @@ def convergence_experiment(
 ) -> ConvergenceRecord:
     """Fit the valuation of u star psi_{eps^n} - u for each n and compare
     against the quantitative bound n + v(p_{k+1, K+r}) - CONVERGENCE_SLACK."""
-    n_list = tuple(n_list)
+    k = as_index(k, "order k", 0, K_MAX_CAP - 1, NetError)  # the reference reads p_{k+1}
+    n_list = tuple(as_index(n, "mollification order n", 1, error=NetError) for n in n_list)
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise NetError("n_list must be strictly increasing and non-empty")
     ref = sharp_seminorm(u, k + 1, enlarge(K, r), grid, sampling)
@@ -481,13 +478,13 @@ def regular_bound_experiment(
     EpsGrid() needs 9.1e9 shifted points per multi-index at eps = 2^-10
     (cutoff(x1)*sin(x2/eps)*cos(x1) on [0, 1]^2, 544 kept 2-d nodes) and
     does not finish; a short grid such as EpsGrid(count=6) does."""
+    k = as_index(k, "order k", 0, K_MAX_CAP, NetError)
+    n = as_index(n, "mollification order n", 1, error=NetError)
     if u.support_box is None:
         raise NetError("the regular bound needs a net with a declared support_box")
     if grid.count <= REGULAR_BOUND_J0:
         raise NetError(f"the regular bound checks eps grid indices from {REGULAR_BOUND_J0} on")
-    if mollifier is None:
-        mollifier = _default_mollifier(u.dimension)
-    route = PsiRouteNet(u, n, mollifier)
+    route = PsiRouteNet(u, n, mollifier or _default_mollifier(u.dimension))
     L = u.support_box
 
     def sides(eps):
@@ -547,10 +544,5 @@ def class_A_membership(
             elif not ok:
                 any_violation = True
             rows.append(ClassARow(K, s.k, est.value, bound, ok, est.stable))
-    if any_violation:
-        verdict = "no"
-    elif any_unstable:
-        verdict = "inconclusive"
-    else:
-        verdict = "yes"
+    verdict = "no" if any_violation else "inconclusive" if any_unstable else "yes"
     return ClassAReport(N, verdict, tuple(rows))

@@ -52,8 +52,9 @@ A net may form, on a kept block, multi-indices it was not asked for (a psi
 route, ``mollify.PsiRouteNet``, reads every order from the same base
 values) and leave each one's block max and non-finite count in the memo's
 own table (``LeafMemo.maxes``), which ``_grid_max`` reads before it calls
-the net.  On a miss, ``seminorm`` also stores every order whose every
-multi-index the net left on every region's kept block.
+the net.  The net declares those orders in ``formed_together``; on a miss,
+``seminorm`` stores them with the asked order when every region of the sweep
+kept its block (a larger region's blocks carry no memo).
 """
 from __future__ import annotations
 
@@ -252,6 +253,10 @@ def _support_bounds(constraints, eps: float):
 class FunctionNet:
     """Base class: an eps-parametrised smooth function of d variables."""
 
+    # orders whose block maxes derivative_batch leaves, unasked, in a kept
+    # block's LeafMemo.maxes (besides the other multi-indices of the asked one)
+    formed_together: tuple[int, ...] = ()
+
     def __init__(
         self,
         dimension: int,
@@ -270,6 +275,8 @@ class FunctionNet:
         self.dimension = dimension
         self.oscillation_hint = hint
         self.support_box = support_box
+        # SeminormValue per order per sweep (K, eps, sampling), as long as the net lives
+        self._seminorm_values: dict = {}
 
     def derivative_batch(self, alpha: tuple[int, ...], coords: np.ndarray, eps: float) -> np.ndarray:
         raise NotImplementedError
@@ -583,18 +590,6 @@ class _Sweep:
                 one = ex.Grid.tensor(axes, ex.LeafMemo(_CHUNK))
             self.regions.append((axes, one))
 
-    def left_orders(self, net: FunctionNet) -> list[int]:
-        """The orders whose every multi-index net left a block max for in
-        every region's kept block's ``LeafMemo.maxes``."""
-        left = None
-        for _, one in self.regions:
-            if one is None:
-                return []  # blocks cut again per multi-index keep no memo
-            here = {alpha for owner, alpha in one.memo.maxes if owner == id(net)}
-            left = here if left is None else left & here
-        orders = {sum(alpha) for alpha in left or ()}
-        return sorted(k for k in orders if left.issuperset(multi_indices(net.dimension, k)))
-
     def value(self, net: FunctionNet, k: int) -> SeminormValue:
         eps = self.key[1]
         best = -1.0
@@ -647,15 +642,16 @@ def seminorm(
     if not (0.0 < eps < 1.0):
         raise NetError("eps must lie in (0,1)")
     k = as_index(k, "order k", 0, K_MAX_CAP, NetError)
-    # the net's own record: SeminormValue per order per sweep, as long as it lives
-    per_order = vars(net).setdefault("_seminorm_values", {}).setdefault((K, eps, sampling), {})
+    per_order = net._seminorm_values.setdefault((K, eps, sampling), {})
     value = per_order.get(k)
     if value is None:
         sweep = _sweep(net, K, eps, sampling)
         per_order[k] = value = sweep.value(net, k)
-        for order in sweep.left_orders(net):
-            if order not in per_order:
-                per_order[order] = sweep.value(net, order)
+        # the net left the block maxes of these orders on every kept block
+        if sweep.regions and all(one is not None for _, one in sweep.regions):
+            for order in net.formed_together:
+                if order not in per_order:
+                    per_order[order] = sweep.value(net, order)
     return value
 
 

@@ -33,6 +33,13 @@ class RegularityError(ValueError):
     pass
 
 
+def _finite(**thresholds: float) -> None:
+    """Refuse a nan or infinite threshold: no check can be read against it."""
+    for what, v in thresholds.items():
+        if not math.isfinite(v):
+            raise RegularityError(f"{what} must be a finite number, got {v!r}")
+
+
 # ---------------------------------------------------------------------------
 # P-sequences
 # ---------------------------------------------------------------------------
@@ -222,6 +229,7 @@ def _tail_slope(seq: PSequence, k_hi: int) -> float:
 
 def classify_gla(seq: PSequence, a: float, tol: float = DEFAULT_TOL) -> GLAVerdict:
     """Evidence for tail growth rate below a: P_k <~ e^(a' k + b) with a' < a."""
+    _finite(a=a, tol=tol)
     if a <= 0:
         raise RegularityError("rate threshold a must be positive")
     if seq.k_max < 4:
@@ -279,6 +287,7 @@ def classify_sublinear(
     The negative signal is a growing tail rate: the slope read at k_max
     exceeding the slope read at k_max/2 by more than tol.
     """
+    _finite(tol=tol)
     if not Ks:
         raise RegularityError("need at least one compact")
     if k_max < 4:
@@ -301,12 +310,8 @@ def classify_sublinear(
         if good:
             witness = SUBLINEAR_WITNESS_MARGIN + (0.0 if s_full == -math.inf else max(s_full, 0.0))
         rows.append(SublinearPerK(K, s_full, s_half, witness, stable))
-    if growing:
-        verdict = "not-sublinear-evidence"
-    elif all_good:
-        verdict = "sublinear-evidence"
-    else:
-        verdict = "inconclusive"
+    verdict = ("not-sublinear-evidence" if growing
+               else "sublinear-evidence" if all_good else "inconclusive")
     return SublinearReport(verdict, tuple(rows))
 
 
@@ -328,6 +333,7 @@ def growth_char_check(seq: PSequence, base: float, tol: float = DEFAULT_TOL) -> 
     negligible right side fails any other.  Equivalent for log-convex data.
     An unstable fit at any order makes both verdicts inconclusive.
     """
+    _finite(base=base, tol=tol)
     if base < 1.0:
         raise RegularityError("base must be >= 1")
     if not all(seq.stable(k) for k in range(seq.k_max + 1)):

@@ -167,6 +167,16 @@ def test_config_rejections(mutate):
         load_config(base_config(**mutate))
 
 
+@pytest.mark.parametrize("param, value", [
+    ("a_values", [0.5, math.inf]), ("bases", [math.inf]), ("tol", math.inf)])
+def test_classify_thresholds_must_be_finite(param, value):
+    # json.loads reads Infinity, and an infinite tol passes every check
+    text = json.dumps(base_config(k_max=4, experiments=[{"kind": "classify", param: value}]))
+    assert "Infinity" in text
+    with pytest.raises(ConfigError, match=f"{param} must be .*finite"):
+        load_config(text)
+
+
 def test_cli_run_reports_malformed_documents(tmp_path, capsys):
     # a malformed document is one `error:` line and exit 1: no traceback,
     # no converted value and no file written

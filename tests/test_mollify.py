@@ -9,10 +9,11 @@ import pytest
 from colombeau import cli
 from colombeau.catalog import REFERENCE_COMPACTS, catalog_net
 from colombeau.expr import Grid, LeafMemo, parse
-from colombeau.expr.special import bump_deriv_values
+from colombeau.expr.special import ball_bump_values, bump_deriv_values
 from colombeau.mollify import (
     CONVERGENCE_GRID,
     REGULAR_BOUND_J0,
+    Mollifier,
     MollifiedNet,
     PsiRouteNet,
     build_mollifier,
@@ -88,9 +89,25 @@ def test_psi_normalisation_quadrature_converged():
 
 
 def test_reintegration_is_one():
-    for d, Q in ((1, 32), (1, 128), (2, 32)):
+    # the rule rebuilt from leggauss: c is 1 over the bump's sum over all
+    # Q^d nodes, and the mollifier keeps the nodes where w_q psi(s_q) != 0
+    for d, Q, live in ((1, 32, 32), (1, 128, 126), (2, 32, 544)):
         m = build_mollifier(d, Q)
-        assert m.integral() == pytest.approx(1.0, abs=1e-14)
+        x, w = np.polynomial.legendre.leggauss(Q)
+        nodes = np.stack([g.ravel() for g in np.meshgrid(*([x] * d), indexing="ij")])
+        weights = np.ones(nodes.shape[1])
+        for g in np.meshgrid(*([w] * d), indexing="ij"):
+            weights = weights * g.ravel()
+        raw = weights * ball_bump_values((0,) * d, nodes)
+        c = 1.0 / float(np.sum(raw))
+        keep = c * raw != 0.0
+        assert np.count_nonzero(keep) == live, (d, Q)
+        assert m.c == c
+        assert m.nodes.tobytes() == nodes[:, keep].tobytes()
+        assert m.weights.tobytes() == weights[keep].tobytes()
+        assert m.core_weights.tobytes() == (c * raw)[keep].tobytes()
+        assert np.all(m.core_weights != 0.0)
+        assert abs(m.integral() - 1.0) <= 1e-14
 
 
 def test_first_moment_vanishes(m32):
@@ -359,6 +376,9 @@ def test_convergence_validation():
         convergence_experiment(_net("1"), K01, 0, n_list=())
     with pytest.raises(NetError):
         convergence_experiment(_net("1"), K01, 0, n_list=(2, 1))
+    # the reference reads p_{k+1}: k is refused as k, not as k + 1
+    with pytest.raises(NetError, match=r"order k must be an integer in 0\.\.7, got 8"):
+        convergence_experiment(_net("1"), K01, K_MAX_CAP, n_list=(1,))
 
 
 def test_convergence_json_shape():
@@ -445,6 +465,49 @@ def test_regular_bound_samples_the_base_once_for_every_k(monkeypatch):
     assert len(calls) == 3
     regular_bound_experiment(u, K01, 2, 2, grid)  # another n samples again
     assert len(calls) == 6
+
+
+def test_routes_over_one_mollifier_build_each_psi_weight_once(monkeypatch):
+    m = build_mollifier(1)
+    built = []
+    real = Mollifier.psi_deriv
+    monkeypatch.setattr(Mollifier, "psi_deriv",
+                        lambda self, alpha, pts: built.append(alpha) or real(self, alpha, pts))
+    routes = [PsiRouteNet(catalog_net("compact_osc"), n, m) for n in (1, 2)]
+    kept = {}
+    for route in routes:
+        for k in (0, 2, 5):
+            seminorm(route, k, K01, 0.25, Sampling(9, 9))
+        kept[route] = [m.psi_weights((k,)) for k in range(6)]
+    assert sorted(built) == [(k,) for k in range(6)]  # one build per multi-index
+    assert all(a is b for a, b in zip(*kept.values()))
+    for k, w in enumerate(kept[routes[0]]):
+        assert w.tobytes() == (m.weights * real(m, (k,), m.nodes)).tobytes()
+
+
+def _route_2d():
+    u = ExpressionNet(2, parse("cutoff(x1)*sin(x2/eps)*cos(x1)", dimension=2),
+                      oscillation_hint=1, support_box=CompactBox.of([(-2.0, 2.0)] * 2))
+    return PsiRouteNet(u, 1, build_mollifier(2))
+
+
+def test_a_route_stores_the_orders_it_declares_only_on_kept_blocks(monkeypatch):
+    nets_module = importlib.import_module("colombeau.nets")
+    K, eps, sampling = CompactBox.of([(0.0, 1.0)] * 2), 0.25, Sampling(5, 5)
+    key = (K, eps, sampling)
+    # a region of 25 points, larger than a block: its blocks carry no memo
+    monkeypatch.setattr(nets_module, "_CHUNK", 16)
+    route = _route_2d()
+    seminorm(route, 1, K, eps, sampling)
+    assert list(route._seminorm_values[key]) == [1]
+    monkeypatch.undo()
+    # a kept region: the asked order and every order the route declares
+    route = _route_2d()
+    seminorm(route, 1, K, eps, sampling)
+    stored = route._seminorm_values[key]
+    assert set(stored) == {1, *PsiRouteNet.formed_together}
+    for k, value in stored.items():
+        assert value == seminorm(_route_2d(), k, K, eps, sampling), k
 
 
 def test_regular_bound_leaves_no_reference_cycle():
@@ -542,7 +605,7 @@ def test_quadrature_blocks_move_no_bit(d, monkeypatch):
         point_sets = [rng.uniform(-2.2, 2.2, size=(2, 2 * 64 + 1)) for _ in range(3)]
         alphas = [(0, 0), (1, 0), (1, 2)]
     nets = [MollifiedNet(base, 1, build_mollifier(d)), PsiRouteNet(base, 1, build_mollifier(d))]
-    m = nets[0]._nodes.shape[1]
+    m = nets[0].mollifier.nodes.shape[1]
     for pts in point_sets:
         # m and 7m + 3 shifted points (the latter ends 3 nodes into a row),
         # the default, and one block for all points

@@ -299,6 +299,25 @@ def test_growth_char_validation():
         growth_char_check(fake_seq([0.0, 1.0]), 0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_threshold_gives_no_verdict(bad, catalog_nets, compacts, grid):
+    # a nan base read no/no with agree true, and an infinite tol passed
+    # every check: verdicts from no check.  classify_sublinear refuses before
+    # it samples anything.
+    seq = fake_seq([0.0, 1.0, 2.0, 3.0, 4.0])
+    calls = [
+        lambda: growth_char_check(seq, bad),
+        lambda: growth_char_check(seq, 1.0, bad),
+        lambda: classify_ginfty(seq, bad),
+        lambda: classify_gla(seq, bad),
+        lambda: classify_gla(seq, 1.0, bad),
+        lambda: classify_sublinear(catalog_nets["one"], compacts, grid, k_max=4, tol=bad),
+    ]
+    for call in calls:
+        with pytest.raises(RegularityError, match="must be a finite number"):
+            call()
+
+
 def test_growth_char_linear_matches_base():
     seq = fake_seq([0.0, 1.0, 2.0, 3.0])
     rep = growth_char_check(seq, math.e)

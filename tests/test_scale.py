@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from colombeau.catalog import catalog_net, catalog_oracle
 from colombeau.expr import Bump, Cutoff, ExpressionError, IntPow, Var, differentiate, parse, to_text
-from colombeau.mollify import PsiRouteNet, build_mollifier, class_A_membership, mollify
+from colombeau.mollify import (
+    PsiRouteNet,
+    build_mollifier,
+    class_A_membership,
+    convergence_experiment,
+    mollify,
+    regular_bound_experiment,
+)
 from colombeau.nets import CompactBox, ExpressionNet, NetError, Sampling, seminorm
 from colombeau.regularity import RegularityError, psequence
 from colombeau.scale import (
@@ -282,6 +289,14 @@ INTEGER_ENTRY_POINTS = [
      NetError, 1),
     ("MollifiedNet.derivative_eval.alpha",
      lambda v: mollify(_sin(), 1).derivative_eval((v,), [0.3], 0.5), NetError, 1),
+    ("convergence_experiment.k", lambda v: convergence_experiment(
+        catalog_net("one"), _K01, v, (1, 2), EpsGrid(count=8), _SMALL).to_json_dict(), NetError, 1),
+    ("convergence_experiment.n_list", lambda v: convergence_experiment(
+        catalog_net("one"), _K01, 0, (v,), EpsGrid(count=8), _SMALL).to_json_dict(), NetError, 2),
+    ("regular_bound_experiment.k", lambda v: asdict(regular_bound_experiment(
+        catalog_net("compact_osc"), _K01, v, 1, EpsGrid(count=6), _SMALL)), NetError, 2),
+    ("regular_bound_experiment.n", lambda v: asdict(regular_bound_experiment(
+        catalog_net("compact_osc"), _K01, 1, v, EpsGrid(count=6), _SMALL)), NetError, 2),
 ]
 
 
