@@ -27,6 +27,26 @@ together broadcast to a block of points.  On a tensor grid axis i has shape
 the axes it uses: sin(x1/eps) runs once per x1 value, not once per grid
 point.  A (d, N) array of points is a Grid whose axes all have shape (N,).
 
+A shifted Grid (``Grid.shifted``) holds the R*M points x_j - o_q of R rows
+and M offsets, the mollifier quadrature's shifted points.  ``Var(i)`` on it
+is the materialised difference, made by the same subtraction as a flat
+array's, so every leaf keeps its bits but a sin or a cos whose argument is
+affine in x with slopes free of x (built from Var, x-free subtrees and
+Add, Sub, Mul and Div, e.g. x1/eps or (x1 + 2*x2)/eps).  There the
+argument is A_j - B_q, with A the argument on the rows and B its linear
+part on the offsets, and sin(A_j - B_q) = sin A_j cos B_q - cos A_j sin B_q
+(cos likewise): 2(R + M) sines and cosines and two multiplies and an add
+per point, in place of the argument and a sine on all R*M points.  The
+split value differs from the flat one by the argument's rounding, about
+|argument| * 2^-53.  Its rounding is shared along a row (A_j) and along an
+offset (B_q), where the flat path rounds each x_j - o_q before scaling it,
+so a weighted sum over the offsets keeps cancellations that the flat path
+loses to that point-to-point noise.  Trees are compiled a second time
+for shifted Grids, with a plan-only ``_Split`` slot per such argument that
+its Sin and Cos leaves share.  Exp stays flat, as exp(A)*exp(-B) can
+overflow where exp(A - B) is finite; so do cutoff, bump and every argument
+that is not affine (sin(x1^2/eps)).
+
 On a tensor Grid, ``separable_argmax`` finds max |e| and a point where e
 takes it without forming the grid, when e is a product (or a single factor)
 whose factors each use at most one axis, each axis's factors in one run of
@@ -91,12 +111,15 @@ class Grid:
     The d coordinate arrays broadcast to ``block``; ``shape`` is (d, N) with
     N = prod(block), the shape of the flat point array that ``np.asarray``
     returns (points in C order over the block).  ``memo``, if given, keeps
-    leaf values from one tree to the next on this block.
+    leaf values from one tree to the next on this block.  A shifted Grid
+    (``Grid.shifted``) also keeps its ``rows`` and ``offsets``.
     """
 
-    def __init__(self, coords: Sequence[np.ndarray], block: Sequence[int],
+    rows = offsets = None  # a shifted Grid's (d, R) rows and (d, M) offsets
+
+    def __init__(self, coords: Sequence[Optional[np.ndarray]], block: Sequence[int],
                  memo: Optional["LeafMemo"] = None):
-        self.coords = tuple(coords)
+        self.coords = list(coords)
         self.block = tuple(block)
         self.shape = (len(self.coords), math.prod(self.block))
         self.memo = memo
@@ -109,13 +132,27 @@ class Grid:
                   for i, a in enumerate(axes)]
         return cls(coords, [len(a) for a in axes], memo)
 
+    @classmethod
+    def shifted(cls, rows: np.ndarray, offsets: np.ndarray) -> "Grid":
+        """The R*M points ``rows[:, :, None] - offsets[:, None, :]`` of (d, R)
+        rows and (d, M) offsets, row-major, as one flat block.  Coordinate i
+        is that difference, formed on its first read; a sin or cos of an
+        affine argument never reads it (see the module docstring)."""
+        rows, offsets = np.asarray(rows, dtype=float), np.asarray(offsets, dtype=float)
+        grid = cls([None] * rows.shape[0], (rows.shape[1] * offsets.shape[1],))
+        grid.rows, grid.offsets = rows, offsets
+        return grid
+
     def __getitem__(self, i: int) -> np.ndarray:
-        return self.coords[i]
+        c = self.coords[i]
+        if c is None:
+            c = self.coords[i] = (self.rows[i][:, None] - self.offsets[i][None, :]).reshape(-1)
+        return c
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         flat = np.empty(self.shape, dtype=float if dtype is None else dtype)
-        for row, c in zip(flat, self.coords):
-            row[...] = np.broadcast_to(c, self.block).reshape(-1)
+        for i, row in enumerate(flat):
+            row[...] = np.broadcast_to(self[i], self.block).reshape(-1)
         return flat
 
 
@@ -149,6 +186,12 @@ class _Jets:
     order >= 1 that read it."""
 
 
+class _Split:
+    """The plan-only kind of an affine Sin or Cos argument on a shifted Grid:
+    its one child split into row and offset factors (``_Walk.split``), which
+    its Sin and Cos leaves read."""
+
+
 @dataclass(frozen=True)
 class _Plan:
     """The distinct subtrees of one tree; slot i's children have slots < i.
@@ -158,6 +201,8 @@ class _Plan:
     integer power, a derivative order or a ``_Jets`` top order.  A Cutoff
     leaf of order >= 1 reads the ``_Jets`` slot of its argument, which reads
     the argument: one jet build serves every such leaf over that argument.
+    In the plan for shifted Grids a Sin or Cos leaf over an affine argument
+    reads that argument's ``_Split`` slot in the same way.
     """
 
     kinds: tuple[type, ...]
@@ -180,10 +225,14 @@ def _param(e: Expr):
     return None
 
 
-def _compile(root: Expr) -> _Plan:
+def _compile(root: Expr, shifted: bool) -> _Plan:
+    """The plan of root; for shifted Grids (``shifted``), with ``_Split``
+    slots under the Sin and Cos leaves over an affine argument."""
     slot_of: dict[int, int] = {}  # id(node) -> slot; the tree keeps every node alive
     interned: dict[tuple, int] = {}
     jets_of: dict[int, int] = {}  # argument slot -> its _Jets slot
+    split_of: dict[int, int] = {}  # argument slot -> its _Split slot
+    affine: list[bool] = []  # shifted: the slot depends on x, affinely with x-free slopes
     kinds: list[type] = []
     params: list = []
     kids: list[tuple[int, ...]] = []
@@ -202,6 +251,11 @@ def _compile(root: Expr) -> _Plan:
         uses.append(0)
         varies.append(axes)
         skeys.append(skey)
+        if shifted:
+            moving = [c for c in ks if varies[c]]
+            affine.append(kind is Var or bool(moving) and all(affine[c] for c in moving) and (
+                kind in (Add, Sub) or kind is Mul and len(moving) == 1
+                or kind is Div and moving == [ks[0]]))
         return len(kinds) - 1
 
     stack = [root]
@@ -233,6 +287,11 @@ def _compile(root: Expr) -> _Plan:
                     jets = jets_of[ks[0]] = add(_Jets, p, ks, None)
                 params[jets] = max(params[jets], p)
                 ks = (jets,)
+            elif shifted and kind in (Sin, Cos) and affine[ks[0]]:
+                split = split_of.get(ks[0])
+                if split is None:
+                    split = split_of[ks[0]] = add(_Split, None, ks, None)
+                ks = (split,)
             slot = interned[key] = add(kind, float(p) if kind is EpsPow else p, ks, skey)
         slot_of[id(node)] = slot
     uses[-1] += 1  # the caller reads the root
@@ -241,13 +300,14 @@ def _compile(root: Expr) -> _Plan:
     return _Plan(tuple(kinds), tuple(params), tuple(kids), tuple(uses), tuple(varies), memo_keys)
 
 
-def _plan_of(e: Expr) -> _Plan:
-    # Frozen nodes compare and hash by their fields only, so the memoised plan
-    # is invisible to equality.  Threads that race here compile equal plans.
-    plan = vars(e).get("_plan")
+def _plan_of(e: Expr, shifted: bool = False) -> _Plan:
+    # Frozen nodes compare and hash by their fields only, so the memoised plans
+    # are invisible to equality.  Threads that race here compile equal plans.
+    name = "_shifted_plan" if shifted else "_plan"
+    plan = vars(e).get(name)
     if plan is None:
-        plan = _compile(e)
-        object.__setattr__(e, "_plan", plan)
+        plan = _compile(e, shifted)
+        object.__setattr__(e, name, plan)
     return plan
 
 
@@ -277,10 +337,13 @@ def _apply(kind: type, p, arg, coords: Grid, eps: float):
             except (OverflowError, ZeroDivisionError):
                 return math.inf if arg != 0.0 else math.nan
         return arg ** float(p)
-    if kind is Sin:
-        return np.sin(arg)
-    if kind is Cos:
-        return np.cos(arg)
+    if kind is Sin or kind is Cos:
+        if isinstance(arg, tuple):  # the _Split of an affine argument
+            left, right = arg[0], arg[1 if kind is Sin else 2]
+            # two products and their sum per point, in numpy's own loop: a
+            # BLAS product may round a point by its place in the kernel's tiles
+            return np.einsum("jk,kq->jq", left, right).reshape(-1)
+        return np.sin(arg) if kind is Sin else np.cos(arg)
     if kind is Exp:
         if _is_scalar(arg):
             try:
@@ -359,6 +422,8 @@ class _Walk:
             return acc
         if kind is Mul:
             return self.product(ks)
+        if kind is _Split:
+            return self.split(ks[0])
         if kind is Sub:
             return self.take(ks[0]) - self.take(ks[1])
         if kind is Div:
@@ -370,6 +435,27 @@ class _Walk:
         if key is not None:
             self.coords.memo.keep((key, eps), v)
         return v
+
+    def split(self, arg: int):
+        """The affine slot arg on a shifted Grid as ((sin A, cos A) per row,
+        (cos B, -sin B) and (sin B, cos B) per offset): A is arg on the R
+        rows and B its linear part on the M offsets, so arg at row j less
+        offset q is A_j - B_q, and sin(A_j - B_q) = sin A_j cos B_q -
+        cos A_j sin B_q and cos(A_j - B_q) = sin A_j sin B_q + cos A_j cos B_q
+        are sums over the two columns.  arg itself is skipped."""
+        rows, offsets = self.coords.rows, self.coords.offsets
+        a = _Walk(self.plan, Grid(rows, rows.shape[1:]), self.eps).take(arg)
+        b = _LinearWalk(self.plan, Grid(offsets, offsets.shape[1:]), self.eps).take(arg)
+        self.skip(arg)
+        # out= also spreads a scalar: a product cut short by a zero or nan factor
+        left, right = np.empty((rows.shape[1], 2)), np.empty((2, 2, offsets.shape[1]))
+        np.sin(a, out=left[:, 0])
+        np.cos(a, out=left[:, 1])
+        np.cos(b, out=right[0, 0])
+        np.sin(b, out=right[1, 0])
+        np.negative(right[1, 0], out=right[0, 1])
+        right[1, 1] = right[0, 0]
+        return left, right[0], right[1]
 
     def product(self, ks: tuple[int, ...]):
         """The factors folded in order, with the exact-zero short circuit."""
@@ -434,6 +520,27 @@ class _Walk:
         return (tuple(index), best) if math.isfinite(best) else None
 
 
+class _LinearWalk(_Walk):
+    """A walk that gives an affine slot's linear part: the terms of its sums
+    and differences that do not depend on x drop out, so on the offsets it
+    gives B_q = sum_i slope_i * offset_(i,q) in the slot's own arithmetic."""
+
+    def value(self, slot: int):
+        kind, ks = self.plan.kinds[slot], self.plan.kids[slot]
+        if kind not in (Add, Sub) or not self.plan.varies[slot]:
+            return super().value(slot)
+        acc = None
+        for i, c in enumerate(ks):
+            if not self.plan.varies[c]:
+                self.skip(c)
+                continue
+            v = self.take(c)
+            if kind is Sub and i:
+                v = -v
+            acc = v if acc is None else acc + v
+        return acc
+
+
 def _collapse(acc: np.ndarray, run: int, index: list[int]):
     """acc's signed value at the first argmax of |acc| along the axis with
     bit run, noted in index."""
@@ -460,8 +567,8 @@ def _one_axis_runs(plan: _Plan) -> Optional[tuple[int, ...]]:
 
 
 def _walk(e: Expr, coords: Grid, eps: float) -> _Walk:
-    """A walk of e's plan, after the checks every entry shares."""
-    plan = _plan_of(e)
+    """A walk of e's plan for coords, after the checks every entry shares."""
+    plan = _plan_of(e, coords.offsets is not None)
     used = plan.varies[-1].bit_length()  # the root's axes: one more than the largest index
     if coords.shape[0] < used:
         raise ExpressionError(f"expression uses {used} variables, got {coords.shape[0]}")

@@ -26,8 +26,12 @@ declares (``formed_together``, REGULAR_BOUND_K_LIST), each formed by its own
 product; the values live in one store on the base net per (n, mollifier),
 which is how regular_bound_experiment's k loop samples the base once.
 
-The loop hands the base net blocks of about _EVAL_CHUNK shifted points, so
-every temporary the evaluator makes stays near 128 KB.  Each output point is
+The loop hands the base net blocks of about _EVAL_CHUNK shifted points, each
+an ``expr.Grid.shifted`` of a block of output points and the offsets
+eps^n s_q, so every temporary the evaluator makes stays near 128 KB.  On
+such a Grid an expression net computes a sin or cos of an affine argument
+(sin(x1/eps)) from its values on the rows and on the offsets, not at every
+shifted point (see ``expr.evaluate``).  Each output point is
 a row of M shifted nodes, and a block's weighted sum is one BLAS
 matrix-vector product.  BLAS sums a full group of rows in one order, and a
 product's last few rows, or a product of one row, in another.  Blocks of
@@ -201,15 +205,13 @@ class MollifiedNet(FunctionNet):
         matrix-vector product."""
         shift = eps**self.n
         nodes = self.mollifier.nodes
-        d, total = coords.shape
-        m = nodes.shape[1]
+        total, m = coords.shape[1], nodes.shape[1]
         step = max(1, _EVAL_CHUNK // m // _ROW_GROUP) * _ROW_GROUP
         start = 0
         while start < total:
             stop = total if total - start <= step + 1 else start + step
-            block = coords[:, start:stop]
-            shifted = block[:, :, None] - shift * nodes[:, None, :]
-            vals = self.base.derivative_batch(alpha, shifted.reshape(d, -1), eps)
+            shifted = ex.Grid.shifted(coords[:, start:stop], shift * nodes)
+            vals = self.base.derivative_batch(alpha, shifted, eps)
             yield slice(start, stop), vals.reshape(-1, m)
             start = stop
 

@@ -33,11 +33,14 @@ class RegularityError(ValueError):
     pass
 
 
-def _finite(**thresholds: float) -> None:
-    """Refuse a nan or infinite threshold: no check can be read against it."""
-    for what, v in thresholds.items():
+def _thresholds(tol: float, **others: float) -> None:
+    """Refuse a nan or infinite threshold, against which no check can be
+    read, and a negative tol, which fails checks that the data meet."""
+    for what, v in {**others, "tol": tol}.items():
         if not math.isfinite(v):
             raise RegularityError(f"{what} must be a finite number, got {v!r}")
+    if tol < 0:
+        raise RegularityError(f"tol must be >= 0, got {tol!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +232,7 @@ def _tail_slope(seq: PSequence, k_hi: int) -> float:
 
 def classify_gla(seq: PSequence, a: float, tol: float = DEFAULT_TOL) -> GLAVerdict:
     """Evidence for tail growth rate below a: P_k <~ e^(a' k + b) with a' < a."""
-    _finite(a=a, tol=tol)
+    _thresholds(tol, a=a)
     if a <= 0:
         raise RegularityError("rate threshold a must be positive")
     if seq.k_max < 4:
@@ -287,7 +290,7 @@ def classify_sublinear(
     The negative signal is a growing tail rate: the slope read at k_max
     exceeding the slope read at k_max/2 by more than tol.
     """
-    _finite(tol=tol)
+    _thresholds(tol)
     if not Ks:
         raise RegularityError("need at least one compact")
     if k_max < 4:
@@ -333,7 +336,7 @@ def growth_char_check(seq: PSequence, base: float, tol: float = DEFAULT_TOL) -> 
     negligible right side fails any other.  Equivalent for log-convex data.
     An unstable fit at any order makes both verdicts inconclusive.
     """
-    _finite(base=base, tol=tol)
+    _thresholds(tol, base=base)
     if base < 1.0:
         raise RegularityError("base must be >= 1")
     if not all(seq.stable(k) for k in range(seq.k_max + 1)):

@@ -759,6 +759,43 @@ def test_cutoff_jets_go_with_their_last_reader(monkeypatch, case):
     assert freed == [[True]]
 
 
+def _shifted_case(d):
+    rng = np.random.default_rng(d)
+    rows, offsets = rng.uniform(-2.0, 2.0, (d, 48)), rng.uniform(-0.5, 0.5, (d, 32))
+    points = (rows[:, :, None] - offsets[:, None, :]).reshape(d, -1)
+    return rows, offsets, points
+
+
+@pytest.mark.parametrize("d, text", [(1, "x1/eps"), (1, "x1*eps^(-2)"), (1, "(x1-0.3)/0.7"),
+                                     (2, "(x1+2*x2)/eps")])
+def test_shifted_grid_splits_sin_and_cos_of_an_affine_argument(d, text):
+    # sin(A_j - B_q) = sin A_j cos B_q - cos A_j sin B_q, A the argument on
+    # the rows and B its linear part on the offsets: each value is within the
+    # argument's rounding of np.sin at the materialised point
+    rows, offsets, points = _shifted_case(d)
+    assert np.asarray(Grid.shifted(rows, offsets)).tobytes() == points.tobytes()
+    arg = simplify(parse(text, dimension=d))
+    for eps in (0.5, 2.0**-10, 2.0**-20):
+        flat = eval_batch(arg, points, eps)
+        tol = 4 * 2.0**-52 * (1 + np.max(np.abs(flat)))
+        for kind, ref in ((Sin, np.sin), (Cos, np.cos)):
+            grid = Grid.shifted(rows, offsets)
+            got = eval_batch(kind(arg), grid, eps)
+            assert got.shape == (points.shape[1],)
+            assert np.max(np.abs(got - ref(flat))) <= tol, (kind, eps)
+            assert grid.coords == [None] * d  # the shifted points were never formed
+
+
+@pytest.mark.parametrize("d, text", [(1, "exp(x1/eps)"), (1, "sin(x1^2/eps)"), (1, "cutoff(x1)"),
+                                     (2, "exp(x1/eps)*cutoff(x2)*bump(x1+x2)")])
+def test_shifted_grid_keeps_every_bit_of_the_leaves_it_does_not_split(d, text):
+    rows, offsets, points = _shifted_case(d)
+    e = simplify(parse(text, dimension=d))
+    for eps in (0.5, 2.0**-10, 2.0**-20):
+        got = eval_batch(e, Grid.shifted(rows, offsets), eps)
+        assert got.tobytes() == eval_batch(e, points, eps).tobytes(), eps
+
+
 def test_factor_after_scalar_zero_is_never_evaluated(monkeypatch):
     def refuse(order, t):
         raise AssertionError("factor after a scalar zero was evaluated")

@@ -318,6 +318,25 @@ def test_a_non_finite_threshold_gives_no_verdict(bad, catalog_nets, compacts, gr
             call()
 
 
+def test_a_negative_tol_gives_no_verdict(catalog_nets, compacts, grid):
+    # on a constant sequence a tol of -0.5 read growth no/no with agree true,
+    # and a tol of -2 read G^(la) yes-evidence at a' = -1, below the tail
+    # slope 0.  classify_sublinear refuses before it samples anything.
+    seq = fake_seq([0.0, 0.0, 0.0, 0.0, 0.0])
+    calls = [
+        lambda: growth_char_check(seq, 1.0, -0.5),
+        lambda: classify_ginfty(seq, -0.5),
+        lambda: classify_gla(seq, 1.0, -2.0),
+        lambda: classify_sublinear(catalog_nets["one"], compacts, grid, k_max=4, tol=-0.5),
+    ]
+    for call in calls:
+        with pytest.raises(RegularityError, match="tol must be >= 0"):
+            call()
+    # tol = 0 is a check with no slack, not a refused one
+    assert growth_char_check(seq, 1.0, 0.0).bound_verdict == "yes-evidence"
+    assert classify_ginfty(seq, 0.0).verdict == "yes-evidence"
+
+
 def test_growth_char_linear_matches_base():
     seq = fake_seq([0.0, 1.0, 2.0, 3.0])
     rep = growth_char_check(seq, math.e)
