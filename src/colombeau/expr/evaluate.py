@@ -44,8 +44,18 @@ so a weighted sum over the offsets keeps cancellations that the flat path
 loses to that point-to-point noise.  Trees are compiled a second time
 for shifted Grids, with a plan-only ``_Split`` slot per such argument that
 its Sin and Cos leaves share.  Exp stays flat, as exp(A)*exp(-B) can
-overflow where exp(A - B) is finite; so do cutoff, bump and every argument
-that is not affine (sin(x1^2/eps)).
+overflow where exp(A - B) is finite; so do bump, the cutoff's derivatives
+and every argument that is not affine (sin(x1^2/eps)).
+
+The cutoff itself (order 0) over an affine argument goes by rows
+(``_Walk.row_cutoff``).  ``_RowBounds`` bounds the argument on each row by
+the argument's own operations on interval ends, and rounding to nearest is
+monotone, so every flat value of the row lies within them.  A row within
+[-1, 1] is exactly 1.0 and a row outside (-2, 2) exactly 0.0, as the closed
+form gives there; only the rows that meet the band 1 < |t| < 2 are
+evaluated, flat, on a shifted Grid of those rows.  So every bit stays, and
+the mollifier's blocks, whose rows are one shift apart, mostly never reach
+the closed form.
 
 On a tensor Grid, ``separable_argmax`` finds max |e| and a point where e
 takes it without forming the grid, when e is a product (or a single factor)
@@ -211,6 +221,7 @@ class _Plan:
     uses: tuple[int, ...]  # readers: the other distinct nodes, and the caller of the root
     varies: tuple[int, ...]  # bit i set: the subtree depends on x_(i+1); 0 for a constant
     memo_keys: tuple  # structural key of an x-dependent leaf a LeafMemo keeps, else None
+    affine: frozenset  # shifted plan: the slots affine in x with x-free slopes; else empty
 
 
 def _param(e: Expr):
@@ -297,7 +308,8 @@ def _compile(root: Expr, shifted: bool) -> _Plan:
     uses[-1] += 1  # the caller reads the root
     memo_keys = tuple(sk if kind in _MEMO_KINDS and vary else None
                       for kind, vary, sk in zip(kinds, varies, skeys))
-    return _Plan(tuple(kinds), tuple(params), tuple(kids), tuple(uses), tuple(varies), memo_keys)
+    return _Plan(tuple(kinds), tuple(params), tuple(kids), tuple(uses), tuple(varies), memo_keys,
+                 frozenset(i for i, a in enumerate(affine) if a))
 
 
 def _plan_of(e: Expr, shifted: bool = False) -> _Plan:
@@ -431,7 +443,10 @@ class _Walk:
             # two Python floats would raise ZeroDivisionError
             num, den = self.take(ks[0]), self.take(ks[1])
             return num / (np.float64(den) if _is_scalar(den) else den)
-        v = _apply(kind, plan.params[slot], self.take(ks[0]) if ks else None, self.coords, eps)
+        if kind is Cutoff and not plan.params[slot] and ks[0] in plan.affine:
+            v = self.row_cutoff(ks[0])
+        else:
+            v = _apply(kind, plan.params[slot], self.take(ks[0]) if ks else None, self.coords, eps)
         if key is not None:
             self.coords.memo.keep((key, eps), v)
         return v
@@ -456,6 +471,35 @@ class _Walk:
         np.negative(right[1, 0], out=right[0, 1])
         right[1, 1] = right[0, 0]
         return left, right[0], right[1]
+
+    def row_cutoff(self, arg: int):
+        """The order-0 cutoff of the affine slot arg on a shifted Grid, row
+        by row: a row whose bounds (``_RowBounds``) lie in [-1, 1] is 1.0, one
+        whose bounds lie outside (-2, 2) is 0.0, as the closed form gives
+        there, and only the other rows, the band rows, are evaluated flat, on
+        a shifted Grid of their own.  A block with no band row whose rows are
+        all alike is a 1-value array, which broadcasts as a scalar would but
+        keeps an array's arithmetic in its readers."""
+        grid, eps = self.coords, self.eps
+        bounds = _RowBounds(self.plan, grid, eps).take(arg)
+        if bounds is None:
+            return _apply(Cutoff, 0, self.take(arg), grid, eps)
+        lo, hi = bounds
+        ones = (lo >= -1.0) & (hi <= 1.0)
+        zeros = ((lo >= 2.0) | (hi <= -2.0)) & (lo <= hi)  # a nan bound fails both
+        band = ~(ones | zeros)
+        if band.all():
+            return _apply(Cutoff, 0, self.take(arg), grid, eps)
+        self.skip(arg)
+        if ones.all() or zeros.all():
+            return np.full(1, 1.0 if ones[0] else 0.0)
+        m = grid.offsets.shape[1]
+        out = np.repeat(np.where(ones, 1.0, 0.0), m)
+        if band.any():
+            sub = _Walk(self.plan, Grid.shifted(grid.rows[:, band], grid.offsets), eps)
+            t = _apply(Cutoff, 0, sub.take(arg), sub.coords, eps)
+            out.reshape(-1, m)[band] = t.reshape(-1, m)
+        return out
 
     def product(self, ks: tuple[int, ...]):
         """The factors folded in order, with the exact-zero short circuit."""
@@ -539,6 +583,58 @@ class _LinearWalk(_Walk):
                 v = -v
             acc = v if acc is None else acc + v
         return acc
+
+
+class _RowBounds(_Walk):
+    """A walk that bounds an affine slot on each row of a shifted Grid: (lo,
+    hi), with every value of row j on the flat path in [lo_j, hi_j], or None
+    when it cannot tell.  Each bound comes from the slot's own operations in
+    its own order: Var(i) gives x_j less the largest and the smallest offset,
+    a sum or a difference combines the ends, and a product or quotient by an
+    x-free scalar scales them, swapped when the scalar is negative.  Rounding
+    to nearest is monotone, so each rounded end bounds the rounded values.
+    A scalar that is zero or not finite, whose product follows other rules,
+    gives None; so does an empty set of offsets."""
+
+    def value(self, slot: int):
+        plan = self.plan
+        kind, ks = plan.kinds[slot], plan.kids[slot]
+        if not plan.varies[slot]:
+            return super().value(slot)
+        if kind is Var:
+            x, o = self.coords.rows[plan.params[slot]], self.coords.offsets[plan.params[slot]]
+            return (x - o.max(), x - o.min()) if o.size else None
+        vals = [self.take(c) for c in ks]
+        if kind is Add or kind is Sub:
+            terms = [v if plan.varies[c] else (v, v) for c, v in zip(ks, vals)]
+            if any(t is None for t in terms):
+                return None
+            lo, hi = terms[0]
+            for tlo, thi in terms[1:]:
+                lo, hi = (lo + tlo, hi + thi) if kind is Add else (lo - thi, hi - tlo)
+            return lo, hi
+        # a Mul or a Div: one factor moves (a Div's numerator), the rest are x-free
+        i = next(j for j, c in enumerate(ks) if plan.varies[c])
+        bounds = vals[i]
+        if i:  # the x-free factors before it, folded as ``product`` folds them
+            lead = vals[0]
+            for v in vals[1:i]:
+                lead = lead * v
+            bounds = _scaled(bounds, lead, np.multiply)
+        for v in vals[i + 1:]:
+            bounds = _scaled(bounds, v, np.multiply if kind is Mul else np.divide)
+        return bounds
+
+
+def _scaled(bounds, c, op):
+    """The bounds (lo, hi) of op (np.multiply or np.divide) by the x-free
+    scalar c, swapped when c < 0; None when bounds is None or c is zero or
+    not finite."""
+    c = float(np.reshape(c, -1)[0])  # a bump or cutoff of eps alone is a 1-value array
+    if bounds is None or c == 0.0 or not math.isfinite(c):
+        return None
+    lo, hi = op(bounds[0], c), op(bounds[1], c)
+    return (lo, hi) if c > 0.0 else (hi, lo)
 
 
 def _collapse(acc: np.ndarray, run: int, index: list[int]):

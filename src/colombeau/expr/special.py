@@ -28,7 +28,12 @@ The cutoff itself (order 0) skips the jets: hi * (1/(hi + lo)) with
 hi = exp(-(1/(2-s))) and lo = exp(-(1/(s-1))) is the order-0 jet's own
 sequence of operations, so it gives the same bits, and a block that lies
 wholly on the plateau or wholly outside the support is filled without a
-mask.  nan maps to 0, as it falls in neither region.
+mask.  Otherwise the closed form runs on the span from the first band point
+to the last, in pieces of ``_SPAN`` points with two buffers of that size,
+and ``np.copyto(..., where=band)`` keeps its band values: no band gather, no
+scatter, and each band point goes through the same operations as on its
+own.  nan maps to 0, as it falls in neither region.  On a shifted Grid,
+``evaluate`` hands this form only the rows that meet the band.
 """
 from __future__ import annotations
 
@@ -213,6 +218,9 @@ def _cutoff_band_jets(s: np.ndarray, order: int) -> np.ndarray:
     return jets
 
 
+_SPAN = 1 << 13  # points per piece of the closed form's span: two small buffers
+
+
 def _cutoff_values(s: np.ndarray) -> np.ndarray:
     """The cutoff at s = |t|, in the closed form of its order-0 jet."""
     if s.size and s.max() <= 1.0:  # a nan fails both tests
@@ -220,12 +228,30 @@ def _cutoff_values(s: np.ndarray) -> np.ndarray:
     if s.size and s.min() >= 2.0:
         return np.zeros_like(s)
     out = np.where(s <= 1.0, 1.0, 0.0)  # an array even for a 0-d s
-    band = (s > 1.0) & (s < 2.0)
-    if np.any(band):
-        sb = s[band]
-        hi = np.exp(-(1.0 / (2.0 - sb)))
-        lo = np.exp(-(1.0 / (sb - 1.0)))
-        out[band] = hi * (1.0 / (hi + lo))
+    band = ((s > 1.0) & (s < 2.0)).reshape(-1)
+    if not band.any():
+        return out
+    # the span from the first band point to the last, piece by piece: the
+    # off-band points in it compute values that copyto never writes
+    first, stop = int(band.argmax()), band.size - int(band[::-1].argmax())
+    s, flat = s.reshape(-1), out.reshape(-1)
+    hi_buf, lo_buf = np.empty(min(_SPAN, stop - first)), np.empty(min(_SPAN, stop - first))
+    with np.errstate(all="ignore"):
+        for a in range(first, stop, _SPAN):
+            b = min(a + _SPAN, stop)
+            piece, hi, lo = s[a:b], hi_buf[:b - a], lo_buf[:b - a]
+            np.subtract(2.0, piece, out=hi)
+            np.divide(1.0, hi, out=hi)
+            np.negative(hi, out=hi)
+            np.exp(hi, out=hi)
+            np.subtract(piece, 1.0, out=lo)
+            np.divide(1.0, lo, out=lo)
+            np.negative(lo, out=lo)
+            np.exp(lo, out=lo)
+            lo += hi
+            np.divide(1.0, lo, out=lo)
+            lo *= hi
+            np.copyto(flat[a:b], lo, where=band[a:b])
     return out
 
 

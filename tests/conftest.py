@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from colombeau import default_grid
@@ -26,13 +27,19 @@ def catalog_nets():
 @pytest.fixture
 def cutoff_calls(monkeypatch):
     """Spies on the cutoff entries: (the order of each cutoff_deriv_values
-    call, the top order of each cutoff_jets build)."""
-    orders, tops = [], []
+    call, the top order of each cutoff_jets build, the number of points of
+    each cutoff_deriv_values call)."""
+    orders, tops, points = [], [], []
     values, jets = special.cutoff_deriv_values, special.cutoff_jets
-    monkeypatch.setattr(special, "cutoff_deriv_values",
-                        lambda order, t: orders.append(order) or values(order, t))
+
+    def spy_values(order, t):
+        orders.append(order)
+        points.append(np.size(t))
+        return values(order, t)
+
+    monkeypatch.setattr(special, "cutoff_deriv_values", spy_values)
     monkeypatch.setattr(special, "cutoff_jets", lambda top, t: tops.append(top) or jets(top, t))
-    return orders, tops
+    return orders, tops, points
 
 
 @pytest.fixture(scope="session")

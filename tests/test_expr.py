@@ -593,7 +593,7 @@ def test_leaf_memo_keys_keep_signed_zeros_and_int_constants_apart():
 
 
 def test_leaf_memo_serves_later_trees_and_skips_their_arguments(cutoff_calls):
-    orders, tops = cutoff_calls
+    orders, tops, _ = cutoff_calls
     axis = np.linspace(-2.5, 2.5, 11)
     shared = Grid.tensor([axis], LeafMemo(1 << 10))
     first = parse("cutoff(x1)*sin(x1/eps)")
@@ -684,7 +684,7 @@ def test_leaf_memo_stops_storing_at_its_limit():
 def test_each_distinct_subtree_is_evaluated_once(cutoff_calls):
     from colombeau.catalog import catalog_net
 
-    orders, tops = cutoff_calls
+    orders, tops, _ = cutoff_calls
     e = catalog_net("compact_osc").derivative_expr((6,))
     assert node_count(e) == 548  # 2^6 product-rule terms over 8 distinct factors
     x = np.linspace(-2.5, 2.5, 101)[None, :]
@@ -794,6 +794,105 @@ def test_shifted_grid_keeps_every_bit_of_the_leaves_it_does_not_split(d, text):
     for eps in (0.5, 2.0**-10, 2.0**-20):
         got = eval_batch(e, Grid.shifted(rows, offsets), eps)
         assert got.tobytes() == eval_batch(e, points, eps).tobytes(), eps
+
+
+def _cutoff_row_blocks(d):
+    # offsets that are exact binary fractions put shifted points exactly on
+    # the seams +-1 and +-2; the rows lie on the plateau, outside the
+    # support, across the band, or touch a seam from either side
+    seams = np.array([-3.0, -2.25, -1.75, -1.25, -0.75, 0.0, 0.75, 1.1, 1.25, 1.75, 2.25, 3.0])
+    offsets = np.linspace(-0.25, 0.25, 5)
+    blocks = [np.array([-0.5, 0.0, 0.5]), np.array([-3.0, 2.5, 4.0]), seams]
+    blocks = [(np.stack([b, b[::-1] / 2][:d]), np.stack([offsets, offsets / 2][:d])) for b in blocks]
+    return blocks + [_shifted_case(d)[:2]]
+
+
+@pytest.mark.parametrize("d, text, k", [
+    (1, "cutoff(x1)", 0), (1, "cutoff((x1-0.3)/0.7)", 0), (1, "cutoff((0.3-x1)/0.7)", 0),
+    (1, "cutoff(x1/(-0.5))", 0), (2, "cutoff(x1+2*x2)", 0), (1, "cutoff(x1)*exp(x1/eps)", 0),
+    (1, "cutoff(x1-0.3)*(x1-0.3)^2", 0),  # the argument has a second reader
+    (1, "cutoff(x1)*cutoff(x1/2)", 1),  # an order-1 cutoff beside the order-0 one
+    (1, "cutoff(x1)*eps^(-400)", 0),  # inf times the exact zeros outside the support
+    (1, "cutoff(x1*eps^(-2000))", 0),  # an inf slope: no bounds, the whole block is band
+    (2, "cutoff(x1)*cutoff(x2)*exp(x2/eps)", 0),
+])
+def test_shifted_cutoff_rows_keep_every_bit(d, text, k):
+    # an order-0 cutoff over an affine argument reads only its band rows flat
+    e = simplify(parse(text, dimension=d))
+    for _ in range(k):
+        e = simplify(differentiate(e, 0))
+    for rows, offsets in _cutoff_row_blocks(d):
+        points = np.asarray(Grid.shifted(rows, offsets))
+        for eps in (0.5, 2.0**-10):
+            got = eval_batch(e, Grid.shifted(rows, offsets), eps)
+            assert got.tobytes() == eval_batch(e, points, eps).tobytes(), (rows, eps)
+
+
+def test_shifted_cutoff_evaluates_only_whole_band_rows(cutoff_calls):
+    orders, _, points = cutoff_calls
+    e = simplify(parse("cutoff(x1)*exp(x1)"))
+    offsets = np.linspace(-0.1, 0.1, 16)[None, :]
+    for rows in ([-0.8, 0.0, 0.8], [-3.0, 2.5]):  # wholly on the plateau, wholly outside
+        eval_batch(e, Grid.shifted(np.array([rows]), offsets), 0.5)
+    assert orders == []
+    # -1.5, 0.95 (which reaches 1.05) and 1.2 meet the band
+    eval_batch(e, Grid.shifted(np.array([[-3.0, -1.5, 0.0, 0.95, 1.2, 2.5]]), offsets), 0.5)
+    assert orders == [0] and points == [3 * 16]
+
+
+def _affine_args(d):
+    slopes = st.sampled_from([1.0, -1.0, 0.7, -3.5, 1e-300, -2.0**-1070, 1e300, 0.0])
+    shifts = st.floats(min_value=-3.0, max_value=3.0)
+
+    def grow(a):
+        return st.one_of(
+            st.builds(lambda a, c: Add((a, Const(c))), a, shifts),
+            st.builds(lambda a, c: Sub(Const(c), a), a, shifts),
+            st.builds(lambda a, c: Mul((Const(c), a)), a, slopes),
+            st.builds(lambda a, c: Mul((Const(c), EpsPow(Fraction(-1)), a)), a, slopes),
+            st.builds(lambda a, c: Mul((a, EpsPow(Fraction(-1)), Const(c))), a, slopes),
+            st.builds(lambda a, c: Div(a, Const(c)), a, slopes),
+            st.builds(lambda a, b: Add((a, b)), a, a),
+            st.builds(lambda a, b: Sub(a, b), a, a),
+        )
+
+    return st.recursive(st.sampled_from([Var(i) for i in range(d)]), grow, max_leaves=6)
+
+
+_AFFINE_ARGS = {d: _affine_args(d) for d in (1, 2)}
+
+
+@st.composite
+def _row_bound_cases(draw):
+    d = draw(st.sampled_from([1, 2]))
+    arg = draw(_AFFINE_ARGS[d])
+    r, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    coord = st.floats(min_value=-4.0, max_value=4.0)
+    rows = np.array(draw(st.lists(coord, min_size=d * r, max_size=d * r))).reshape(d, r)
+    scale = draw(st.sampled_from([1.0, 1e-3, 2.0**-40]))
+    offsets = scale * np.array(draw(st.lists(coord, min_size=d * m, max_size=d * m))).reshape(d, m)
+    return arg, rows, offsets, draw(st.sampled_from([0.5, 2.0**-10]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_row_bound_cases())
+def test_row_bounds_hold_every_flat_value_of_their_row(case):
+    from colombeau.expr.evaluate import _RowBounds, _plan_of
+
+    arg, rows, offsets, eps = case
+    grid = Grid.shifted(rows, offsets)
+    plan = _plan_of(arg, shifted=True)
+    assert len(plan.kinds) - 1 in plan.affine
+    with np.errstate(all="ignore"):
+        bounds = _RowBounds(plan, grid, eps).take(len(plan.kinds) - 1)
+        flat = eval_batch(arg, np.asarray(grid), eps).reshape(rows.shape[1], -1)
+    if bounds is None:
+        return
+    lo, hi = bounds
+    known = ~(np.isnan(lo) | np.isnan(hi))
+    assert np.all((lo[:, None] <= flat) & (flat <= hi[:, None])
+                  | np.isnan(flat) & (lo[:, None] == -np.inf) & (hi[:, None] == np.inf)
+                  | ~known[:, None])
 
 
 def test_factor_after_scalar_zero_is_never_evaluated(monkeypatch):

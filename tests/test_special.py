@@ -185,6 +185,42 @@ def test_cutoff_closed_form_matches_the_order_zero_jet_bit_for_bit():
         assert _same_bits(cutoff_deriv_values(0, t), want), t
 
 
+def _cutoff_values_gathered(s):
+    # the closed form as it was, on the band points gathered by a mask
+    if s.size and s.max() <= 1.0:
+        return np.ones_like(s)
+    if s.size and s.min() >= 2.0:
+        return np.zeros_like(s)
+    out = np.where(s <= 1.0, 1.0, 0.0)
+    band = (s > 1.0) & (s < 2.0)
+    if np.any(band):
+        sb = s[band]
+        hi = np.exp(-(1.0 / (2.0 - sb)))
+        lo = np.exp(-(1.0 / (sb - 1.0)))
+        out[band] = hi * (1.0 / (hi + lo))
+    return out
+
+
+def test_cutoff_closed_form_without_gathers_keeps_every_bit():
+    rng = np.random.default_rng(11)
+    seams = np.array([1.0, 2.0])
+    # within 1e-3 of a seam exp(-1/(s-1)) or exp(-1/(2-s)) underflows
+    near = np.concatenate([seams + d for d in (-1e-3, -1e-4, -1e-9, 1e-9, 1e-4, 1e-3)])
+    cases = [
+        np.float64(1.5), np.float64(0.5), np.float64(3.0), np.float64(np.nan),  # 0-d
+        np.array([]), np.array([np.nan]), np.array([np.inf]), np.array([np.nan, 1.5, np.inf]),
+        np.concatenate([seams, np.nextafter(seams, 0.0), np.nextafter(seams, np.inf)]),
+        near, rng.permutation(np.concatenate([near, rng.uniform(0.0, 3.0, 200)])),
+        np.array([0.5, 0.7, 1.5, 0.2, 2.5]),  # one band point amid plateau and outside points
+        rng.uniform(0.0, 3.0, (7, 9)),
+        rng.uniform(0.0, 3.0, 3 * special._SPAN + 5),  # a span of several pieces
+    ]
+    for s in cases:
+        s = np.abs(np.asarray(s, dtype=float))
+        got = special._cutoff_values(s)
+        assert isinstance(got, np.ndarray) and _same_bits(got, _cutoff_values_gathered(s)), s
+
+
 # the jet helpers as they were when each coefficient had its own fresh
 # accumulator; the in-place helpers must give the same bits
 def _recip_fresh(a):

@@ -104,7 +104,7 @@ def test_many_threads_switching_often_share_a_net(monkeypatch):
 
 def test_each_cutoff_order_runs_once_per_eps(cutoff_calls):
     grid = GRID
-    orders, tops = cutoff_calls
+    orders, tops, _ = cutoff_calls
     psequence(catalog_net("compact_osc"), CompactBox.interval(0.0, 1.0), grid, k_max=6)
     # sampled k-outer, order k would run the cutoff jets of orders 0..k again:
     # 28 evaluations per eps instead of 7.  Orders below k come from the
@@ -119,7 +119,7 @@ def test_the_seminorms_experiment_runs_each_cutoff_order_once_per_eps(cutoff_cal
         "eps_grid": {"eps0": 0.5, "ratio": 0.5, "count": 8}, "k_max": 6,
         "experiments": [{"kind": "seminorms"}],
     })
-    orders, tops = cutoff_calls
+    orders, tops, _ = cutoff_calls
     run_experiment(cfg, cfg.experiments[0])
     # k outer, each order's tree would run its cutoff jets at every eps
     # again: 224 evaluations instead of 7 orders x 8 eps
