@@ -24,7 +24,16 @@ from .nodes import (
 )
 from .parser import ParseError, parse
 from .transform import differentiate, simplify
-from .evaluate import EvaluationError, Grid, LeafMemo, axis_mask, eval_batch, evaluate, separable_argmax
+from .evaluate import (
+    EvaluationError,
+    Grid,
+    LeafMemo,
+    axis_mask,
+    eval_batch,
+    evaluate,
+    separable_argmax,
+)
+from .quadrature import row_blocks, shifted_sums
 
 __all__ = [
     "Add", "Bump", "Const", "Cos", "Cutoff", "Div", "EpsPow", "Expr",
@@ -32,5 +41,5 @@ __all__ = [
     "SizeCapError", "Sub", "Exp", "Var", "check_size",
     "node_count", "to_text", "ParseError", "parse", "differentiate",
     "simplify", "EvaluationError", "Grid", "LeafMemo", "axis_mask", "eval_batch",
-    "evaluate", "separable_argmax",
+    "evaluate", "row_blocks", "separable_argmax", "shifted_sums",
 ]

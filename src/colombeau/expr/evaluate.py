@@ -47,15 +47,18 @@ its Sin and Cos leaves share.  Exp stays flat, as exp(A)*exp(-B) can
 overflow where exp(A - B) is finite; so do bump, the cutoff's derivatives
 and every argument that is not affine (sin(x1^2/eps)).
 
-The cutoff itself (order 0) over an affine argument goes by rows
-(``_Walk.row_cutoff``).  ``_RowBounds`` bounds the argument on each row by
-the argument's own operations on interval ends, and rounding to nearest is
-monotone, so every flat value of the row lies within them.  A row within
-[-1, 1] is exactly 1.0 and a row outside (-2, 2) exactly 0.0, as the closed
-form gives there; only the rows that meet the band 1 < |t| < 2 are
-evaluated, flat, on a shifted Grid of those rows.  So every bit stays, and
-the mollifier's blocks, whose rows are one shift apart, mostly never reach
-the closed form.
+A shifted Grid's rows go by class (``_row_classes``), one class per state
+of each affine argument a cutoff reads (``_Plan.settles``).  ``_RowBounds``
+bounds the argument on each row by the argument's own operations on
+interval ends, and rounding to nearest is monotone, so every flat value of
+the row lies within them.  A row within [-1, 1] is on the plateau, one
+outside (-2, 2) is outside, any other row in the band 1 < |t| < 2.  Each
+class is walked on a shifted Grid of its own rows, where a cutoff over an
+argument the class holds off the band is the closed form's 1.0 or 0.0, and
+0.0 at every order >= 1, with no closed form and no jets; only band rows
+reach them.  So every bit stays, and the mollifier's blocks, whose rows are
+one shift apart, mostly never reach the closed form.  The quadrature's
+weighted sums (``quadrature.shifted_sums``) go by the same classes.
 
 On a tensor Grid, ``separable_argmax`` finds max |e| and a point where e
 takes it without forming the grid, when e is a product (or a single factor)
@@ -221,7 +224,8 @@ class _Plan:
     uses: tuple[int, ...]  # readers: the other distinct nodes, and the caller of the root
     varies: tuple[int, ...]  # bit i set: the subtree depends on x_(i+1); 0 for a constant
     memo_keys: tuple  # structural key of an x-dependent leaf a LeafMemo keeps, else None
-    affine: frozenset  # shifted plan: the slots affine in x with x-free slopes; else empty
+    # shifted plan: the slots affine in x with x-free slopes that Cutoff leaves read; else empty
+    settles: tuple[int, ...]
 
 
 def _param(e: Expr):
@@ -308,8 +312,19 @@ def _compile(root: Expr, shifted: bool) -> _Plan:
     uses[-1] += 1  # the caller reads the root
     memo_keys = tuple(sk if kind in _MEMO_KINDS and vary else None
                       for kind, vary, sk in zip(kinds, varies, skeys))
+    settles = sorted({a for a in (_cutoff_arg(kinds, params, kids, i) for i in range(len(kinds)))
+                      if a is not None and affine[a]}) if shifted else ()
     return _Plan(tuple(kinds), tuple(params), tuple(kids), tuple(uses), tuple(varies), memo_keys,
-                 frozenset(i for i, a in enumerate(affine) if a))
+                 tuple(settles))
+
+
+def _cutoff_arg(kinds, params, kids, slot: int) -> Optional[int]:
+    """The argument slot of the Cutoff leaf at slot (an order >= 1 leaf reads
+    it through its ``_Jets`` slot); None for any other kind."""
+    if kinds[slot] is not Cutoff:
+        return None
+    arg = kids[slot][0]
+    return kids[arg][0] if params[slot] else arg
 
 
 def _plan_of(e: Expr, shifted: bool = False) -> _Plan:
@@ -392,8 +407,9 @@ class _Walk:
     no reference cycle that would keep the Grid alive after the call.
     """
 
-    def __init__(self, plan: _Plan, coords: Grid, eps: float):
+    def __init__(self, plan: _Plan, coords: Grid, eps: float, settled: Optional[dict] = None):
         self.plan, self.coords, self.eps = plan, coords, eps
+        self.settled = settled or {}  # argument slot -> the order-0 cutoff off the band there
         self.keys = plan.memo_keys if coords.memo is not None else None
         self.vals: list = [_PENDING] * len(plan.kinds)
         self.left = list(plan.uses)
@@ -443,8 +459,15 @@ class _Walk:
             # two Python floats would raise ZeroDivisionError
             num, den = self.take(ks[0]), self.take(ks[1])
             return num / (np.float64(den) if _is_scalar(den) else den)
-        if kind is Cutoff and not plan.params[slot] and ks[0] in plan.affine:
-            v = self.row_cutoff(ks[0])
+        settled = None
+        if kind is Cutoff and self.settled:
+            settled = self.settled.get(_cutoff_arg(plan.kinds, plan.params, plan.kids, slot))
+        if settled is not None:
+            # a class off the band: the closed form's 1.0 or 0.0, and 0.0 at
+            # every order >= 1; a 1-value array keeps an array's arithmetic
+            # in its readers, as the values on every point would
+            self.skip(ks[0])
+            v = np.full(1, 0.0 if plan.params[slot] else settled)
         else:
             v = _apply(kind, plan.params[slot], self.take(ks[0]) if ks else None, self.coords, eps)
         if key is not None:
@@ -471,35 +494,6 @@ class _Walk:
         np.negative(right[1, 0], out=right[0, 1])
         right[1, 1] = right[0, 0]
         return left, right[0], right[1]
-
-    def row_cutoff(self, arg: int):
-        """The order-0 cutoff of the affine slot arg on a shifted Grid, row
-        by row: a row whose bounds (``_RowBounds``) lie in [-1, 1] is 1.0, one
-        whose bounds lie outside (-2, 2) is 0.0, as the closed form gives
-        there, and only the other rows, the band rows, are evaluated flat, on
-        a shifted Grid of their own.  A block with no band row whose rows are
-        all alike is a 1-value array, which broadcasts as a scalar would but
-        keeps an array's arithmetic in its readers."""
-        grid, eps = self.coords, self.eps
-        bounds = _RowBounds(self.plan, grid, eps).take(arg)
-        if bounds is None:
-            return _apply(Cutoff, 0, self.take(arg), grid, eps)
-        lo, hi = bounds
-        ones = (lo >= -1.0) & (hi <= 1.0)
-        zeros = ((lo >= 2.0) | (hi <= -2.0)) & (lo <= hi)  # a nan bound fails both
-        band = ~(ones | zeros)
-        if band.all():
-            return _apply(Cutoff, 0, self.take(arg), grid, eps)
-        self.skip(arg)
-        if ones.all() or zeros.all():
-            return np.full(1, 1.0 if ones[0] else 0.0)
-        m = grid.offsets.shape[1]
-        out = np.repeat(np.where(ones, 1.0, 0.0), m)
-        if band.any():
-            sub = _Walk(self.plan, Grid.shifted(grid.rows[:, band], grid.offsets), eps)
-            t = _apply(Cutoff, 0, sub.take(arg), sub.coords, eps)
-            out.reshape(-1, m)[band] = t.reshape(-1, m)
-        return out
 
     def product(self, ks: tuple[int, ...]):
         """The factors folded in order, with the exact-zero short circuit."""
@@ -637,6 +631,68 @@ def _scaled(bounds, c, op):
     return (lo, hi) if c > 0.0 else (hi, lo)
 
 
+def _row_classes(plan: _Plan, grid: Grid, eps: float) -> list[tuple]:
+    """The rows of a shifted Grid by class, one class per state of each
+    argument in ``plan.settles``: (rows, settled), rows a slice when the
+    class's rows are consecutive and an index array otherwise, and settled
+    the order-0 cutoff, 1.0 or 0.0, of each argument the class holds off the
+    band.  A row whose bounds (``_RowBounds``) lie in [-1, 1] is on the
+    plateau, one whose bounds lie outside (-2, 2) is outside, and any other
+    row, or every row when the bounds are None, is in the band."""
+    total = grid.rows.shape[1]
+    classes = [(np.ones(total, dtype=bool), {})]
+    for arg in plan.settles:
+        bounds = _RowBounds(plan, grid, eps).take(arg)
+        if bounds is None:
+            continue
+        lo, hi = bounds
+        plateau = (lo >= -1.0) & (hi <= 1.0)
+        outside = ((lo >= 2.0) | (hi <= -2.0)) & (lo <= hi)  # a nan bound fails both
+        band = ~(plateau | outside)
+        split = []
+        for mask, settled in classes:
+            for state, value in ((plateau, 1.0), (outside, 0.0), (band, None)):
+                part = mask & state
+                if part.any():
+                    split.append((part, settled if value is None else {**settled, arg: value}))
+        classes = split
+    if len(classes) == 1:
+        return [(slice(0, total), classes[0][1])]
+    found = []
+    for mask, settled in classes:
+        rows = np.flatnonzero(mask)
+        if rows[-1] - rows[0] + 1 == rows.size:
+            rows = slice(int(rows[0]), int(rows[-1]) + 1)
+        found.append((rows, settled))
+    return found
+
+
+def _class_values(plan: _Plan, grid: Grid, eps: float, rows, settled: dict):
+    """The flat values of the class rows of a shifted Grid: the plan's walk
+    on those rows alone, with the class's settled cutoffs."""
+    sub = Grid.shifted(grid.rows[:, rows], grid.offsets)
+    return _Walk(plan, sub, eps, settled).take(len(plan.kinds) - 1)
+
+
+def _shifted_values(plan: _Plan, grid: Grid, eps: float):
+    """The flat values on a shifted Grid, class by class (``_row_classes``):
+    a cutoff is never evaluated on the rows its class holds off the band.  A
+    block of one class gives its walk's value as it is."""
+    classes = _row_classes(plan, grid, eps)
+    if len(classes) == 1:
+        return _Walk(plan, grid, eps, classes[0][1]).take(len(plan.kinds) - 1)
+    m = grid.offsets.shape[1]
+    out = np.empty((grid.rows.shape[1], m))
+    for rows, settled in classes:
+        out[rows] = _by_row(_class_values(plan, grid, eps, rows, settled), m)
+    return out.reshape(-1)
+
+
+def _by_row(v, m: int):
+    """A walk's value on a shifted Grid as rows of m, or one value for all."""
+    return np.reshape(v, (-1, m)) if np.size(v) > 1 else v
+
+
 def _collapse(acc: np.ndarray, run: int, index: list[int]):
     """acc's signed value at the first argmax of |acc| along the axis with
     bit run, noted in index."""
@@ -685,6 +741,8 @@ def _guarded(step, *args):
 
 def _root_value(e: Expr, coords: Grid, eps: float):
     walk = _walk(e, coords, eps)
+    if coords.offsets is not None:
+        return _guarded(_shifted_values, walk.plan, coords, eps)
     return _guarded(walk.take, len(walk.plan.kinds) - 1)
 
 

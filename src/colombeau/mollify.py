@@ -4,7 +4,8 @@ The mollifier is psi(x) = c_d * exp(1/(|x|^2 - 1)) inside the open unit ball
 and 0 outside.  All integrals use a tensor Gauss-Legendre rule of fixed order
 Q per axis on [-1,1]^d; c_d is the reciprocal of that same rule applied to
 the unnormalized bump over all Q^d nodes, so the discrete rule integrates psi
-to 1 exactly (up to round-off) and constant nets are reproduced exactly.  The
+to 1 up to round-off (the weights' exact sum rounds to 1 - 2^-53 in 1-d),
+and a constant net is reproduced to that round-off.  The
 Mollifier keeps the rule's live nodes, where w_q psi(s_q) != 0.
 
 Convolution is computed after the substitution t = eps^n s, which keeps the
@@ -22,23 +23,25 @@ derivatives come from the bump recurrence in expr.special; the mollifier
 builds the weights w_q psi^(alpha)(s_q) once per multi-index and every route
 shares them.  On the psi route every order reads the same base values, so one
 pass over a sweep's kept block serves the asked order and the orders the route
-declares (``formed_together``, REGULAR_BOUND_K_LIST), each formed by its own
-product; the values live in one store on the base net per (n, mollifier),
+declares (``formed_together``, REGULAR_BOUND_K_LIST), each by its own
+weighted sum; the values live in one store on the base net per (n, mollifier),
 which is how regular_bound_experiment's k loop samples the base once.
 
-The loop hands the base net blocks of about _EVAL_CHUNK shifted points, each
-an ``expr.Grid.shifted`` of a block of output points and the offsets
-eps^n s_q, so every temporary the evaluator makes stays near 128 KB.  On
-such a Grid an expression net computes a sin or cos of an affine argument
-(sin(x1/eps)) from its values on the rows and on the offsets, not at every
-shifted point (see ``expr.evaluate``).  Each output point is
-a row of M shifted nodes, and a block's weighted sum is one BLAS
-matrix-vector product.  BLAS sums a full group of rows in one order, and a
-product's last few rows, or a product of one row, in another.  Blocks of
-whole _ROW_GROUPs, with a one-row tail joined to the block before it, give
-every row the bits of a single-threaded product over all rows, whatever the
-block size.  Blocks this small are also far below the size at which
-OpenBLAS splits a product across threads, which moves those group bounds.
+Both routes ask the base net for all their weighted sums at once
+(``FunctionNet.shifted_sums``), over the output points as rows and the
+offsets eps^n s_q.  An expression net sums the rows whose value separates
+over the nodes first (``expr.shifted_sums``): cutoff(x1)*sin(x1/eps) on a
+row whose shifted points all lie on the cutoff's plateau is sin A_j times
+sum_q w_q cos B_q less cos A_j times sum_q w_q sin B_q, each sum taken once
+with math.fsum, so no shifted point is formed.  The other rows (the
+cutoff's band, and every net or tree that does not separate) are evaluated
+on blocks of about _EVAL_CHUNK shifted points, each an
+``expr.Grid.shifted`` of a block of rows, and summed by one BLAS
+matrix-vector product per block and weight vector.  BLAS sums a full group
+of rows in one order, and a product's last few rows, or a product of one
+row, in another; blocks of whole row groups (``expr.row_blocks``) give
+every such row the bits of a single-threaded product over all rows,
+whatever the block size.
 """
 from __future__ import annotations
 
@@ -164,16 +167,13 @@ def _default_mollifier(d: int) -> Mollifier:
 # mollified nets
 # ---------------------------------------------------------------------------
 
-# Shifted points per base-net call: 2^14 float64 values are 128 KB per
-# temporary, which the allocator recycles from block to block.  Larger
-# temporaries are fresh pages on every call: on a 2-vCPU VM, eval_batch of
-# the order-0 cutoff cost 2.2-2.7 times as much per point in calls of 2^21
-# points as in calls of 2^14, and cutoff(x1)*sin(x1/eps) 1.6 times.
+# Shifted points per block of the rows the base evaluates flat: 2^14
+# float64 values are 128 KB per temporary, which the allocator recycles from
+# block to block.  Larger temporaries are fresh pages on every call: on a
+# 2-vCPU VM, eval_batch of the order-0 cutoff cost 2.2-2.7 times as much per
+# point in calls of 2^21 points as in calls of 2^14, and
+# cutoff(x1)*sin(x1/eps) 1.6 times.
 _EVAL_CHUNK = 1 << 14
-# Output points per block are a multiple of this, bar a last block that
-# takes one point more (see the module docstring).  OpenBLAS's matrix-vector
-# kernels sum rows in groups of 4; 64 leaves room for wider ones.
-_ROW_GROUP = 64
 
 
 class MollifiedNet(FunctionNet):
@@ -199,28 +199,18 @@ class MollifiedNet(FunctionNet):
         self.n = n
         self.mollifier = mollifier
 
-    def _shifted_values(self, alpha, coords, eps):
-        """(rows, d^alpha u_eps(x - eps^n s_q)) per block of output points:
-        one row of M node values per point, so a block's weighted sum is one
-        matrix-vector product."""
-        shift = eps**self.n
-        nodes = self.mollifier.nodes
-        total, m = coords.shape[1], nodes.shape[1]
-        step = max(1, _EVAL_CHUNK // m // _ROW_GROUP) * _ROW_GROUP
-        start = 0
-        while start < total:
-            stop = total if total - start <= step + 1 else start + step
-            shifted = ex.Grid.shifted(coords[:, start:stop], shift * nodes)
-            vals = self.base.derivative_batch(alpha, shifted, eps)
-            yield slice(start, stop), vals.reshape(-1, m)
-            start = stop
+    def _sums(self, alpha, coords, eps, weights) -> np.ndarray:
+        """The quadrature sums sum_q w_q d^alpha u_eps(x - eps^n s_q) of each
+        weight vector w at each point x of coords (a Grid flattens to its
+        (d, N) points, a 1-d one without a copy): the base's ``shifted_sums``
+        over the offsets eps^n s_q."""
+        if isinstance(coords, ex.Grid) and coords.shape[0] == 1:
+            coords = np.reshape(np.broadcast_to(coords[0], coords.block), (1, -1))
+        offsets = eps**self.n * self.mollifier.nodes
+        return self.base.shifted_sums(alpha, np.asarray(coords), offsets, eps, weights, _EVAL_CHUNK)
 
     def derivative_batch(self, alpha, coords, eps):
-        coords = np.asarray(coords)  # a Grid flattens to its (d, N) points
-        out = np.empty(coords.shape[1])
-        for rows, vals in self._shifted_values(alpha, coords, eps):
-            out[rows] = vals @ self.mollifier.core_weights
-        return out
+        return self._sums(alpha, coords, eps, [self.mollifier.core_weights])[0]
 
     def sample_intervals(self, box, eps):
         shift = eps**self.n
@@ -253,10 +243,9 @@ class PsiRouteNet(MollifiedNet):
     Every order reads the same base values u_eps(x - eps^n s_q) and differs
     only in its weights (``Mollifier.psi_weights``).  So on a block with a
     memo (a sweep's kept block), derivative_batch forms, from one pass over
-    the base per block of rows, every multi-index of the asked order and of
-    the orders in ``formed_together`` (REGULAR_BOUND_K_LIST) that has no
-    block max there yet, each by its own matrix-vector product (one
-    (M, orders) product would move bits).  It returns the asked one and
+    the base, every multi-index of the asked order and of the orders in
+    ``formed_together`` (REGULAR_BOUND_K_LIST) that has no block max there
+    yet, each by its own weighted sum.  It returns the asked one and
     leaves each other one's block max and non-finite count in the memo's
     ``maxes`` for ``_grid_max``.  Every route over one base, n and mollifier
     keeps its seminorm values in one store on the base; no route is kept,
@@ -282,17 +271,13 @@ class PsiRouteNet(MollifiedNet):
         (weights, scale), *terms = [
             (self.mollifier.psi_weights(a), float(np.float64(eps) ** (-self.n * sum(a))))
             for a in (alpha, *others)]
-        maxes = [(-1.0, 0)] * len(others)
-        coords = np.asarray(coords)
-        out = np.empty(coords.shape[1])
-        for rows, vals in self._shifted_values((0,) * self.dimension, coords, eps):
-            out[rows] = (vals @ weights) * scale
-            for i, (w, sc) in enumerate(terms):
-                best, bad = _block_max((vals @ w) * sc)
-                maxes[i] = (max(maxes[i][0], best), maxes[i][1] + bad)
-        for a, block_max in zip(others, maxes):
-            memo.maxes[id(self), a] = block_max
-        return out
+        sums = self._sums((0,) * self.dimension, coords, eps, [weights] + [w for w, _ in terms])
+        for a, (_, sc), row_sums in zip(others, terms, sums[1:]):
+            row_sums *= sc
+            # (-1.0, 0): no finite value, as _grid_max reads an empty block
+            memo.maxes[id(self), a] = _block_max(row_sums) if row_sums.size else (-1.0, 0)
+        sums[0] *= scale
+        return sums[0]
 
 
 # ---------------------------------------------------------------------------
@@ -475,11 +460,13 @@ def regular_bound_experiment(
     the first call sampled.
 
     The cost grows with d: a region of more than _CHUNK points keeps no
-    block, so every multi-index evaluates the base again at every point
-    times every kept quadrature node.  A d >= 2 base on the default
-    EpsGrid() needs 9.1e9 shifted points per multi-index at eps = 2^-10
-    (cutoff(x1)*sin(x2/eps)*cos(x1) on [0, 1]^2, 544 kept 2-d nodes) and
-    does not finish; a short grid such as EpsGrid(count=6) does."""
+    block, so every multi-index sums the base again at every point, over
+    every kept quadrature node where the point's sum does not separate.  On
+    the default EpsGrid(), cutoff(x1)*sin(x2/eps)*cos(x1) on [0, 1]^2 (544
+    kept 2-d nodes) at k = 1, n = 1 took 13 minutes on one thread of a
+    2-vCPU VM, about 85 s per eps once each axis holds its 20001-point cap
+    (4e8 points, nearly all off the cutoff's band, whose sums separate); a
+    short grid such as EpsGrid(count=6) takes under a second."""
     k = as_index(k, "order k", 0, K_MAX_CAP, NetError)
     n = as_index(n, "mollification order n", 1, error=NetError)
     if u.support_box is None:

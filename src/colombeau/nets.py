@@ -281,6 +281,25 @@ class FunctionNet:
     def derivative_batch(self, alpha: tuple[int, ...], coords: np.ndarray, eps: float) -> np.ndarray:
         raise NotImplementedError
 
+    def shifted_sums(self, alpha: tuple[int, ...], rows: np.ndarray, offsets: np.ndarray,
+                     eps: float, weights: Sequence[np.ndarray], chunk: int) -> np.ndarray:
+        """sum_q w_q d^alpha u_eps(x_j - o_q) for each weight vector w over the
+        (d, M) offsets and each x_j of the (d, R) rows: (len(weights), R).
+
+        Here the base evaluates the shifted points flat, in the blocks of
+        ``expr.row_blocks`` (about chunk points each, as ``expr.Grid.shifted``),
+        each block's sums one matrix-vector product per weight vector; an
+        expression net sums the rows whose value separates without forming
+        their shifted points (``expr.shifted_sums``)."""
+        m = offsets.shape[1]
+        out = np.empty((len(weights), rows.shape[1]))
+        for block in ex.row_blocks(rows.shape[1], m, chunk):
+            vals = self.derivative_batch(alpha, ex.Grid.shifted(rows[:, block], offsets), eps)
+            vals = vals.reshape(-1, m)
+            for i, w in enumerate(weights):
+                out[i, block] = vals @ w
+        return out
+
     def derivative_eval(self, alpha: tuple[int, ...], x: Sequence[float], eps: float) -> float:
         """Partial derivative d^alpha u_eps evaluated at the point x."""
         alpha = _check_alpha(alpha, self.dimension)
@@ -351,6 +370,9 @@ class ExpressionNet(FunctionNet):
 
     def derivative_batch(self, alpha, coords, eps):
         return ex.eval_batch(self.derivative_expr(alpha), coords, eps)
+
+    def shifted_sums(self, alpha, rows, offsets, eps, weights, chunk):
+        return ex.shifted_sums(self.derivative_expr(alpha), rows, offsets, eps, weights, chunk)
 
     def sup_witness(self, alpha, grid, eps):
         return ex.separable_argmax(self.derivative_expr(alpha), grid, eps)

@@ -35,11 +35,15 @@ from colombeau.expr import (
     evaluate,
     node_count,
     parse,
+    row_blocks,
     separable_argmax,
+    shifted_sums,
     simplify,
     to_text,
 )
 from colombeau.expr import special
+from colombeau.expr.evaluate import _Walk
+from colombeau.mollify import build_mollifier
 from colombeau.expr.parser import MAX_NESTING
 
 from raw_trees import central_diff, random_expr
@@ -786,6 +790,18 @@ def test_shifted_grid_splits_sin_and_cos_of_an_affine_argument(d, text):
             assert grid.coords == [None] * d  # the shifted points were never formed
 
 
+def test_a_split_on_some_rows_gives_each_row_its_bits_in_the_whole_block():
+    # a class is walked on its own rows: the split's einsum must round a
+    # point alike whatever number of rows it runs over
+    rows, offsets, _ = _shifted_case(2)
+    e = simplify(parse("sin((x1+2*x2)/eps)*cos(x1/eps)", dimension=2))
+    for eps in (0.5, 2.0**-10):
+        whole = eval_batch(e, Grid.shifted(rows, offsets), eps).reshape(rows.shape[1], -1)
+        for some in ([0], [5, 6], [1, 7, 9], list(range(3, 40)), list(range(0, 48, 3))):
+            got = eval_batch(e, Grid.shifted(rows[:, some], offsets), eps)
+            assert got.tobytes() == whole[some].tobytes(), (eps, some)
+
+
 @pytest.mark.parametrize("d, text", [(1, "exp(x1/eps)"), (1, "sin(x1^2/eps)"), (1, "cutoff(x1)"),
                                      (2, "exp(x1/eps)*cutoff(x2)*bump(x1+x2)")])
 def test_shifted_grid_keeps_every_bit_of_the_leaves_it_does_not_split(d, text):
@@ -807,9 +823,12 @@ def _cutoff_row_blocks(d):
     return blocks + [_shifted_case(d)[:2]]
 
 
-@pytest.mark.parametrize("d, text, k", [
-    (1, "cutoff(x1)", 0), (1, "cutoff((x1-0.3)/0.7)", 0), (1, "cutoff((0.3-x1)/0.7)", 0),
-    (1, "cutoff(x1/(-0.5))", 0), (2, "cutoff(x1+2*x2)", 0), (1, "cutoff(x1)*exp(x1/eps)", 0),
+_SEAM_CUTOFFS = [(1, "cutoff(x1)"), (1, "cutoff((x1-0.3)/0.7)"), (1, "cutoff((0.3-x1)/0.7)"),
+                 (1, "cutoff(x1/(-0.5))"), (2, "cutoff(x1+2*x2)")]
+
+
+@pytest.mark.parametrize("d, text, k", [(d, text, k) for d, text in _SEAM_CUTOFFS for k in range(4)] + [
+    (1, "cutoff(x1)*exp(x1/eps)", 0),
     (1, "cutoff(x1-0.3)*(x1-0.3)^2", 0),  # the argument has a second reader
     (1, "cutoff(x1)*cutoff(x1/2)", 1),  # an order-1 cutoff beside the order-0 one
     (1, "cutoff(x1)*eps^(-400)", 0),  # inf times the exact zeros outside the support
@@ -826,6 +845,179 @@ def test_shifted_cutoff_rows_keep_every_bit(d, text, k):
         for eps in (0.5, 2.0**-10):
             got = eval_batch(e, Grid.shifted(rows, offsets), eps)
             assert got.tobytes() == eval_batch(e, points, eps).tobytes(), (rows, eps)
+
+
+def _flat_sums(e, rows, offsets, eps, weights, chunk=1 << 14):
+    # the flat quadrature: eval_batch on a shifted Grid of each block of
+    # rows, whose values keep the bits of the formed points but for split sin
+    # and cos leaves, each block summed by one matrix-vector product
+    m = offsets.shape[1]
+    out = np.empty((len(weights), rows.shape[1]))
+    for block in row_blocks(rows.shape[1], m, chunk):
+        vals = eval_batch(e, Grid.shifted(rows[:, block], offsets), eps)
+        for i, w in enumerate(weights):
+            with np.errstate(all="ignore"):  # inf - inf in a sum is nan
+                out[i, block] = vals.reshape(-1, m) @ w
+    return out
+
+
+def _rule(d):
+    # the mollifier's nodes and weights, whose mirrored pairs separable sums meet
+    rule = build_mollifier(d)
+    weights = [rule.core_weights] + [rule.psi_weights((k,) + (0,) * (d - 1)) for k in (1, 2, 3)]
+    return rule.nodes, weights
+
+
+def _quadrature_rows(d):
+    # rows on the plateau of cutoff(x1), across its band and outside it,
+    # 2 * 64 + 1 of them so that short blocks leave a one-row tail
+    if d == 1:
+        return np.linspace(-2.5, 2.5, 2 * 64 + 1)[None, :]
+    return np.random.default_rng(3).uniform(-2.5, 2.5, (2, 2 * 64 + 1))
+
+
+@pytest.mark.parametrize("d, text, k", [(1, "cutoff(x1)*sin(x1/eps)", k) for k in range(4)] + [
+    (1, "sin(x1/eps)", 0), (1, "cutoff(x1)*cos(3*x1/eps)*eps^2", 0),
+    (2, "cutoff(x1)*sin(x2/eps)*cos(x1)", 0), (2, "cutoff(x1)*sin(x2/eps)*cos(x1)", 1),
+])
+def test_separable_sums_agree_with_the_flat_sums(d, text, k):
+    # A separable row's sum differs from the flat one by the flat path's
+    # rounding of each shifted argument, at most about (1 + |argument|)
+    # 2^-52 per value, and by the flat sum's own, at most M 2^-53 of the
+    # sum of |w_q u(x_j - o_q)|: 2^-48 (1 + 3|argument| + M) sum_q |w_q|
+    # max |u| bounds both, 3 the largest slope here
+    e = simplify(parse(text, dimension=d))
+    for _ in range(k):
+        e = simplify(differentiate(e, 0))
+    rows, (nodes, weights) = _quadrature_rows(d), _rule(d)
+    for eps, n in ((0.5, 1), (2.0**-4, 1), (2.0**-10, 2)):
+        offsets = eps**n * nodes
+        got = shifted_sums(e, rows, offsets, eps, weights, 1 << 14)
+        want = _flat_sums(e, rows, offsets, eps, weights)
+        top = np.max(np.abs(eval_batch(e, np.asarray(Grid.shifted(rows, offsets)), eps)))
+        argument = (np.max(np.abs(rows)) + np.max(np.abs(offsets))) / eps
+        for w, g, f in zip(weights, got, want):
+            tol = 2.0**-48 * (1 + 3 * argument + nodes.shape[1]) * np.sum(np.abs(w)) * top
+            assert np.max(np.abs(g - f)) <= tol, (eps, n)
+
+
+@pytest.mark.parametrize("text", [
+    "exp(x1)*cutoff(x1)",  # exp does not separate
+    "sin(x1^2/eps)",  # nor does a sin of an argument that is not affine
+    "eps^(-400)*cutoff(x1)*sin(x1/eps)",  # an inf factor: the product's own rules apply
+    "cutoff(x1*eps^(-2000))*sin(x1/eps)",  # an inf slope: the row bounds are None
+    "sin(x1/eps)*sin(2*x1/eps)*sin(3*x1/eps)*sin(5*x1/eps)*sin(7*x1/eps)",  # rank 32
+])
+def test_classes_that_do_not_separate_keep_the_flat_bits(text):
+    e = simplify(parse(text))
+    rows, (nodes, weights) = _quadrature_rows(1), _rule(1)
+    m = nodes.shape[1]
+    for eps in (2.0**-4, 2.0**-10):
+        for chunk in (m, 7 * m + 3, 1 << 14):
+            got = shifted_sums(e, rows, eps * nodes, eps, weights, chunk)
+            assert got.tobytes() == _flat_sums(e, rows, eps * nodes, eps, weights, chunk).tobytes()
+
+
+@pytest.mark.parametrize("d, text", _SEAM_CUTOFFS)
+@pytest.mark.parametrize("k", range(4))
+def test_settled_cutoffs_sum_as_the_flat_path_at_the_seams(d, text, k):
+    # rows whose shifted points reach +-1 or +-2 exactly, from either side:
+    # off the band every derivative of the cutoff is exactly 0, so orders
+    # 1..3 keep every bit, and the order-0 plateau rows sum their weights
+    e = simplify(parse(text, dimension=d))
+    for _ in range(k):
+        e = simplify(differentiate(e, 0))
+    for rows, offsets in _cutoff_row_blocks(d):
+        m = offsets.shape[1]
+        weights = [np.linspace(-1.0, 1.0, m), np.full(m, 1.0 / m)]
+        for eps in (0.5, 2.0**-10):
+            got = shifted_sums(e, rows, offsets, eps, weights, 1 << 14)
+            want = _flat_sums(e, rows, offsets, eps, weights)
+            if k:
+                assert got.tobytes() == want.tobytes(), (rows, eps)
+            else:
+                assert np.max(np.abs(got - want)) <= m * 2.0**-52, (rows, eps)
+
+
+def test_separable_sums_depend_on_no_other_row_or_block():
+    # the inner sums are taken per class with math.fsum, whose result is the
+    # rounded exact sum, so a row sums alike alone, in any block, in any class
+    e = simplify(parse("cutoff(x1)*sin(x1/eps)"))
+    rows, (nodes, weights) = np.linspace(-0.9, 0.9, 301)[None, :], _rule(1)
+    offsets = 2.0**-6 * nodes
+    whole = shifted_sums(e, rows, offsets, 2.0**-6, weights, 1 << 14)
+    for j in (0, 150, 300):
+        alone = shifted_sums(e, rows[:, j:j + 1], offsets, 2.0**-6, weights, 1 << 14)
+        assert alone.tobytes() == whole[:, j:j + 1].tobytes()
+    beside = np.concatenate([rows, [[1.5, 3.0]]], axis=1)  # a band and an outside class
+    got = shifted_sums(e, beside, offsets, 2.0**-6, weights, 32)
+    assert got[:, :301].tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("text", ["cutoff(x1)*sin(x1/eps)", "sin(x1/eps)", "exp(x1)*cutoff(x1)"])
+def test_shifted_sums_of_no_rows_are_empty(text):
+    nodes, weights = _rule(1)
+    got = shifted_sums(simplify(parse(text)), np.empty((1, 0)), 0.25 * nodes, 0.25, weights, 1 << 14)
+    assert got.shape == (len(weights), 0)
+
+
+def _separable_trees():
+    # sums, differences, products and quotients by constants of the leaves a
+    # class off the band carries: split sin and cos, Var, constants, eps
+    # powers and a cutoff that the plateau and outside rows settle
+    arg = st.builds(lambda a, b: Add((Mul((Const(a), Var(0), EpsPow(Fraction(-1)))), Const(b))),
+                    st.sampled_from([1.0, -2.0, 3.0]), st.sampled_from([0.0, 0.5, -1.25]))
+    leaves = st.one_of(st.builds(Sin, arg), st.builds(Cos, arg), st.just(Var(0)),
+                       st.builds(Const, st.sampled_from([0.0, 1.0, -0.5, 2.0])),
+                       st.just(EpsPow(Fraction(1))), st.just(Cutoff(Var(0))),
+                       st.just(Cutoff(Var(0), 1)))
+
+    def grow(t):
+        return st.one_of(st.builds(lambda a, b: Add((a, b)), t, t), st.builds(Sub, t, t),
+                         st.builds(lambda a, b: Mul((a, b)), t, t),
+                         st.builds(lambda a, c: Div(a, Const(c)), t, st.sampled_from([2.0, -0.5])))
+
+    return st.recursive(leaves, grow, max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_separable_trees())
+def test_separable_algebra_matches_the_flat_walk(e):
+    # a sign, a rank or a scale lost in the separable walk moves a sum by
+    # about its own size; rounding moves it by far less than 1e-9 of it
+    rows = np.array([[-0.5, -0.1, 0.3, 0.45, 2.5, 3.0, 1.5]])  # plateau, outside, band
+    nodes, weights = _rule(1)
+    offsets = 2.0**-4 * nodes
+    got = shifted_sums(e, rows, offsets, 0.125, weights, 1 << 14)
+    want = _flat_sums(e, rows, offsets, 0.125, weights)
+    top = np.max(np.abs(eval_batch(e, np.asarray(Grid.shifted(rows, offsets)), 0.125)))
+    for w, g, f in zip(weights, got, want):
+        assert np.max(np.abs(g - f)) <= 1e-9 * np.sum(np.abs(w)) * (1.0 + top)
+
+
+def test_rows_that_separate_reach_no_flat_product(monkeypatch, cutoff_calls):
+    # settled rows never meet the product's point-by-point zero mask on the
+    # shifted points, the cutoff's closed form or its jets (their sin and cos
+    # are products on the rows and on the offsets); a band row is walked
+    # flat alone
+    orders, tops, points = cutoff_calls
+    walked = [0]  # the sizes of the products on shifted points
+    product = _Walk.product
+
+    def spy(self, ks):
+        v = product(self, ks)
+        if self.coords.offsets is not None:
+            walked.append(np.size(v))
+        return v
+
+    monkeypatch.setattr(_Walk, "product", spy)
+    nodes, weights = _rule(1)
+    e = simplify(differentiate(simplify(parse("cutoff(x1)*sin(x1/eps)")), 0))
+    shifted_sums(e, np.array([[-3.0, -0.5, 0.0, 0.9, 2.5, 4.0]]), 2.0**-6 * nodes, 2.0**-6,
+                 weights, 1 << 14)
+    assert max(walked) <= 1 and orders == tops == points == []
+    shifted_sums(e, np.array([[-0.5, 1.5, 2.5]]), 2.0**-6 * nodes, 2.0**-6, weights, 1 << 14)
+    assert max(walked) == nodes.shape[1] and orders == [0] and tops == [1]
 
 
 def test_shifted_cutoff_evaluates_only_whole_band_rows(cutoff_calls):
@@ -881,10 +1073,11 @@ def test_row_bounds_hold_every_flat_value_of_their_row(case):
 
     arg, rows, offsets, eps = case
     grid = Grid.shifted(rows, offsets)
-    plan = _plan_of(arg, shifted=True)
-    assert len(plan.kinds) - 1 in plan.affine
+    plan = _plan_of(Cutoff(arg), shifted=True)
+    slot = plan.kids[-1][0]
+    assert plan.settles == (slot,)  # the cutoff's argument is affine
     with np.errstate(all="ignore"):
-        bounds = _RowBounds(plan, grid, eps).take(len(plan.kinds) - 1)
+        bounds = _RowBounds(plan, grid, eps).take(slot)
         flat = eval_batch(arg, np.asarray(grid), eps).reshape(rows.shape[1], -1)
     if bounds is None:
         return

@@ -246,12 +246,13 @@ def test_both_routes_on_osc_match_the_closed_form_of_their_rule():
     # c_q = core_weights_q, and T is real.  The psi route's order k takes
     # c_q = w_q psi^(k)(s_q) and the factor eps^(-nk); T_k is real for even k
     # and imaginary for odd k, where sin(x/eps) becomes cos(x/eps) =
-    # eps * d/dx sin(x/eps).  Odd k at n = 3 and eps = 2^-19 is left out:
-    # there |T_k(eps^(n-1))| falls to about 1e-12 and the route's own sum
-    # reaches its round-off floor, off in ln at k = 3 by 6.8e-4 (and by
-    # 1.3e-5 at eps = 2^-18, which is not sampled here).  A quadrature that rounded each shifted point
-    # x - eps^n s before scaling it by 1/eps was off by up to 4.4 there, and
-    # by 1.5e-3 at n = 2, eps = 2^-19, k = 3.
+    # eps * d/dx sin(x/eps).  Each part of T is summed with math.fsum, as the
+    # routes sum a separable value: on the rule's mirrored nodes the part
+    # that vanishes by symmetry is exactly 0.  So odd k at n = 3 holds too,
+    # where |T_k(eps^(n-1))| falls to about 1e-12 at eps = 2^-19; a flat sum
+    # of the shifted points was off in ln there by 6.8e-4 at k = 3, and one
+    # that rounded each shifted point x - eps^n s before scaling it by 1/eps
+    # by up to 4.4.
     osc = catalog_net("osc")
     for n in (1, 2, 3):
         moll = mollify(osc, n)
@@ -259,15 +260,17 @@ def test_both_routes_on_osc_match_the_closed_form_of_their_rule():
         psi = PsiRouteNet(osc, n, rule)
         s = rule.nodes[0]
         for eps in (2.0**-1, 2.0**-4, 2.0**-10, 2.0**-19):
-            phase = np.exp(-1j * eps ** (n - 1) * s)
-            t = np.sum(rule.core_weights * phase)
+            xi_s = eps ** (n - 1) * s
+
+            def transform(c):
+                return math.hypot(math.fsum(c * np.cos(xi_s)), math.fsum(c * np.sin(xi_s)))
+
+            t = transform(rule.core_weights)
             for k in range(4):
-                want = seminorm(osc, k, K01, eps).ln_value + math.log(abs(t))
+                want = seminorm(osc, k, K01, eps).ln_value + math.log(t)
                 assert abs(seminorm(moll, k, K01, eps).ln_value - want) <= 1e-12, (n, eps, k)
-                if k % 2 and n == 3 and eps < 2.0**-10:
-                    continue
-                t_k = np.sum(rule.weights * rule.psi_deriv((k,), rule.nodes) * phase)
-                want = (-n * k * math.log(eps) + math.log(abs(t_k))
+                t_k = transform(rule.psi_weights((k,)))
+                want = (-n * k * math.log(eps) + math.log(t_k)
                         + seminorm(osc, k % 2, K01, eps).ln_value + k % 2 * math.log(eps))
                 assert abs(seminorm(psi, k, K01, eps).ln_value - want) <= 1e-12, (n, eps, k)
 
@@ -656,6 +659,15 @@ def test_a_route_folds_non_finite_block_maxes_as_grid_max_does():
                 for a in [(1,), (2,), (3,)]}
     assert memo.maxes == want
     assert all(0 < bad < pts.size for _, bad in want.values())
+
+
+def test_a_route_on_an_empty_kept_block_leaves_no_finite_max(compact_osc):
+    # no rows: every sum is empty, and each unasked order's block max reads
+    # as _grid_max reads an empty block, no finite value and no bad one
+    route = PsiRouteNet(compact_osc, 1, build_mollifier(1))
+    memo = LeafMemo(1 << 10)
+    assert route.derivative_batch((1,), Grid.tensor([np.zeros(0)], memo), 0.25).shape == (0,)
+    assert memo.maxes == {(id(route), (k,)): (-1.0, 0) for k in (0, 2, 3)}
 
 
 @pytest.mark.parametrize("d", [1, 2])
