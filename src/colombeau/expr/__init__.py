@@ -33,7 +33,7 @@ from .evaluate import (
     evaluate,
     separable_argmax,
 )
-from .quadrature import row_blocks, shifted_sums
+from .quadrature import row_local_sums, shifted_sums
 
 __all__ = [
     "Add", "Bump", "Const", "Cos", "Cutoff", "Div", "EpsPow", "Expr",
@@ -41,5 +41,5 @@ __all__ = [
     "SizeCapError", "Sub", "Exp", "Var", "check_size",
     "node_count", "to_text", "ParseError", "parse", "differentiate",
     "simplify", "EvaluationError", "Grid", "LeafMemo", "axis_mask", "eval_batch",
-    "evaluate", "row_blocks", "separable_argmax", "shifted_sums",
+    "evaluate", "row_local_sums", "separable_argmax", "shifted_sums",
 ]

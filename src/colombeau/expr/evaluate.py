@@ -47,18 +47,13 @@ its Sin and Cos leaves share.  Exp stays flat, as exp(A)*exp(-B) can
 overflow where exp(A - B) is finite; so do bump, the cutoff's derivatives
 and every argument that is not affine (sin(x1^2/eps)).
 
-A shifted Grid's rows go by class (``_row_classes``), one class per state
-of each affine argument a cutoff reads (``_Plan.settles``).  ``_RowBounds``
-bounds the argument on each row by the argument's own operations on
-interval ends, and rounding to nearest is monotone, so every flat value of
-the row lies within them.  A row within [-1, 1] is on the plateau, one
-outside (-2, 2) is outside, any other row in the band 1 < |t| < 2.  Each
-class is walked on a shifted Grid of its own rows, where a cutoff over an
-argument the class holds off the band is the closed form's 1.0 or 0.0, and
-0.0 at every order >= 1, with no closed form and no jets; only band rows
-reach them.  So every bit stays, and the mollifier's blocks, whose rows are
-one shift apart, mostly never reach the closed form.  The quadrature's
-weighted sums (``quadrature.shifted_sums``) go by the same classes.
+A walk may be handed settled cutoffs: for an affine argument that lies
+off the band 1 < |t| < 2 on every point of the Grid, the closed form's 1.0
+or 0.0 there.  A cutoff over it is then that value, and 0.0 at every order
+>= 1, with no closed form and no jets, and keeps every bit.  The
+quadrature (``quadrature.shifted_sums``) walks the rows of a shifted Grid
+class by class this way; ``eval_batch`` walks a shifted Grid's plan as it
+stands.
 
 On a tensor Grid, ``separable_argmax`` finds max |e| and a point where e
 takes it without forming the grid, when e is a product (or a single factor)
@@ -579,120 +574,6 @@ class _LinearWalk(_Walk):
         return acc
 
 
-class _RowBounds(_Walk):
-    """A walk that bounds an affine slot on each row of a shifted Grid: (lo,
-    hi), with every value of row j on the flat path in [lo_j, hi_j], or None
-    when it cannot tell.  Each bound comes from the slot's own operations in
-    its own order: Var(i) gives x_j less the largest and the smallest offset,
-    a sum or a difference combines the ends, and a product or quotient by an
-    x-free scalar scales them, swapped when the scalar is negative.  Rounding
-    to nearest is monotone, so each rounded end bounds the rounded values.
-    A scalar that is zero or not finite, whose product follows other rules,
-    gives None; so does an empty set of offsets."""
-
-    def value(self, slot: int):
-        plan = self.plan
-        kind, ks = plan.kinds[slot], plan.kids[slot]
-        if not plan.varies[slot]:
-            return super().value(slot)
-        if kind is Var:
-            x, o = self.coords.rows[plan.params[slot]], self.coords.offsets[plan.params[slot]]
-            return (x - o.max(), x - o.min()) if o.size else None
-        vals = [self.take(c) for c in ks]
-        if kind is Add or kind is Sub:
-            terms = [v if plan.varies[c] else (v, v) for c, v in zip(ks, vals)]
-            if any(t is None for t in terms):
-                return None
-            lo, hi = terms[0]
-            for tlo, thi in terms[1:]:
-                lo, hi = (lo + tlo, hi + thi) if kind is Add else (lo - thi, hi - tlo)
-            return lo, hi
-        # a Mul or a Div: one factor moves (a Div's numerator), the rest are x-free
-        i = next(j for j, c in enumerate(ks) if plan.varies[c])
-        bounds = vals[i]
-        if i:  # the x-free factors before it, folded as ``product`` folds them
-            lead = vals[0]
-            for v in vals[1:i]:
-                lead = lead * v
-            bounds = _scaled(bounds, lead, np.multiply)
-        for v in vals[i + 1:]:
-            bounds = _scaled(bounds, v, np.multiply if kind is Mul else np.divide)
-        return bounds
-
-
-def _scaled(bounds, c, op):
-    """The bounds (lo, hi) of op (np.multiply or np.divide) by the x-free
-    scalar c, swapped when c < 0; None when bounds is None or c is zero or
-    not finite."""
-    c = float(np.reshape(c, -1)[0])  # a bump or cutoff of eps alone is a 1-value array
-    if bounds is None or c == 0.0 or not math.isfinite(c):
-        return None
-    lo, hi = op(bounds[0], c), op(bounds[1], c)
-    return (lo, hi) if c > 0.0 else (hi, lo)
-
-
-def _row_classes(plan: _Plan, grid: Grid, eps: float) -> list[tuple]:
-    """The rows of a shifted Grid by class, one class per state of each
-    argument in ``plan.settles``: (rows, settled), rows a slice when the
-    class's rows are consecutive and an index array otherwise, and settled
-    the order-0 cutoff, 1.0 or 0.0, of each argument the class holds off the
-    band.  A row whose bounds (``_RowBounds``) lie in [-1, 1] is on the
-    plateau, one whose bounds lie outside (-2, 2) is outside, and any other
-    row, or every row when the bounds are None, is in the band."""
-    total = grid.rows.shape[1]
-    classes = [(np.ones(total, dtype=bool), {})]
-    for arg in plan.settles:
-        bounds = _RowBounds(plan, grid, eps).take(arg)
-        if bounds is None:
-            continue
-        lo, hi = bounds
-        plateau = (lo >= -1.0) & (hi <= 1.0)
-        outside = ((lo >= 2.0) | (hi <= -2.0)) & (lo <= hi)  # a nan bound fails both
-        band = ~(plateau | outside)
-        split = []
-        for mask, settled in classes:
-            for state, value in ((plateau, 1.0), (outside, 0.0), (band, None)):
-                part = mask & state
-                if part.any():
-                    split.append((part, settled if value is None else {**settled, arg: value}))
-        classes = split
-    if len(classes) == 1:
-        return [(slice(0, total), classes[0][1])]
-    found = []
-    for mask, settled in classes:
-        rows = np.flatnonzero(mask)
-        if rows[-1] - rows[0] + 1 == rows.size:
-            rows = slice(int(rows[0]), int(rows[-1]) + 1)
-        found.append((rows, settled))
-    return found
-
-
-def _class_values(plan: _Plan, grid: Grid, eps: float, rows, settled: dict):
-    """The flat values of the class rows of a shifted Grid: the plan's walk
-    on those rows alone, with the class's settled cutoffs."""
-    sub = Grid.shifted(grid.rows[:, rows], grid.offsets)
-    return _Walk(plan, sub, eps, settled).take(len(plan.kinds) - 1)
-
-
-def _shifted_values(plan: _Plan, grid: Grid, eps: float):
-    """The flat values on a shifted Grid, class by class (``_row_classes``):
-    a cutoff is never evaluated on the rows its class holds off the band.  A
-    block of one class gives its walk's value as it is."""
-    classes = _row_classes(plan, grid, eps)
-    if len(classes) == 1:
-        return _Walk(plan, grid, eps, classes[0][1]).take(len(plan.kinds) - 1)
-    m = grid.offsets.shape[1]
-    out = np.empty((grid.rows.shape[1], m))
-    for rows, settled in classes:
-        out[rows] = _by_row(_class_values(plan, grid, eps, rows, settled), m)
-    return out.reshape(-1)
-
-
-def _by_row(v, m: int):
-    """A walk's value on a shifted Grid as rows of m, or one value for all."""
-    return np.reshape(v, (-1, m)) if np.size(v) > 1 else v
-
-
 def _collapse(acc: np.ndarray, run: int, index: list[int]):
     """acc's signed value at the first argmax of |acc| along the axis with
     bit run, noted in index."""
@@ -741,8 +622,6 @@ def _guarded(step, *args):
 
 def _root_value(e: Expr, coords: Grid, eps: float):
     walk = _walk(e, coords, eps)
-    if coords.offsets is not None:
-        return _guarded(_shifted_values, walk.plan, coords, eps)
     return _guarded(walk.take, len(walk.plan.kinds) - 1)
 
 

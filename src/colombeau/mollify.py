@@ -29,19 +29,16 @@ which is how regular_bound_experiment's k loop samples the base once.
 
 Both routes ask the base net for all their weighted sums at once
 (``FunctionNet.shifted_sums``), over the output points as rows and the
-offsets eps^n s_q.  An expression net sums the rows whose value separates
-over the nodes first (``expr.shifted_sums``): cutoff(x1)*sin(x1/eps) on a
-row whose shifted points all lie on the cutoff's plateau is sin A_j times
-sum_q w_q cos B_q less cos A_j times sum_q w_q sin B_q, each sum taken once
-with math.fsum, so no shifted point is formed.  The other rows (the
-cutoff's band, and every net or tree that does not separate) are evaluated
-on blocks of about _EVAL_CHUNK shifted points, each an
-``expr.Grid.shifted`` of a block of rows, and summed by one BLAS
-matrix-vector product per block and weight vector.  BLAS sums a full group
-of rows in one order, and a product's last few rows, or a product of one
-row, in another; blocks of whole row groups (``expr.row_blocks``) give
-every such row the bits of a single-threaded product over all rows,
-whatever the block size.
+offsets eps^n s_q; the quadrature (``expr.shifted_sums``) owns every such
+sum.  An expression net sums the rows whose value separates over the nodes
+first: cutoff(x1)*sin(x1/eps) on a row whose shifted points all lie on the
+cutoff's plateau is sin A_j times sum_q w_q cos B_q less cos A_j times
+sum_q w_q sin B_q, each sum taken once with math.fsum, so no shifted point
+is formed.  The other rows (the cutoff's band, every tree that does not
+separate, and every net that is not an expression) are evaluated on blocks
+of their shifted points, and each row is summed by numpy's einsum loop
+from its own values alone (``expr.row_local_sums``), so no block size and
+no thread count moves a bit.
 """
 from __future__ import annotations
 
@@ -167,14 +164,6 @@ def _default_mollifier(d: int) -> Mollifier:
 # mollified nets
 # ---------------------------------------------------------------------------
 
-# Shifted points per block of the rows the base evaluates flat: 2^14
-# float64 values are 128 KB per temporary, which the allocator recycles from
-# block to block.  Larger temporaries are fresh pages on every call: on a
-# 2-vCPU VM, eval_batch of the order-0 cutoff cost 2.2-2.7 times as much per
-# point in calls of 2^21 points as in calls of 2^14, and
-# cutoff(x1)*sin(x1/eps) 1.6 times.
-_EVAL_CHUNK = 1 << 14
-
 
 class MollifiedNet(FunctionNet):
     """u_eps star psi_{eps^n}; derivatives fall on the base net."""
@@ -207,7 +196,7 @@ class MollifiedNet(FunctionNet):
         if isinstance(coords, ex.Grid) and coords.shape[0] == 1:
             coords = np.reshape(np.broadcast_to(coords[0], coords.block), (1, -1))
         offsets = eps**self.n * self.mollifier.nodes
-        return self.base.shifted_sums(alpha, np.asarray(coords), offsets, eps, weights, _EVAL_CHUNK)
+        return self.base.shifted_sums(alpha, np.asarray(coords), offsets, eps, weights)
 
     def derivative_batch(self, alpha, coords, eps):
         return self._sums(alpha, coords, eps, [self.mollifier.core_weights])[0]

@@ -22,6 +22,12 @@ square sin(x1/eps)*cos(x2) runs sin on n_1 points and cos on n_2, and only
 the product fills the block.  A net that does its own per-point arithmetic
 (a mollified net) flattens the block to its (d, N) points.
 
+A mollified net asks its base for weighted sums over shifted points
+(``FunctionNet.shifted_sums``), and the quadrature owns every such sum: an
+expression net, and a banded net through its band's expression, hand it
+to ``expr.shifted_sums``; any other net evaluates the shifted points and
+sums each row by the quadrature's row-local rule (``expr.row_local_sums``).
+
 A region of two or more axes may need no block at all.  A net may name,
 through ``sup_witness``, the grid point where |d^alpha u_eps| is largest and
 that max.  An expression net does so when the derivative is a product whose
@@ -282,22 +288,19 @@ class FunctionNet:
         raise NotImplementedError
 
     def shifted_sums(self, alpha: tuple[int, ...], rows: np.ndarray, offsets: np.ndarray,
-                     eps: float, weights: Sequence[np.ndarray], chunk: int) -> np.ndarray:
+                     eps: float, weights: Sequence[np.ndarray]) -> np.ndarray:
         """sum_q w_q d^alpha u_eps(x_j - o_q) for each weight vector w over the
         (d, M) offsets and each x_j of the (d, R) rows: (len(weights), R).
 
-        Here the base evaluates the shifted points flat, in the blocks of
-        ``expr.row_blocks`` (about chunk points each, as ``expr.Grid.shifted``),
-        each block's sums one matrix-vector product per weight vector; an
-        expression net sums the rows whose value separates without forming
-        their shifted points (``expr.shifted_sums``)."""
-        m = offsets.shape[1]
+        Here the base evaluates the shifted points of each block of rows
+        flat (an ``expr.Grid.shifted``), and each row is summed by the
+        quadrature's row-local rule (``expr.row_local_sums``); an expression
+        net also sums the rows whose value separates without forming their
+        shifted points (``expr.shifted_sums``)."""
         out = np.empty((len(weights), rows.shape[1]))
-        for block in ex.row_blocks(rows.shape[1], m, chunk):
-            vals = self.derivative_batch(alpha, ex.Grid.shifted(rows[:, block], offsets), eps)
-            vals = vals.reshape(-1, m)
-            for i, w in enumerate(weights):
-                out[i, block] = vals @ w
+        ex.row_local_sums(
+            lambda block: self.derivative_batch(alpha, ex.Grid.shifted(rows[:, block], offsets), eps),
+            slice(None), offsets.shape[1], np.array(weights, dtype=float), out)
         return out
 
     def derivative_eval(self, alpha: tuple[int, ...], x: Sequence[float], eps: float) -> float:
@@ -371,8 +374,8 @@ class ExpressionNet(FunctionNet):
     def derivative_batch(self, alpha, coords, eps):
         return ex.eval_batch(self.derivative_expr(alpha), coords, eps)
 
-    def shifted_sums(self, alpha, rows, offsets, eps, weights, chunk):
-        return ex.shifted_sums(self.derivative_expr(alpha), rows, offsets, eps, weights, chunk)
+    def shifted_sums(self, alpha, rows, offsets, eps, weights):
+        return ex.shifted_sums(self.derivative_expr(alpha), rows, offsets, eps, weights)
 
     def sup_witness(self, alpha, grid, eps):
         return ex.separable_argmax(self.derivative_expr(alpha), grid, eps)
@@ -452,6 +455,9 @@ class BandedNet(FunctionNet):
 
     def derivative_batch(self, alpha, coords, eps):
         return self._part(eps).derivative_batch(alpha, coords, eps)
+
+    def shifted_sums(self, alpha, rows, offsets, eps, weights):
+        return self._part(eps).shifted_sums(alpha, rows, offsets, eps, weights)
 
     def sup_witness(self, alpha, grid, eps):
         return self._part(eps).sup_witness(alpha, grid, eps)

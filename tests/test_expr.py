@@ -35,15 +35,15 @@ from colombeau.expr import (
     evaluate,
     node_count,
     parse,
-    row_blocks,
     separable_argmax,
     shifted_sums,
     simplify,
     to_text,
 )
-from colombeau.expr import special
+from colombeau.expr import quadrature, special
 from colombeau.expr.evaluate import _Walk
 from colombeau.mollify import build_mollifier
+from colombeau.nets import map_eps
 from colombeau.expr.parser import MAX_NESTING
 
 from raw_trees import central_diff, random_expr
@@ -836,29 +836,29 @@ _SEAM_CUTOFFS = [(1, "cutoff(x1)"), (1, "cutoff((x1-0.3)/0.7)"), (1, "cutoff((0.
     (2, "cutoff(x1)*cutoff(x2)*exp(x2/eps)", 0),
 ])
 def test_shifted_cutoff_rows_keep_every_bit(d, text, k):
-    # an order-0 cutoff over an affine argument reads only its band rows flat
+    # a class walks its rows with the cutoffs it holds off the band settled,
+    # which keeps the flat bits; with weights of a few binary digits the
+    # separable sums of 1.0 and 0.0 are exact too, so every row's sums are
+    # the row-local rule's on the flat values
     e = simplify(parse(text, dimension=d))
     for _ in range(k):
         e = simplify(differentiate(e, 0))
     for rows, offsets in _cutoff_row_blocks(d):
-        points = np.asarray(Grid.shifted(rows, offsets))
+        m = offsets.shape[1]
+        weights = [(np.arange(m) - m // 2) / 4.0, np.full(m, 0.125)]
         for eps in (0.5, 2.0**-10):
-            got = eval_batch(e, Grid.shifted(rows, offsets), eps)
-            assert got.tobytes() == eval_batch(e, points, eps).tobytes(), (rows, eps)
+            got = shifted_sums(e, rows, offsets, eps, weights)
+            assert got.tobytes() == _flat_sums(e, rows, offsets, eps, weights).tobytes(), (rows, eps)
 
 
-def _flat_sums(e, rows, offsets, eps, weights, chunk=1 << 14):
-    # the flat quadrature: eval_batch on a shifted Grid of each block of
-    # rows, whose values keep the bits of the formed points but for split sin
-    # and cos leaves, each block summed by one matrix-vector product
-    m = offsets.shape[1]
-    out = np.empty((len(weights), rows.shape[1]))
-    for block in row_blocks(rows.shape[1], m, chunk):
-        vals = eval_batch(e, Grid.shifted(rows[:, block], offsets), eps)
-        for i, w in enumerate(weights):
-            with np.errstate(all="ignore"):  # inf - inf in a sum is nan
-                out[i, block] = vals.reshape(-1, m) @ w
-    return out
+def _flat_sums(e, rows, offsets, eps, weights):
+    # the flat quadrature: eval_batch on a shifted Grid of the rows, whose
+    # values keep the bits of the formed points but for split sin and cos
+    # leaves, each row summed against each weight vector by the row-local
+    # rule, numpy's einsum loop
+    vals = eval_batch(e, Grid.shifted(rows, offsets), eps).reshape(rows.shape[1], -1)
+    with np.errstate(all="ignore"):  # inf - inf in a sum is nan
+        return np.einsum("jq,wq->wj", vals, np.array(weights))
 
 
 def _rule(d):
@@ -870,7 +870,7 @@ def _rule(d):
 
 def _quadrature_rows(d):
     # rows on the plateau of cutoff(x1), across its band and outside it,
-    # 2 * 64 + 1 of them so that short blocks leave a one-row tail
+    # 2 * 64 + 1 of them
     if d == 1:
         return np.linspace(-2.5, 2.5, 2 * 64 + 1)[None, :]
     return np.random.default_rng(3).uniform(-2.5, 2.5, (2, 2 * 64 + 1))
@@ -892,7 +892,7 @@ def test_separable_sums_agree_with_the_flat_sums(d, text, k):
     rows, (nodes, weights) = _quadrature_rows(d), _rule(d)
     for eps, n in ((0.5, 1), (2.0**-4, 1), (2.0**-10, 2)):
         offsets = eps**n * nodes
-        got = shifted_sums(e, rows, offsets, eps, weights, 1 << 14)
+        got = shifted_sums(e, rows, offsets, eps, weights)
         want = _flat_sums(e, rows, offsets, eps, weights)
         top = np.max(np.abs(eval_batch(e, np.asarray(Grid.shifted(rows, offsets)), eps)))
         argument = (np.max(np.abs(rows)) + np.max(np.abs(offsets))) / eps
@@ -907,15 +907,31 @@ def test_separable_sums_agree_with_the_flat_sums(d, text, k):
     "eps^(-400)*cutoff(x1)*sin(x1/eps)",  # an inf factor: the product's own rules apply
     "cutoff(x1*eps^(-2000))*sin(x1/eps)",  # an inf slope: the row bounds are None
     "sin(x1/eps)*sin(2*x1/eps)*sin(3*x1/eps)*sin(5*x1/eps)*sin(7*x1/eps)",  # rank 32
+    "cutoff(x1)*sin(x1/eps)",  # flat on the band rows only, which lie between separable ones
 ])
-def test_classes_that_do_not_separate_keep_the_flat_bits(text):
+def test_classes_that_do_not_separate_keep_the_flat_bits(monkeypatch, text):
+    # the row-local rule: each flat row's sums are the rule's on that row's
+    # own flat values, formed alone, whatever the rows beside it, the block
+    # size and the thread count
     e = simplify(parse(text))
     rows, (nodes, weights) = _quadrature_rows(1), _rule(1)
     m = nodes.shape[1]
-    for eps in (2.0**-4, 2.0**-10):
-        for chunk in (m, 7 * m + 3, 1 << 14):
-            got = shifted_sums(e, rows, eps * nodes, eps, weights, chunk)
-            assert got.tobytes() == _flat_sums(e, rows, eps * nodes, eps, weights, chunk).tobytes()
+    epss = (2.0**-4, 2.0**-10)
+    flat = [np.ones(rows.shape[1], dtype=bool) for _ in epss]
+    if text == "cutoff(x1)*sin(x1/eps)":
+        for eps, mask in zip(epss, flat):  # a row's bounds are its extreme shifted points
+            points = np.abs(rows[0][:, None] - eps * nodes[0][None, :])
+            mask &= ~((points <= 1.0).all(axis=1) | (points >= 2.0).all(axis=1))
+            assert 0 < mask.sum() < rows.shape[1]
+    alone = [np.hstack([_flat_sums(e, rows[:, j:j + 1], eps * nodes, eps, weights)
+                        for j in range(rows.shape[1])]) for eps in epss]
+    for size in (m, 7 * m + 3, quadrature._EVAL_CHUNK, rows.shape[1] * m):
+        monkeypatch.setattr(quadrature, "_EVAL_CHUNK", size)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("COLOMBEAU_THREADS", threads)
+            got = map_eps(lambda eps: shifted_sums(e, rows, eps * nodes, eps, weights), epss)
+            for g, want, mask in zip(got, alone, flat):
+                assert g[:, mask].tobytes() == want[:, mask].tobytes(), (size, threads)
 
 
 @pytest.mark.parametrize("d, text", _SEAM_CUTOFFS)
@@ -931,7 +947,7 @@ def test_settled_cutoffs_sum_as_the_flat_path_at_the_seams(d, text, k):
         m = offsets.shape[1]
         weights = [np.linspace(-1.0, 1.0, m), np.full(m, 1.0 / m)]
         for eps in (0.5, 2.0**-10):
-            got = shifted_sums(e, rows, offsets, eps, weights, 1 << 14)
+            got = shifted_sums(e, rows, offsets, eps, weights)
             want = _flat_sums(e, rows, offsets, eps, weights)
             if k:
                 assert got.tobytes() == want.tobytes(), (rows, eps)
@@ -939,25 +955,26 @@ def test_settled_cutoffs_sum_as_the_flat_path_at_the_seams(d, text, k):
                 assert np.max(np.abs(got - want)) <= m * 2.0**-52, (rows, eps)
 
 
-def test_separable_sums_depend_on_no_other_row_or_block():
+def test_separable_sums_depend_on_no_other_row_or_block(monkeypatch):
     # the inner sums are taken per class with math.fsum, whose result is the
     # rounded exact sum, so a row sums alike alone, in any block, in any class
     e = simplify(parse("cutoff(x1)*sin(x1/eps)"))
     rows, (nodes, weights) = np.linspace(-0.9, 0.9, 301)[None, :], _rule(1)
     offsets = 2.0**-6 * nodes
-    whole = shifted_sums(e, rows, offsets, 2.0**-6, weights, 1 << 14)
+    whole = shifted_sums(e, rows, offsets, 2.0**-6, weights)
     for j in (0, 150, 300):
-        alone = shifted_sums(e, rows[:, j:j + 1], offsets, 2.0**-6, weights, 1 << 14)
+        alone = shifted_sums(e, rows[:, j:j + 1], offsets, 2.0**-6, weights)
         assert alone.tobytes() == whole[:, j:j + 1].tobytes()
     beside = np.concatenate([rows, [[1.5, 3.0]]], axis=1)  # a band and an outside class
-    got = shifted_sums(e, beside, offsets, 2.0**-6, weights, 32)
+    monkeypatch.setattr(quadrature, "_EVAL_CHUNK", 32)
+    got = shifted_sums(e, beside, offsets, 2.0**-6, weights)
     assert got[:, :301].tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("text", ["cutoff(x1)*sin(x1/eps)", "sin(x1/eps)", "exp(x1)*cutoff(x1)"])
 def test_shifted_sums_of_no_rows_are_empty(text):
     nodes, weights = _rule(1)
-    got = shifted_sums(simplify(parse(text)), np.empty((1, 0)), 0.25 * nodes, 0.25, weights, 1 << 14)
+    got = shifted_sums(simplify(parse(text)), np.empty((1, 0)), 0.25 * nodes, 0.25, weights)
     assert got.shape == (len(weights), 0)
 
 
@@ -988,7 +1005,7 @@ def test_separable_algebra_matches_the_flat_walk(e):
     rows = np.array([[-0.5, -0.1, 0.3, 0.45, 2.5, 3.0, 1.5]])  # plateau, outside, band
     nodes, weights = _rule(1)
     offsets = 2.0**-4 * nodes
-    got = shifted_sums(e, rows, offsets, 0.125, weights, 1 << 14)
+    got = shifted_sums(e, rows, offsets, 0.125, weights)
     want = _flat_sums(e, rows, offsets, 0.125, weights)
     top = np.max(np.abs(eval_batch(e, np.asarray(Grid.shifted(rows, offsets)), 0.125)))
     for w, g, f in zip(weights, got, want):
@@ -1013,22 +1030,23 @@ def test_rows_that_separate_reach_no_flat_product(monkeypatch, cutoff_calls):
     monkeypatch.setattr(_Walk, "product", spy)
     nodes, weights = _rule(1)
     e = simplify(differentiate(simplify(parse("cutoff(x1)*sin(x1/eps)")), 0))
-    shifted_sums(e, np.array([[-3.0, -0.5, 0.0, 0.9, 2.5, 4.0]]), 2.0**-6 * nodes, 2.0**-6,
-                 weights, 1 << 14)
+    shifted_sums(e, np.array([[-3.0, -0.5, 0.0, 0.9, 2.5, 4.0]]), 2.0**-6 * nodes, 2.0**-6, weights)
     assert max(walked) <= 1 and orders == tops == points == []
-    shifted_sums(e, np.array([[-0.5, 1.5, 2.5]]), 2.0**-6 * nodes, 2.0**-6, weights, 1 << 14)
+    shifted_sums(e, np.array([[-0.5, 1.5, 2.5]]), 2.0**-6 * nodes, 2.0**-6, weights)
     assert max(walked) == nodes.shape[1] and orders == [0] and tops == [1]
 
 
 def test_shifted_cutoff_evaluates_only_whole_band_rows(cutoff_calls):
+    # exp does not separate, so every class is walked flat on its own rows
     orders, _, points = cutoff_calls
     e = simplify(parse("cutoff(x1)*exp(x1)"))
     offsets = np.linspace(-0.1, 0.1, 16)[None, :]
+    weights = [np.full(16, 1.0 / 16)]
     for rows in ([-0.8, 0.0, 0.8], [-3.0, 2.5]):  # wholly on the plateau, wholly outside
-        eval_batch(e, Grid.shifted(np.array([rows]), offsets), 0.5)
+        shifted_sums(e, np.array([rows]), offsets, 0.5, weights)
     assert orders == []
     # -1.5, 0.95 (which reaches 1.05) and 1.2 meet the band
-    eval_batch(e, Grid.shifted(np.array([[-3.0, -1.5, 0.0, 0.95, 1.2, 2.5]]), offsets), 0.5)
+    shifted_sums(e, np.array([[-3.0, -1.5, 0.0, 0.95, 1.2, 2.5]]), offsets, 0.5, weights)
     assert orders == [0] and points == [3 * 16]
 
 
@@ -1069,7 +1087,7 @@ def _row_bound_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(_row_bound_cases())
 def test_row_bounds_hold_every_flat_value_of_their_row(case):
-    from colombeau.expr.evaluate import _RowBounds, _plan_of
+    from colombeau.expr.evaluate import _plan_of
 
     arg, rows, offsets, eps = case
     grid = Grid.shifted(rows, offsets)
@@ -1077,7 +1095,7 @@ def test_row_bounds_hold_every_flat_value_of_their_row(case):
     slot = plan.kids[-1][0]
     assert plan.settles == (slot,)  # the cutoff's argument is affine
     with np.errstate(all="ignore"):
-        bounds = _RowBounds(plan, grid, eps).take(slot)
+        bounds = quadrature._RowBounds(plan, grid, eps).take(slot)
         flat = eval_batch(arg, np.asarray(grid), eps).reshape(rows.shape[1], -1)
     if bounds is None:
         return

@@ -41,6 +41,13 @@ sum to 1.0; ``--net compact_osc --k 1 --order 24`` moved its n = 4
 ``v_hat`` from 4.985 to 4.992, and ``--net osc --n 3`` its n = 3 ``v_hat``
 from 1.18e-16 to 1.68e-16.  No verdict or exit code moved.
 
+The ``regular-bound`` CSV was re-recorded again when the quadrature's
+flat rows (the cutoff's band, and every tree that does not separate)
+began to be summed row by row in numpy's einsum loop instead of by BLAS
+matrix-vector products: one of its 96 rows (n = 1, k = 3, the second
+compact, j = 5) moved its ``ln_lhs`` by 5.3e-15, and no ``ok`` moved.
+Every other digest and every CLI pin stayed as it was.
+
 The digests were recorded with Python 3.11.7 and numpy 2.4.6.  Another
 numpy can round the last bit of a float differently; a mismatch there means
 the digests must be re-recorded, not that a refactor went wrong.
@@ -115,7 +122,7 @@ GOLDEN = {
         "summary.json": "49e7ecab5d1000c72aeac55fab1bde0d0d7024f66e5daddb5fe05937108ec876",
     },
     "regular_bound_compact_osc": {
-        "00-regular-bound.csv": "6d7addcf7a571c04ff3a9562fbad6d55a39366eb2b984df74405827b9b094cac",
+        "00-regular-bound.csv": "3784ca30bcb1b9bce6ff90f1b710f0befc0cba709f64580d438c9e1586dc2907",
         "summary.json": "9a6e3299444b9eaa7454c7b5eb0817759236a0af3627ca87bcd2e8a99123e4b8",
     },
     "sublinear_density_compact_osc": {

@@ -8,7 +8,7 @@ import pytest
 
 from colombeau import cli
 from colombeau.catalog import REFERENCE_COMPACTS, catalog_net
-from colombeau.expr import Grid, LeafMemo, parse
+from colombeau.expr import Grid, LeafMemo, parse, quadrature
 from colombeau.expr.special import ball_bump_values, bump_deriv_values
 from colombeau.mollify import (
     CONVERGENCE_GRID,
@@ -24,6 +24,7 @@ from colombeau.mollify import (
     regular_bound_experiment,
 )
 from colombeau.nets import (
+    BandedNet,
     CompactBox,
     DifferenceNet,
     ExpressionNet,
@@ -596,11 +597,9 @@ def test_class_a_validation():
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_quadrature_blocks_move_no_bit(d, monkeypatch):
-    # the package re-exports the function mollify under the module's name
-    mollify_module = importlib.import_module("colombeau.mollify")
     rng = np.random.default_rng(5)
-    # 64q + 1 points: blocks of 64 points leave a one-point tail, whose sum
-    # differs from a long product's last row at some random points
+    # 64q + 1 points: blocks of 64 points leave a one-point tail; the
+    # row-local rule sums that row as it sums every other
     if d == 1:
         base = _net("cutoff(x1)*sin(x1/eps)", hint=1, support=CompactBox.interval(-2, 2))
         point_sets = [np.linspace(-2.5, 2.5, 18 * 64 + 1)[None, :]]
@@ -616,19 +615,19 @@ def test_quadrature_blocks_move_no_bit(d, monkeypatch):
     for pts in point_sets:
         # m and 7m + 3 shifted points (the latter ends 3 nodes into a row),
         # the default, and one block for all points
-        sizes = [m, 7 * m + 3, mollify_module._EVAL_CHUNK, pts.shape[1] * m]
+        sizes = [m, 7 * m + 3, quadrature._EVAL_CHUNK, pts.shape[1] * m]
         for net in nets:
             for alpha in alphas:
                 got = []
                 for size in sizes:
-                    monkeypatch.setattr(mollify_module, "_EVAL_CHUNK", size)
+                    monkeypatch.setattr(quadrature, "_EVAL_CHUNK", size)
                     got.append(net.derivative_batch(alpha, pts, 2**-4))
                 assert all(np.array_equal(g, got[-1]) for g in got), (type(net), alpha)
         # on a block with a memo, the route forms from one pass every
         # multi-index of the asked order and of orders 0..3: the asked values
         # and each stored block max move no bit either
         route = nets[1]
-        monkeypatch.setattr(mollify_module, "_EVAL_CHUNK", sizes[2])
+        monkeypatch.setattr(quadrature, "_EVAL_CHUNK", sizes[2])
         points = Grid(tuple(pts), (pts.shape[1],))  # without a memo: one order per call
         for alpha in alphas:
             single = route.derivative_batch(alpha, points, 2**-4)
@@ -636,7 +635,7 @@ def test_quadrature_blocks_move_no_bit(d, monkeypatch):
                        for k in sorted({sum(alpha), 0, 1, 2, 3})
                        for a in multi_indices(d, k) if a != alpha}
             for size in sizes:
-                monkeypatch.setattr(mollify_module, "_EVAL_CHUNK", size)
+                monkeypatch.setattr(quadrature, "_EVAL_CHUNK", size)
                 memo = LeafMemo(1 << 10)
                 kept = Grid(tuple(pts), (pts.shape[1],), memo)
                 assert np.array_equal(route.derivative_batch(alpha, kept, 2**-4), single)
@@ -644,6 +643,20 @@ def test_quadrature_blocks_move_no_bit(d, monkeypatch):
                 # every block max is left: a second call forms only the asked one
                 assert np.array_equal(route.derivative_batch(alpha, kept, 2**-4), single)
                 assert memo.maxes == unasked, (alpha, size)
+
+
+@pytest.mark.parametrize("route", [MollifiedNet, PsiRouteNet])
+def test_a_one_band_net_mollifies_as_its_expression(route):
+    # a banded base hands the quadrature to its band's expression net, which
+    # sums the rows that separate over the nodes first
+    text = "cutoff(x1)*sin(x1/eps)"
+    banded = BandedNet(1, [((0.0, 1.0), parse(text))], oscillation_hint=1)
+    pts = np.linspace(-2.5, 2.5, 2001)[None, :]
+    for n, eps in ((1, 2.0**-4), (2, 2.0**-6)):
+        got, want = route(banded, n, build_mollifier(1)), route(_net(text, hint=1), n, build_mollifier(1))
+        for k in range(4):
+            assert got.derivative_batch((k,), pts, eps).tobytes() == \
+                want.derivative_batch((k,), pts, eps).tobytes(), (n, k)
 
 
 def test_a_route_folds_non_finite_block_maxes_as_grid_max_does():

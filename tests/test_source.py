@@ -125,3 +125,48 @@ def test_every_default_is_set():
         if not given & {(name, "*"), (name, param), (name, f"#{pos}")}
     ]
     assert unset == []
+
+
+_BLAS_CALLS = {"dot", "matmul", "inner", "tensordot"}
+# the one BLAS-backed product allowed: the residual of the valuation fit's
+# least squares, which no quadrature sum reaches
+_BLAS_ALLOWED = {("scale.py", "estimate_valuation")}
+
+
+def blas_products(path: pathlib.Path) -> list[str]:
+    """``@``, ``dot``, ``matmul``, ``inner`` and ``tensordot`` products, and
+    ``einsum`` calls with ``optimize``, outside the functions allowed them."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    name = str(path.relative_to(PACKAGE))
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        hit = None
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            hit = "@"
+        elif isinstance(node, ast.Call):
+            f = node.func
+            called = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+            if called in _BLAS_CALLS:
+                hit = called
+            elif called == "einsum" and any(kw.arg in ("optimize", None) for kw in node.keywords):
+                hit = "einsum(optimize=...)"
+        if hit and (name, fn) not in _BLAS_ALLOWED:
+            found.append(f"{name}:{node.lineno} {hit}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, None)
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: str(p.relative_to(PACKAGE))
+)
+def test_no_blas_products(path):
+    """A BLAS product may sum a row in an order set by its neighbours, its
+    block or its thread count; every quadrature sum stays in numpy's own
+    row-local loops (``expr.row_local_sums``) or in ``math.fsum``."""
+    assert blas_products(path) == []
